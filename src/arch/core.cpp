@@ -1,6 +1,5 @@
 #include "arch/core.hpp"
 
-#include "sim/log.hpp"
 #include "trace/recorder.hpp"
 
 namespace puno::arch {
@@ -82,8 +81,6 @@ void Core::restart() {
   // restart backoff (randomized linear for the Backoff comparison point).
   const Cycle delay =
       cfg_.htm.abort_recovery_latency + txn_.restart_backoff();
-  PUNO_TRACE(sim::TraceCat::kHtm, kernel_.now(), "core ", node_,
-             " restarting txn after ", delay, " cycles");
   PUNO_TEV(kernel_, trace::Cat::kTxn,
            (trace::TraceEvent{.cycle = kernel_.now(),
                               .a = delay,

@@ -106,7 +106,7 @@ std::string fuzz_traffic_kernel(std::uint64_t seed) {
 SystemConfig make_fuzz_traffic_config(std::uint64_t seed, Scheme scheme) {
   SystemConfig cfg = make_fuzz_config(seed, scheme);
   sim::Rng rng(seed, kTrafficStream);
-  rng.next_range(0, 3);  // keep in lockstep with fuzz_traffic_kernel
+  (void)rng.next_range(0, 3);  // keep in lockstep with fuzz_traffic_kernel
   TrafficConfig& t = cfg.traffic;
   t.arrivals_per_node = static_cast<std::uint32_t>(rng.next_range(8, 32));
   t.keys = rng.next_range(256, 4096);

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "sim/log.hpp"
 #include "trace/recorder.hpp"
 
 namespace puno::coherence {
@@ -128,9 +127,6 @@ void Directory::service(const std::shared_ptr<const Message>& msg) {
   ++busy_entries_;
   if (e.busy_tx_getx) tx_getx_services_.add();
 
-  PUNO_TRACE(sim::TraceCat::kCoherence, kernel_.now(), "dir ", node_,
-             " services ", to_string(msg->type), " addr ", msg->addr,
-             " from node ", msg->requester);
 
   if (msg->type == MsgType::kGetS) {
     service_get_s(e, *msg);

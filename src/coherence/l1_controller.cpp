@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "sim/log.hpp"
 #include "trace/recorder.hpp"
 
 namespace puno::coherence {
@@ -149,8 +148,6 @@ void L1Controller::issue_request() {
   req->ts = hooks_.current_ts();
   req->avg_txn_len = hooks_.avg_txn_len();
   if (m.transactional && m.exclusive) tx_getx_issued_.add();
-  PUNO_TRACE(sim::TraceCat::kCoherence, kernel_.now(), "L1 ", node_, " issues ",
-             to_string(req->type), " addr ", m.addr, " ts ", req->ts);
   send_(home(m.addr), std::move(req));
 }
 

@@ -67,9 +67,9 @@ class SharerSet {
 
   explicit SharerSet(const Params& p)
       : rep_(p.rep),
+        ptr_cap_(p.limited_pointers),
         num_nodes_(p.num_nodes),
-        region_(p.coarse_region == 0 ? 1 : p.coarse_region),
-        ptr_cap_(p.limited_pointers) {
+        region_(p.coarse_region == 0 ? 1 : p.coarse_region) {
     assert(rep_ == SharerRep::kFull || num_nodes_ > 0);
     if (ptr_cap_ == 0) ptr_cap_ = 1;
     if (ptr_cap_ > kMaxLimitedPointers) ptr_cap_ = kMaxLimitedPointers;

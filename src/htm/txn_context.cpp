@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "coherence/l1_controller.hpp"
-#include "sim/log.hpp"
 #include "trace/recorder.hpp"
 
 namespace puno::htm {
@@ -77,8 +76,6 @@ void TxnContext::begin(StaticTxId id) {
     ts_ = mgr_->fresh_timestamp(kernel_.now());
     attempt_aborts_ = 0;
   }
-  PUNO_TRACE(sim::TraceCat::kHtm, kernel_.now(), "node ", node_, " TX_BEGIN ",
-             id, " ts ", ts_, retry ? " (retry)" : "");
   PUNO_TEV(kernel_, trace::Cat::kTxn,
            (trace::TraceEvent{.cycle = kernel_.now(),
                               .ts = ts_,
@@ -118,8 +115,6 @@ void TxnContext::commit() {
   txn_loads_.clear();
   txn_stored_.clear();
   flush_waiters();  // commit-hint extension: the nacked requesters may retry
-  PUNO_TRACE(sim::TraceCat::kHtm, kernel_.now(), "node ", node_, " TX_COMMIT ",
-             static_id_);
 }
 
 void TxnContext::abort(AbortCause cause) {
@@ -147,8 +142,6 @@ void TxnContext::abort(AbortCause cause) {
   txn_stored_.clear();
   if (l1_ != nullptr) l1_->on_local_abort();
   flush_waiters();  // the conflicting claim is gone; waiters may retry
-  PUNO_TRACE(sim::TraceCat::kHtm, kernel_.now(), "node ", node_, " TX_ABORT ",
-             static_id_, " cause ", static_cast<int>(cause));
 }
 
 Cycle TxnContext::restart_backoff() { return mgr_->restart_backoff(); }

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "sim/log.hpp"
 #include "trace/recorder.hpp"
 
 namespace puno::noc {
@@ -93,8 +92,6 @@ void NetworkInterface::tick(Cycle now) {
     flits_sent_.add();
     ++lane.sent;
     if (lane.sent == lane.inflight->num_flits) {
-      PUNO_TRACE(sim::TraceCat::kNoc, now, "NI ", id_, " injected pkt ",
-                 lane.inflight->id, " -> node ", lane.inflight->dst);
       packets_sent_.add();
       lane.inflight.reset();
     }
@@ -127,8 +124,6 @@ void NetworkInterface::eject_flit(std::uint32_t vc, Flit flit) {
   packets_received_.add();
   packet_latency_.sample(
       static_cast<double>(kernel_.now() - pkt->injected_at));
-  PUNO_TRACE(sim::TraceCat::kNoc, kernel_.now(), "NI ", id_, " delivered pkt ",
-             pkt->id, " from node ", pkt->src);
   if (deliver_) deliver_(*pkt);
 }
 

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "sim/log.hpp"
-
 namespace puno::noc {
 
 Router::Router(sim::Kernel& kernel, const NocConfig& cfg, NodeId id,
@@ -19,7 +17,7 @@ Router::Router(sim::Kernel& kernel, const NocConfig& cfg, NodeId id,
   for (auto& in : inputs_) in.buffer.set_capacity(cfg.vc_depth);
   for (auto& port : outputs_) port.vcs.resize(cfg.total_vcs());
   const std::uint32_t num_cand = kNumPorts * cfg.total_vcs();
-  use_masks_ = num_cand <= 64;
+  assert(num_cand <= 64 && "validate() caps noc.vcs_per_vnet to fit a mask");
   cand_port_.resize(num_cand);
   cand_vc_.resize(num_cand);
   for (std::uint32_t idx = 0; idx < num_cand; ++idx) {
@@ -44,7 +42,7 @@ void Router::receive_flit(Port p, std::uint32_t vc, Flit flit) {
   assert(!in.buffer.full() && "credit protocol violated");
   // The flit occupies the 4-stage pipeline before it may traverse the switch.
   flit.ready_at = kernel_.now() + cfg_.pipeline_stages - 1;
-  if (use_masks_ && in.buffer.empty() && !in.active) {
+  if (in.buffer.empty() && !in.active) {
     va_mask_ |= std::uint64_t{1}
                 << (static_cast<std::uint32_t>(p) * cfg_.total_vcs() + vc);
   }
@@ -58,7 +56,7 @@ bool Router::corrupt_drop_flit_for_test() {
     InputVc& in = inputs_[idx];
     if (in.buffer.empty()) continue;
     in.buffer.pop_back();  // drop the youngest flit; head/VA state stays sane
-    if (use_masks_ && in.buffer.empty() && !in.active) {
+    if (in.buffer.empty() && !in.active) {
       va_mask_ &= ~(std::uint64_t{1} << idx);
     }
     --buffered_flits_;
@@ -87,13 +85,11 @@ bool Router::try_allocate_vc(Port p, std::uint32_t vc, const Packet& pkt) {
       oport.vcs[cand].held = true;
       in.out_vc = cand;
       in.active = true;
-      if (use_masks_) {
-        const std::uint64_t bit =
-            std::uint64_t{1}
-            << (static_cast<std::uint32_t>(p) * cfg_.total_vcs() + vc);
-        va_mask_ &= ~bit;
-        sa_mask_[static_cast<std::size_t>(in.out_port)] |= bit;
-      }
+      const std::uint64_t bit =
+          std::uint64_t{1}
+          << (static_cast<std::uint32_t>(p) * cfg_.total_vcs() + vc);
+      va_mask_ &= ~bit;
+      sa_mask_[static_cast<std::size_t>(in.out_port)] |= bit;
       return true;
     }
   }
@@ -123,19 +119,13 @@ bool Router::try_switch(std::uint32_t op, std::uint32_t idx, Cycle now,
   oport.rr_next = (idx + 1) % (kNumPorts * cfg_.total_vcs());
   traversals_.add();
   ++local_traversals_;
-  PUNO_TRACE(sim::TraceCat::kNoc, now, "router ", id_, " ",
-             to_string(ip), ivc, " -> ", to_string(static_cast<Port>(op)),
-             in.out_vc, " pkt ", flit.packet->id,
-             flit.is_tail ? " (tail)" : "");
 
   if (flit.is_tail) {
     ovc.held = false;
     in.active = false;
-    if (use_masks_) {
-      const std::uint64_t bit = std::uint64_t{1} << idx;
-      sa_mask_[op] &= ~bit;
-      if (!in.buffer.empty()) va_mask_ |= bit;
-    }
+    const std::uint64_t bit = std::uint64_t{1} << idx;
+    sa_mask_[op] &= ~bit;
+    if (!in.buffer.empty()) va_mask_ |= bit;
   }
 
   // Return the freed buffer slot's credit upstream (one-cycle turnaround)
@@ -160,68 +150,43 @@ bool Router::try_switch(std::uint32_t op, std::uint32_t idx, Cycle now,
 void Router::tick(Cycle now) {
   if (buffered_flits_ == 0) return;
 
-  const std::uint32_t total_vcs = cfg_.total_vcs();
-  const std::uint32_t num_cand = kNumPorts * total_vcs;
-
-  // VC allocation: any idle input VC whose front flit is a ready head.
-  // The mask path visits exactly the VCs the full (port, vc) double loop
-  // would not have `continue`d on the (active, empty) test, in the same
-  // ascending order.
-  if (use_masks_) {
-    std::uint64_t m = va_mask_;
-    while (m != 0) {
-      const auto idx = static_cast<std::uint32_t>(__builtin_ctzll(m));
-      m &= m - 1;
-      InputVc& in = inputs_[idx];
-      const Flit& head = in.buffer.front();
-      if (!head.is_head || head.ready_at > now) continue;
-      try_allocate_vc(cand_port_[idx], cand_vc_[idx], *head.packet);
-    }
-  } else {
-    for (std::uint32_t p = 0; p < kNumPorts; ++p) {
-      for (std::uint32_t vc = 0; vc < total_vcs; ++vc) {
-        InputVc& in = in_vc(static_cast<Port>(p), vc);
-        if (in.active || in.buffer.empty()) continue;
-        const Flit& head = in.buffer.front();
-        if (!head.is_head || head.ready_at > now) continue;
-        try_allocate_vc(static_cast<Port>(p), vc, *head.packet);
-      }
-    }
+  // VC allocation: any idle input VC whose front flit is a ready head, in
+  // ascending (port, vc) order.
+  std::uint64_t waiting = va_mask_;
+  while (waiting != 0) {
+    const auto idx = static_cast<std::uint32_t>(__builtin_ctzll(waiting));
+    waiting &= waiting - 1;
+    InputVc& in = inputs_[idx];
+    const Flit& head = in.buffer.front();
+    if (!head.is_head || head.ready_at > now) continue;
+    try_allocate_vc(cand_port_[idx], cand_vc_[idx], *head.packet);
   }
 
   // Switch allocation + traversal: one flit per output port and per input
-  // port per cycle, round-robin among competing input VCs. The mask path
-  // visits the allocated candidates for this output port in round-robin
-  // order starting at rr_next — the full scan's order restricted to the
-  // candidates it would not have skipped as unallocated or mis-routed.
+  // port per cycle, round-robin among competing input VCs: the allocated
+  // candidates for each output port are visited in scan-index order
+  // starting at rr_next, wrapping once.
   bool input_port_used[kNumPorts] = {};
   for (std::uint32_t op = 0; op < kNumPorts; ++op) {
     OutputPort& oport = out(static_cast<Port>(op));
     if (!oport.sink) continue;
-    if (use_masks_) {
-      const std::uint64_t m = sa_mask_[op];
-      if (m == 0) continue;
-      const std::uint32_t rr = oport.rr_next;
-      // Bits at idx >= rr first, then idx < rr: round-robin wrap order.
-      std::uint64_t part = m & (~std::uint64_t{0} << rr);
-      for (int half = 0; half < 2; ++half) {
-        bool won = false;
-        while (part != 0) {
-          const auto idx = static_cast<std::uint32_t>(__builtin_ctzll(part));
-          part &= part - 1;
-          if (try_switch(op, idx, now, input_port_used)) {
-            won = true;
-            break;
-          }
+    const std::uint64_t m = sa_mask_[op];
+    if (m == 0) continue;
+    const std::uint32_t rr = oport.rr_next;
+    // Bits at idx >= rr first, then idx < rr: round-robin wrap order.
+    std::uint64_t part = m & (~std::uint64_t{0} << rr);
+    for (int half = 0; half < 2; ++half) {
+      bool won = false;
+      while (part != 0) {
+        const auto idx = static_cast<std::uint32_t>(__builtin_ctzll(part));
+        part &= part - 1;
+        if (try_switch(op, idx, now, input_port_used)) {
+          won = true;
+          break;
         }
-        if (won) break;
-        part = m & ~(~std::uint64_t{0} << rr);
       }
-    } else {
-      for (std::uint32_t k = 0; k < num_cand; ++k) {
-        const std::uint32_t idx = (oport.rr_next + k) % num_cand;
-        if (try_switch(op, idx, now, input_port_used)) break;
-      }
+      if (won) break;
+      part = m & ~(~std::uint64_t{0} << rr);
     }
   }
 }

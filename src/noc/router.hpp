@@ -20,12 +20,10 @@
 // the mesh can skip quiescent routers entirely. The VA and SA scans iterate
 // candidate bitmasks instead of every (port, vc) slot: va_mask_ holds input
 // VCs with buffered flits awaiting VC allocation, sa_mask_[op] the allocated
-// input VCs routed to output port op. Bit position == the scan index the
-// full loop used, and bits are visited in the same (ascending / round-robin)
-// order, so the masks only skip iterations the full scan would have
-// `continue`d — rr_next evolution and arbitration outcomes stay
-// bit-identical. Configs whose (port, vc) space exceeds 64 fall back to the
-// full scans.
+// input VCs routed to output port op. Bit position is the scan index
+// port * total_vcs + vc, visited in ascending (VA) or round-robin-from-
+// rr_next (SA) order. The (port, vc) space must fit one 64-bit word, so
+// validate() caps noc.vcs_per_vnet at 4 with the fixed 3 vnets.
 #pragma once
 
 #include <cstdint>
@@ -148,9 +146,6 @@ class Router {
   std::vector<CreditSink> credit_return_;  // [port]
   std::uint64_t buffered_flits_ = 0;
   std::uint64_t local_traversals_ = 0;
-  /// True when kNumPorts * total_vcs <= 64 and the mask-based scans apply
-  /// (every shipped config; exotic ones use the full scans).
-  bool use_masks_ = false;
   /// Scan-index bit per input VC that holds flits but no output VC yet.
   /// A set bit does not imply the head is ready — that is re-checked.
   std::uint64_t va_mask_ = 0;

@@ -524,196 +524,4 @@ void write_fleet_dashboard(const std::vector<AggregateRow>& rows,
   html::end_page(out);
 }
 
-bool read_bench_snapshot(const fs::path& path, BenchSnapshot& snap,
-                         std::string* err) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    if (err != nullptr) *err = "cannot read '" + path.string() + "'";
-    return false;
-  }
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  snap = BenchSnapshot{};
-  snap.path = path.string();
-
-  const auto parse_run = [&](std::string_view& s) {
-    BenchSnapshot::Row row;
-    const bool ok = parse_object(
-        // parse_object expects a whole line; give it the remaining text and
-        // let it stop at the object end by carving the value out below.
-        s,
-        [&](const std::string& key, std::string_view& v) {
-          if (key == "workload") return jio::parse_string(v, row.workload);
-          if (key == "scheme") return jio::parse_string(v, row.scheme);
-          if (key == "cycles") return jio::parse_u64(v, row.cycles);
-          if (key == "wall_s") return jio::parse_double(v, row.wall_s);
-          if (key == "cycles_per_s") {
-            return jio::parse_double(v, row.cycles_per_s);
-          }
-          return jio::skip_value(v);
-        },
-        nullptr);
-    if (ok) snap.rows.push_back(std::move(row));
-    return ok;
-  };
-
-  // The snapshot is one nested object (runs hold component arrays), so this
-  // is a hand-rolled walk rather than the flat parse_object driver.
-  std::string_view s = text;
-  bool ok = jio::consume(s, '{');
-  while (ok) {
-    jio::skip_ws(s);
-    std::string key;
-    if (!jio::parse_string(s, key) || !jio::consume(s, ':')) {
-      ok = false;
-      break;
-    }
-    if (key == "schema") {
-      std::string schema;
-      ok = jio::parse_string(s, schema);
-    } else if (key == "git_sha") {
-      ok = jio::parse_string(s, snap.git_sha);
-    } else if (key == "generated_at") {
-      ok = jio::parse_string(s, snap.generated_at);
-    } else if (key == "config_schema") {
-      ok = jio::parse_u64(s, snap.config_schema);
-    } else if (key == "runs") {
-      ok = jio::consume(s, '[');
-      jio::skip_ws(s);
-      if (ok && !s.empty() && s.front() == ']') {
-        s.remove_prefix(1);
-      } else {
-        while (ok) {
-          // Carve one {...} object out of the stream so the flat driver can
-          // insist on consuming it fully.
-          jio::skip_ws(s);
-          std::size_t depth = 0, end = 0;
-          bool in_str = false;
-          for (; end < s.size(); ++end) {
-            const char c = s[end];
-            if (in_str) {
-              if (c == '\\') ++end;
-              else if (c == '"') in_str = false;
-            } else if (c == '"') {
-              in_str = true;
-            } else if (c == '{') {
-              ++depth;
-            } else if (c == '}') {
-              if (--depth == 0) { ++end; break; }
-            }
-          }
-          std::string_view obj = s.substr(0, end);
-          ok = depth == 0 && end > 0 && parse_run(obj);
-          if (!ok) break;
-          s.remove_prefix(end);
-          jio::skip_ws(s);
-          if (jio::consume(s, ',')) continue;
-          ok = jio::consume(s, ']');
-          break;
-        }
-      }
-    } else {
-      ok = jio::skip_value(s);
-    }
-    if (!ok) break;
-    jio::skip_ws(s);
-    if (jio::consume(s, ',')) continue;
-    ok = jio::consume(s, '}');
-    break;
-  }
-  if (!ok) {
-    if (err != nullptr) {
-      *err = path.string() + ": malformed snapshot near '" +
-             offending_token(s) + "'";
-    }
-    return false;
-  }
-  return true;
-}
-
-std::size_t write_trajectory_report(std::vector<BenchSnapshot> snaps,
-                                    double max_regression,
-                                    std::ostream& out) {
-  // Stamped snapshots sort by generation time (ISO-8601 sorts lexically);
-  // unstamped ones keep their given position.
-  std::stable_sort(snaps.begin(), snaps.end(),
-                   [](const BenchSnapshot& a, const BenchSnapshot& b) {
-                     return !a.generated_at.empty() &&
-                            !b.generated_at.empty() &&
-                            a.generated_at < b.generated_at;
-                   });
-
-  char num[40];
-  std::snprintf(num, sizeof num, "%.3g", max_regression);
-  out << "perf trajectory: " << snaps.size() << " snapshots (threshold "
-      << num << "x)\n";
-  const auto aggregate_cps = [](const BenchSnapshot& s) {
-    double cycles = 0, wall = 0;
-    for (const auto& r : s.rows) {
-      cycles += static_cast<double>(r.cycles);
-      wall += r.wall_s;
-    }
-    return wall > 0 ? cycles / wall : 0.0;
-  };
-  for (const BenchSnapshot& s : snaps) {
-    out << "  " << s.path;
-    if (!s.generated_at.empty()) out << "  " << s.generated_at;
-    if (!s.git_sha.empty()) out << "  @" << s.git_sha.substr(0, 12);
-    std::snprintf(num, sizeof num, "%.4g", aggregate_cps(s));
-    out << "  " << s.rows.size() << " rows, aggregate " << num
-        << " cycles/s\n";
-  }
-  if (snaps.size() < 2) {
-    out << "  (need at least 2 snapshots to diff)\n";
-    return 0;
-  }
-
-  std::size_t last_step_flagged = 0;
-  for (std::size_t i = 1; i < snaps.size(); ++i) {
-    const BenchSnapshot& prev = snaps[i - 1];
-    const BenchSnapshot& cur = snaps[i];
-    std::map<std::string, const BenchSnapshot::Row*> prev_rows;
-    for (const auto& r : prev.rows) {
-      prev_rows[r.workload + "/" + r.scheme] = &r;
-    }
-    double worst = 0.0;
-    std::string worst_name;
-    std::size_t compared = 0, flagged = 0;
-    std::ostringstream flags;
-    for (const auto& r : cur.rows) {
-      const auto it = prev_rows.find(r.workload + "/" + r.scheme);
-      if (it == prev_rows.end() || it->second->cycles_per_s <= 0.0) continue;
-      const double ratio = r.cycles_per_s / it->second->cycles_per_s;
-      ++compared;
-      if (worst_name.empty() || ratio < worst) {
-        worst = ratio;
-        worst_name = r.workload + "/" + r.scheme;
-      }
-      if (ratio < max_regression) {
-        ++flagged;
-        char rnum[40], pnum[40], cnum[40];
-        std::snprintf(rnum, sizeof rnum, "%.3g", ratio);
-        std::snprintf(pnum, sizeof pnum, "%.4g", it->second->cycles_per_s);
-        std::snprintf(cnum, sizeof cnum, "%.4g", r.cycles_per_s);
-        flags << "    REGRESSION " << r.workload << "/" << r.scheme << " "
-              << rnum << "x (" << pnum << " -> " << cnum << " cycles/s)\n";
-      }
-    }
-    const double agg_prev = aggregate_cps(prev);
-    const double agg_ratio =
-        agg_prev > 0 ? aggregate_cps(cur) / agg_prev : 0.0;
-    char anum[40], wnum[40];
-    std::snprintf(anum, sizeof anum, "%.3g", agg_ratio);
-    std::snprintf(wnum, sizeof wnum, "%.3g", worst);
-    out << "  step " << prev.path << " -> " << cur.path << ": aggregate "
-        << anum << "x over " << compared << " rows";
-    if (!worst_name.empty()) {
-      out << ", worst " << worst_name << " " << wnum << "x";
-    }
-    out << (flagged > 0 ? "  ** FLAGGED **" : "") << "\n" << flags.str();
-    if (i + 1 == snaps.size()) last_step_flagged = flagged;
-  }
-  return last_step_flagged;
-}
-
 }  // namespace puno::runner

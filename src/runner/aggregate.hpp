@@ -14,9 +14,7 @@
 //     republished via temp + rename, the same atomic-publication idiom as
 //     the result cache,
 //   - the self-contained fleet dashboard comparing schemes x sizes x
-//     workloads with a per-config mesh-heatmap thumbnail,
-//   - a perf-trajectory report over a series of bench_baseline snapshots
-//     (BENCH_*.json) that flags throughput regressions beyond a threshold.
+//     workloads with a per-config mesh-heatmap thumbnail.
 //
 // Parse errors follow the trace-parser convention: the offending token is
 // quoted in the message, with the file and line number.
@@ -129,35 +127,5 @@ void write_aggregate_row(const AggregateRow& row, std::ostream& out);
 /// with headline metrics and heatmap thumbnails, fully self-contained HTML.
 void write_fleet_dashboard(const std::vector<AggregateRow>& rows,
                            std::ostream& out);
-
-/// One bench_baseline snapshot (BENCH_*.json), headline fields only.
-struct BenchSnapshot {
-  std::string path;
-  std::string git_sha;       ///< Empty for pre-stamping snapshots.
-  std::string generated_at;  ///< ISO-8601 UTC; empty for unstamped files.
-  std::uint64_t config_schema = 0;
-  struct Row {
-    std::string workload;
-    std::string scheme;
-    std::uint64_t cycles = 0;
-    double wall_s = 0.0;
-    double cycles_per_s = 0.0;
-  };
-  std::vector<Row> rows;
-};
-
-/// Reads one snapshot; returns false with `err` set (offending token
-/// quoted) on malformed input.
-[[nodiscard]] bool read_bench_snapshot(const std::filesystem::path& path,
-                                       BenchSnapshot& snap, std::string* err);
-
-/// Orders snapshots into a trajectory (generated_at when stamped, falling
-/// back to the given order), diffs consecutive snapshots per workload x
-/// scheme row, and writes the report. A row whose throughput ratio drops
-/// below `max_regression` (e.g. 0.7 = lost 30%) is flagged; the return
-/// value is the number of flagged regressions in the newest step.
-[[nodiscard]] std::size_t write_trajectory_report(
-    std::vector<BenchSnapshot> snaps, double max_regression,
-    std::ostream& out);
 
 }  // namespace puno::runner

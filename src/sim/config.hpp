@@ -403,6 +403,15 @@ struct SystemConfig {
       cfg.noc.vcs_per_vnet == 0 || cfg.noc.num_vnets < 3)
     return std::string(
         "noc.flit_bytes/vc_depth/vcs_per_vnet must be > 0 and num_vnets >= 3");
+  // The router's allocation scans keep one bit per (input port, VC) in a
+  // 64-bit mask, so 5 ports x total_vcs must fit: vcs_per_vnet <= 4 at the
+  // fixed 3 vnets.
+  if (std::uint64_t{5} * cfg.noc.num_vnets * cfg.noc.vcs_per_vnet > 64)
+    return "noc.vcs_per_vnet must be <= " +
+           std::to_string(64 / (5 * cfg.noc.num_vnets)) + " with " +
+           std::to_string(cfg.noc.num_vnets) + " vnets (got " +
+           std::to_string(cfg.noc.vcs_per_vnet) +
+           "): 5 router ports x total VCs must fit a 64-bit mask";
   if (cfg.dir.shards != 0 && (cfg.dir.shards > cfg.num_nodes ||
                               cfg.num_nodes % cfg.dir.shards != 0))
     return std::string("dir.shards must divide num_nodes");

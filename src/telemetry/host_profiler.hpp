@@ -4,7 +4,7 @@
 // buckets (call count + total host ticks) and renders a per-component
 // breakdown — where the *simulator's own* wall-clock time goes, as opposed
 // to the simulated-cycle accounting everywhere else in the tree. Used by
-// `punosim --profile` and the bench_baseline target (BENCH_4.json).
+// `punosim --profile`.
 //
 // Attach with kernel.set_profiler(&profiler); detach (set nullptr) before
 // the profiler goes out of scope.
@@ -50,7 +50,7 @@ class HostProfiler final : public sim::ProfileSink {
   void write_report(std::ostream& out) const;
 
   /// Machine-readable form: {"components":[{"name","calls","ticks"}...],
-  /// "total_ticks":N} — consumed by the bench_baseline JSON emitter.
+  /// "total_ticks":N} — written by `punosim --profile=FILE`.
   void write_json(std::ostream& out) const;
 
  private:

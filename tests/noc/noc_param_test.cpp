@@ -95,7 +95,7 @@ TEST_P(NocParamTest, LatencyLowerBoundRespected) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, NocParamTest,
     ::testing::Combine(::testing::Values(2u, 4u, 8u),   // vc_depth
-                       ::testing::Values(1u, 2u),       // vcs_per_vnet
+                       ::testing::Values(1u, 2u, 4u),   // vcs_per_vnet
                        ::testing::Values(2u, 4u),       // pipeline stages
                        ::testing::Values(1u, 2u)),      // link latency
     [](const ::testing::TestParamInfo<NocParam>& info) {

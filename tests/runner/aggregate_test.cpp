@@ -7,9 +7,7 @@
 //      threads ran the sweep, however the manifest rows were ordered.
 //   3. publish_aggregate merges append-safely (existing keys survive, fresh
 //      rows win) and leaves no temp droppings behind.
-//   4. The perf trajectory flags a synthetic 0.5x regression and orders
-//      stamped snapshots by generated_at regardless of argument order.
-//   5. The fleet dashboard is self-contained and escapes its inputs.
+//   4. The fleet dashboard is self-contained and escapes its inputs.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -234,64 +232,6 @@ TEST(AggregateDeterminism, ByteIdenticalAcrossWorkerCounts) {
   const std::string b = aggregate_bytes(eight.path, 8);
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b) << "aggregate rows must not depend on scheduling";
-}
-
-std::string bench_json(const std::string& generated_at, double puno_cps,
-                       double baseline_cps) {
-  std::ostringstream os;
-  os << "{\"schema\":\"puno-bench-baseline-2\",\"git_sha\":\"cafe1234\","
-     << "\"config_schema\":7,\"generated_at\":\"" << generated_at
-     << "\",\"ticks_per_second\":1e9,\"runs\":["
-     << "{\"workload\":\"intruder\",\"scheme\":\"PUNO\",\"seed\":1,"
-     << "\"completed\":true,\"cycles\":100000,\"commits\":10,\"wall_s\":1.0,"
-     << "\"cycles_per_s\":" << puno_cps << ",\"components\":[]},"
-     << "{\"workload\":\"intruder\",\"scheme\":\"Baseline\",\"seed\":1,"
-     << "\"completed\":true,\"cycles\":100000,\"commits\":10,\"wall_s\":1.0,"
-     << "\"cycles_per_s\":" << baseline_cps << ",\"components\":[]}]}";
-  return os.str();
-}
-
-TEST(Trajectory, FlagsASyntheticHalfSpeedRegression) {
-  TempDir dir("traj");
-  write_file(dir.path / "old.json",
-             bench_json("2026-08-01T00:00:00Z", 1000.0, 1000.0));
-  write_file(dir.path / "new.json",
-             bench_json("2026-08-08T00:00:00Z", 500.0, 990.0));
-
-  BenchSnapshot older, newer;
-  std::string err;
-  ASSERT_TRUE(read_bench_snapshot(dir.path / "old.json", older, &err))
-      << err;
-  ASSERT_TRUE(read_bench_snapshot(dir.path / "new.json", newer, &err));
-  ASSERT_EQ(older.rows.size(), 2u);
-  EXPECT_EQ(older.git_sha, "cafe1234");
-  EXPECT_EQ(older.config_schema, 7u);
-
-  // Snapshots are handed over newest-first: generated_at must reorder them
-  // so the 0.5x drop lands in the newest step and gets flagged.
-  std::ostringstream report;
-  const std::size_t flagged =
-      write_trajectory_report({newer, older}, 0.70, report);
-  EXPECT_EQ(flagged, 1u) << report.str();
-  EXPECT_NE(report.str().find("REGRESSION intruder/PUNO 0.5x"),
-            std::string::npos)
-      << report.str();
-  EXPECT_EQ(report.str().find("REGRESSION intruder/Baseline"),
-            std::string::npos)
-      << "0.99x is within threshold: " << report.str();
-
-  // A flat trajectory passes.
-  std::ostringstream flat;
-  EXPECT_EQ(write_trajectory_report({older, older}, 0.70, flat), 0u);
-}
-
-TEST(Trajectory, MalformedSnapshotQuotesTheToken) {
-  TempDir dir("badbench");
-  write_file(dir.path / "bad.json", "{\"schema\":\"x\",\"runs\":[{oops}]}");
-  BenchSnapshot snap;
-  std::string err;
-  EXPECT_FALSE(read_bench_snapshot(dir.path / "bad.json", snap, &err));
-  EXPECT_NE(err.find("'"), std::string::npos) << err;
 }
 
 TEST(FleetDashboard, SelfContainedAndEscaped) {

@@ -100,6 +100,19 @@ TEST(SystemConfig, ValidateRejectsBadDirectoryKnobs) {
   EXPECT_TRUE(validate(ptrs).has_value());
 }
 
+TEST(SystemConfig, ValidateCapsVcsPerVnetAtTheRouterMaskWidth) {
+  SystemConfig top;
+  top.noc.vcs_per_vnet = 4;  // 5 ports x 12 VCs = 60 mask bits
+  EXPECT_EQ(validate(top), std::nullopt);
+
+  SystemConfig over;
+  over.noc.vcs_per_vnet = 5;  // 75 bits: past the 64-bit mask
+  const auto err = validate(over);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("noc.vcs_per_vnet"), std::string::npos) << *err;
+  EXPECT_NE(err->find("<= 4"), std::string::npos) << *err;
+}
+
 TEST(SystemConfig, EffectiveKnobDefaultsScaleWithNodeCount) {
   SystemConfig cfg;
   cfg.num_nodes = 256;

@@ -1,24 +1,21 @@
 // punoagg: cross-run fleet aggregator (docs/RUNNER.md).
 //
-//   ./punoagg sweepA/runs.jsonl sweepB/runs.jsonl \
-//       --results sweepA/out.jsonl --results sweepB/out.jsonl \
-//       --aggregate fleet.jsonl --fleet fleet.html \
-//       --bench BENCH_old.json --bench BENCH_current.json
+//   ./punoagg sweepA/runs.jsonl sweepB/runs.jsonl
+//       --results sweepA/out.jsonl --results sweepB/out.jsonl
+//       --aggregate fleet.jsonl --fleet fleet.html
 //
 // Walks one or more punobatch manifests, joins each with its result JSONL
 // (k-th --results pairs with the k-th manifest) and per-job telemetry
-// series, and emits: the deterministic aggregate JSONL (merged append-safe
-// into --aggregate via atomic temp + rename), the self-contained fleet
-// dashboard (--fleet), and, over two or more bench_baseline snapshots
-// (--bench), the perf-trajectory report. Exits 1 when the newest trajectory
-// step has a flagged regression or --verify finds a non-canonical aggregate.
+// series, and emits the deterministic aggregate JSONL (merged append-safe
+// into --aggregate via atomic temp + rename) and the self-contained fleet
+// dashboard (--fleet). Exits 1 when --verify finds a non-canonical
+// aggregate.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -38,11 +35,6 @@ void usage(const char* argv0) {
       "  --aggregate FILE   merge the rows into FILE (append-safe: existing\n"
       "                     rows survive unless re-keyed; atomic publish)\n"
       "  --fleet FILE       write the fleet dashboard HTML\n"
-      "  --bench FILE       bench_baseline snapshot for the trajectory\n"
-      "                     report (repeatable; >= 2 to diff)\n"
-      "  --trajectory FILE  trajectory report destination (default stdout)\n"
-      "  --max-regression X flag rows whose throughput ratio drops below X\n"
-      "                     (default 0.70)\n"
       "  --verify           re-read --aggregate after publishing and check\n"
       "                     every row re-serializes byte-identically\n",
       argv0);
@@ -54,9 +46,8 @@ int main(int argc, char** argv) {
   using namespace puno;
   namespace fs = std::filesystem;
 
-  std::vector<std::string> manifests, results, benches;
-  std::string aggregate_path, fleet_path, trajectory_path;
-  double max_regression = 0.70;
+  std::vector<std::string> manifests, results;
+  std::string aggregate_path, fleet_path;
   bool verify = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -74,16 +65,6 @@ int main(int argc, char** argv) {
       aggregate_path = next();
     } else if (arg == "--fleet") {
       fleet_path = next();
-    } else if (arg == "--bench") {
-      benches.push_back(next());
-    } else if (arg == "--trajectory") {
-      trajectory_path = next();
-    } else if (arg == "--max-regression") {
-      max_regression = std::atof(next());
-      if (max_regression <= 0.0 || max_regression > 1.0) {
-        std::fprintf(stderr, "--max-regression must be in (0, 1]\n");
-        return 2;
-      }
     } else if (arg == "--verify") {
       verify = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -97,7 +78,7 @@ int main(int argc, char** argv) {
       manifests.push_back(arg);
     }
   }
-  if (manifests.empty() && benches.empty()) {
+  if (manifests.empty()) {
     usage(argv[0]);
     return 2;
   }
@@ -136,10 +117,8 @@ int main(int argc, char** argv) {
     rows = std::move(unique);
   }
   runner::sort_aggregate(rows);
-  if (!manifests.empty()) {
-    std::printf("punoagg: %zu rows from %zu manifest%s\n", rows.size(),
-                manifests.size(), manifests.size() == 1 ? "" : "s");
-  }
+  std::printf("punoagg: %zu rows from %zu manifest%s\n", rows.size(),
+              manifests.size(), manifests.size() == 1 ? "" : "s");
 
   if (!aggregate_path.empty()) {
     std::string err;
@@ -195,38 +174,5 @@ int main(int argc, char** argv) {
     std::printf("fleet dashboard      -> %s\n", fleet_path.c_str());
   }
 
-  if (!benches.empty()) {
-    std::vector<runner::BenchSnapshot> snaps;
-    for (const std::string& b : benches) {
-      runner::BenchSnapshot snap;
-      std::string err;
-      if (!runner::read_bench_snapshot(b, snap, &err)) {
-        std::fprintf(stderr, "punoagg: %s\n", err.c_str());
-        return 2;
-      }
-      snaps.push_back(std::move(snap));
-    }
-    std::size_t flagged = 0;
-    if (trajectory_path.empty() || trajectory_path == "-") {
-      flagged = runner::write_trajectory_report(std::move(snaps),
-                                                max_regression, std::cout);
-    } else {
-      std::ofstream out(trajectory_path, std::ios::trunc);
-      if (!out) {
-        std::fprintf(stderr, "punoagg: cannot write '%s'\n",
-                     trajectory_path.c_str());
-        return 1;
-      }
-      flagged = runner::write_trajectory_report(std::move(snaps),
-                                                max_regression, out);
-      std::printf("trajectory report    -> %s\n", trajectory_path.c_str());
-    }
-    if (flagged > 0) {
-      std::fprintf(stderr,
-                   "punoagg: %zu regression%s flagged in the newest step\n",
-                   flagged, flagged == 1 ? "" : "s");
-      return 1;
-    }
-  }
   return 0;
 }
