@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "coherence/sharer_set.hpp"
@@ -180,13 +181,22 @@ TEST(SharerSetLimited, ExpandOfBroadcastCoversMachine) {
 
 // --- Cross-representation properties, randomized against std::set ---
 
+// gtest lists each case under the raw bytes of its RepCase, so the struct
+// has no padding: the bytes that were padding are the fields `tag` and
+// `tail`. Left uninitialised they held stack residue, and some cases got a
+// new name on every build. Each case's `tag` is the byte its name has
+// always carried, so the listed names stay the same.
 struct RepCase {
   SharerRep rep;
+  std::uint8_t tag;
   std::uint16_t nodes;
   std::uint16_t region;
   std::uint16_t pointers;
   bool exact;  ///< representation promises exact membership w/o remove()
+  std::uint8_t tail = 0;
 };
+static_assert(std::has_unique_object_representations_v<RepCase>,
+              "padding in RepCase makes the gtest case names vary by build");
 
 class SharerSetProperty : public ::testing::TestWithParam<RepCase> {};
 
@@ -264,17 +274,17 @@ TEST_P(SharerSetProperty, IntersectIsExact) {
 INSTANTIATE_TEST_SUITE_P(
     AllReps, SharerSetProperty,
     ::testing::Values(
-        RepCase{SharerRep::kFull, 16, 1, 4, true},
-        RepCase{SharerRep::kFull, 64, 1, 4, true},
-        RepCase{SharerRep::kFull, 256, 1, 4, true},
-        RepCase{SharerRep::kFull, 1024, 1, 4, true},
-        RepCase{SharerRep::kCoarse, 16, 1, 4, true},   // region 1 = exact
-        RepCase{SharerRep::kCoarse, 64, 4, 4, false},
-        RepCase{SharerRep::kCoarse, 256, 16, 4, false},
-        RepCase{SharerRep::kCoarse, 1000, 7, 4, false},  // non-dividing K
-        RepCase{SharerRep::kLimited, 16, 1, 16, true},   // cap = nodes
-        RepCase{SharerRep::kLimited, 64, 1, 4, false},
-        RepCase{SharerRep::kLimited, 1024, 1, 16, false}),
+        RepCase{SharerRep::kFull, 0x48, 16, 1, 4, true},
+        RepCase{SharerRep::kFull, 0xED, 64, 1, 4, true},
+        RepCase{SharerRep::kFull, 0x55, 256, 1, 4, true},
+        RepCase{SharerRep::kFull, 0xCB, 1024, 1, 4, true},
+        RepCase{SharerRep::kCoarse, 0xFF, 16, 1, 4, true},  // region 1 = exact
+        RepCase{SharerRep::kCoarse, 0x00, 64, 4, 4, false},
+        RepCase{SharerRep::kCoarse, 0x55, 256, 16, 4, false},
+        RepCase{SharerRep::kCoarse, 0x00, 1000, 7, 4, false},  // non-dividing K
+        RepCase{SharerRep::kLimited, 0x8E, 16, 1, 16, true},   // cap = nodes
+        RepCase{SharerRep::kLimited, 0x8B, 64, 1, 4, false},
+        RepCase{SharerRep::kLimited, 0x7F, 1024, 1, 16, false}),
     [](const auto& info) {
       const RepCase& rc = info.param;
       std::string name = to_string(rc.rep);
