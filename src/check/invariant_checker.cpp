@@ -306,8 +306,8 @@ void InvariantChecker::check_txn_pin(Cycle now) {
 }
 
 // NOC-CONSERVATION: every flit the NIs injected is either ejected, buffered
-// in some router, or riding a link as a scheduled event — always; and once
-// the mesh drains, protocol messages in equals messages out.
+// in some router, or riding a link in the mesh's link stage — always; and
+// once the mesh drains, protocol messages in equals messages out.
 void InvariantChecker::check_noc_conservation(Cycle now) {
   if (mesh_ == nullptr) return;
   const std::uint64_t sent = flits_sent_->value();

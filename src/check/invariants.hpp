@@ -4,7 +4,7 @@
 // every post-cycle boundary — after all tickables and events of a cycle have
 // run, the machine is in an architecturally meaningful state and anything
 // still "in motion" is explicitly accounted (busy directory entries, the
-// writeback buffer, flits riding links as scheduled events). The checker
+// writeback buffer, flits in the mesh's link stage). The checker
 // never fires on legal transient protocol windows; see docs/INVARIANTS.md
 // for the per-invariant transient analysis and the paper sections each
 // property is grounded in.

@@ -5,9 +5,6 @@
 namespace puno::noc {
 
 namespace {
-/// Large credit count standing in for the NI's unbounded reassembly buffer.
-constexpr std::uint32_t kEjectionCredits = 1u << 30;
-
 [[nodiscard]] constexpr Port opposite(Port p) noexcept {
   switch (p) {
     case Port::kNorth: return Port::kSouth;
@@ -24,76 +21,29 @@ Mesh::Mesh(sim::Kernel& kernel, const NocConfig& cfg)
     : kernel_(kernel),
       cfg_(cfg),
       traversals_(&kernel.stats().counter("noc.router_traversals")),
-      pool_(std::make_shared<PacketPool>()),
+      stage_(cfg.link_latency + 1),
       handlers_(num_nodes()),
       ni_active_(num_nodes()),
       router_active_(num_nodes()) {
-  // Link-traversal events capture PacketRefs; if the kernel outlives the
-  // mesh (it does in Cmp), those events must not outlive the arena backing
-  // the refs. Parking a keep-alive in the kernel guarantees the pool is
-  // destroyed after every still-queued event.
-  kernel_.retain(pool_);
-
+  assert(cfg_.link_latency >= 1 && "validate() rejects noc.link_latency 0");
+  const auto width = static_cast<std::int32_t>(cfg_.mesh_width);
+  step_ = {0, -width, width, 1, -1};  // local, north, south, east, west
   const std::uint32_t n = num_nodes();
   routers_.reserve(n);
   nis_.reserve(n);
   for (NodeId i = 0; i < n; ++i) {
-    routers_.push_back(std::make_unique<Router>(kernel_, cfg_, i,
-                                                *traversals_,
-                                                inflight_flits_));
+    routers_.push_back(std::make_unique<Router>(cfg_, i, *traversals_));
     routers_.back()->set_active_set(&router_active_);
   }
   for (NodeId i = 0; i < n; ++i) {
     nis_.push_back(std::make_unique<NetworkInterface>(kernel_, cfg_, i,
-                                                      *routers_[i], *pool_,
+                                                      *routers_[i], pool_,
                                                       kernel_.stats()));
     nis_.back()->set_active_set(&ni_active_);
-  }
-
-  // Wire the local port pair: router <-> NI.
-  for (NodeId i = 0; i < n; ++i) {
-    Router& r = *routers_[i];
-    NetworkInterface& ni = *nis_[i];
-    r.connect_output(
-        Port::kLocal,
-        [&ni](std::uint32_t vc, Flit f) { ni.eject_flit(vc, std::move(f)); },
-        kEjectionCredits);
-    r.connect_input(Port::kLocal,
-                    [&ni](std::uint32_t vc) { ni.return_credit(vc); });
-    ni.set_delivery_handler([this, i](Packet p) {
+    nis_.back()->set_delivery_handler([this, i](Packet p) {
       ++messages_delivered_;
       if (handlers_[i]) handlers_[i](std::move(p));
     });
-  }
-
-  // Wire inter-router links in both directions. Row-major ids: x in
-  // [0, mesh_width), y in [0, rows) — non-square meshes just have a
-  // different y bound.
-  const auto width = static_cast<std::int32_t>(cfg_.mesh_width);
-  const auto rows = static_cast<std::int32_t>(cfg_.rows());
-  for (NodeId i = 0; i < n; ++i) {
-    const Coord c = coord_of(i, cfg_.mesh_width);
-    const auto wire = [&](Port out, Coord nc) {
-      if (nc.x < 0 || nc.x >= width || nc.y < 0 || nc.y >= rows) return;
-      Router& here = *routers_[i];
-      Router& there = *routers_[node_of(nc, cfg_.mesh_width)];
-      const Port in = opposite(out);
-      here.connect_output(
-          out,
-          [&there, in](std::uint32_t vc, Flit f) {
-            there.receive_flit(in, vc, std::move(f));
-          },
-          cfg_.vc_depth);
-      there.connect_input(in, [&here, out, this](std::uint32_t vc) {
-        // One-cycle credit turnaround is modelled by the scheduling done at
-        // the sender; here the credit is applied immediately.
-        here.return_credit(out, vc);
-      });
-    };
-    wire(Port::kEast, Coord{c.x + 1, c.y});
-    wire(Port::kWest, Coord{c.x - 1, c.y});
-    wire(Port::kSouth, Coord{c.x, c.y + 1});
-    wire(Port::kNorth, Coord{c.x, c.y - 1});
   }
 
   // The topology never changes after construction, so the O(n^2) all-pairs
@@ -143,35 +93,73 @@ void Mesh::send(NodeId src, NodeId dst, VNet vnet, std::uint32_t data_bytes,
 }
 
 void Mesh::tick(Cycle now) {
+  const std::size_t s = now % stage_.size();
+  std::vector<Traversal>& hops = stage_[s];
+  assert(hops.empty() && "link stage slot reused before its flits landed");
   if (cfg_.always_tick) {
     // Reference schedule: full id-ordered sweep, every cycle. The active
     // sets are still pruned so their contents match the active-set mode
     // bit for bit (the invariant checker asserts coverage in both modes).
     for (auto& ni : nis_) ni->tick(now);
-    for (auto& r : routers_) r->tick(now);
+    for (auto& r : routers_) r->tick(now, hops);
     ni_active_.for_each_prune(
         [this](NodeId id) { return !nis_[id]->idle(); });
     router_active_.for_each_prune(
         [this](NodeId id) { return !routers_[id]->idle(); });
-    return;
+  } else {
+    // Active-set schedule: same id order as the full sweep, minus
+    // components whose tick would provably be a no-op. NIs run first and
+    // may inject into their local router, activating it for the router pass
+    // below — exactly the visibility the full sweep had.
+    ni_active_.for_each_prune([this, now](NodeId id) {
+      nis_[id]->tick(now);
+      return !nis_[id]->idle();
+    });
+    router_active_.for_each_prune([this, now, &hops](NodeId id) {
+      routers_[id]->tick(now, hops);
+      return !routers_[id]->idle();
+    });
   }
+  if (hops.empty()) return;
+  // Credits are read only inside router and NI ticks, so returning a whole
+  // slot's credits before any of its flits cannot be observed.
+  kernel_.schedule(1, [this, s] { return_credits(s); });
+  kernel_.schedule(cfg_.link_latency, [this, s] { deliver_flits(s); });
+}
 
-  // Active-set schedule: same id order as the full sweep, minus components
-  // whose tick would provably be a no-op. NIs run first and may inject into
-  // their local router, activating it for the router pass below — exactly
-  // the visibility the full sweep had.
-  ni_active_.for_each_prune([this, now](NodeId id) {
-    nis_[id]->tick(now);
-    return !nis_[id]->idle();
-  });
-  router_active_.for_each_prune([this, now](NodeId id) {
-    routers_[id]->tick(now);
-    return !routers_[id]->idle();
-  });
+void Mesh::return_credits(std::size_t s) {
+  for (const Traversal& t : stage_[s]) {
+    if (t.in_port == Port::kLocal) {
+      nis_[t.router]->return_credit(t.in_vc);
+    } else {
+      neighbour(t.router, t.in_port)
+          .return_credit(opposite(t.in_port), t.in_vc);
+    }
+  }
+}
+
+void Mesh::deliver_flits(std::size_t s) {
+  const Cycle now = kernel_.now();
+  for (Traversal& t : stage_[s]) {
+    if (t.out_port == Port::kLocal) {
+      nis_[t.router]->eject_flit(t.out_vc, std::move(t.flit));
+    } else {
+      neighbour(t.router, t.out_port)
+          .receive_flit(opposite(t.out_port), t.out_vc, std::move(t.flit),
+                        now);
+    }
+  }
+  stage_[s].clear();
+}
+
+std::uint64_t Mesh::inflight_link_flits() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& slot : stage_) total += slot.size();
+  return total;
 }
 
 bool Mesh::idle() const {
-  if (inflight_flits_ != 0 || inflight_local_ != 0) return false;
+  if (inflight_link_flits() != 0 || inflight_local_ != 0) return false;
   for (const auto& r : routers_) {
     if (!r->idle()) return false;
   }

@@ -1,4 +1,5 @@
-// The 2D-mesh on-chip network: routers + NIs wired with credit links.
+// The 2D-mesh on-chip network: routers + NIs joined by the mesh's link
+// stage.
 //
 // Upper protocol layers use Mesh as a message transport: send() a payload to
 // a node, receive delivered payloads through a per-node handler. Messages
@@ -16,8 +17,18 @@
 // full sweep. NocConfig::always_tick restores the full sweep (the reference
 // path the equivalence tests compare against); the active sets are kept
 // up to date in both modes so the invariant checker can assert coverage.
+//
+// Link stage: the mesh, not the routers, owns link timing and topology.
+// A cycle's switch traversals go into slot now % (link_latency + 1) of a
+// ring of traversal lists. Two kernel events replay a non-empty slot in
+// traversal order: at now + 1 each credit returns upstream; at
+// now + link_latency each flit enters the next router, through the
+// opposite port, or the tile's NI, and the slot is cleared. The credits
+// must land no later than the flits, so validate() requires
+// link_latency >= 1.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -79,10 +90,8 @@ class Mesh final : public sim::Tickable {
 
   // --- Read-only inspection for the invariant checker ---
 
-  /// Flits currently riding inter-router links (scheduled kernel events).
-  [[nodiscard]] std::uint64_t inflight_link_flits() const noexcept {
-    return inflight_flits_;
-  }
+  /// Flits in the link stage: switched, not yet in the next router or NI.
+  [[nodiscard]] std::uint64_t inflight_link_flits() const noexcept;
   /// Same-tile messages awaiting their 1-cycle bypass delivery.
   [[nodiscard]] std::uint64_t inflight_local_messages() const noexcept {
     return inflight_local_;
@@ -116,14 +125,26 @@ class Mesh final : public sim::Tickable {
   bool corrupt_drop_flit_for_test();
 
  private:
+  /// Link-stage replays of slot `s`: credits upstream, then (link_latency
+  /// cycles after the traversals) flits downstream, clearing the slot.
+  void return_credits(std::size_t s);
+  void deliver_flits(std::size_t s);
+  /// The router beyond inter-router port `p` of router `id`.
+  [[nodiscard]] Router& neighbour(NodeId id, Port p) {
+    return *routers_[id + step_[static_cast<std::size_t>(p)]];
+  }
+
   sim::Kernel& kernel_;
   const NocConfig cfg_;
   sim::Counter* traversals_;
-  /// Shared packet arena. Held by shared_ptr and parked in Kernel::retain()
-  /// so PacketRefs captured in still-queued link events stay valid even if
-  /// the mesh is destroyed before the kernel.
-  std::shared_ptr<PacketPool> pool_;
-  std::uint64_t inflight_flits_ = 0;
+  /// Shared packet arena. Declared before every holder of a PacketRef (the
+  /// stage, routers, NIs), so it is destroyed after all of them.
+  PacketPool pool_;
+  /// The link stage: traversal lists indexed by cycle % (link_latency + 1).
+  std::vector<std::vector<Traversal>> stage_;
+  /// Row-major id step to the router beyond each port; XY routing never
+  /// leaves the mesh.
+  std::array<std::int32_t, kNumPorts> step_;
   std::uint64_t inflight_local_ = 0;  ///< Self-sends awaiting delivery.
   std::uint64_t messages_injected_ = 0;
   std::uint64_t messages_delivered_ = 0;

@@ -88,7 +88,7 @@ void NetworkInterface::tick(Cycle now) {
                  .kind = trace::EventKind::kFlitInject,
                  .flags = static_cast<std::uint8_t>(
                      (flit.is_head ? 1u : 0u) | (flit.is_tail ? 2u : 0u))}));
-    router_.receive_flit(Port::kLocal, lane.vc, std::move(flit));
+    router_.receive_flit(Port::kLocal, lane.vc, std::move(flit), now);
     flits_sent_.add();
     ++lane.sent;
     if (lane.sent == lane.inflight->num_flits) {

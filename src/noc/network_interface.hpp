@@ -60,10 +60,11 @@ class NetworkInterface {
   /// Injection side: pushes at most one flit into the router per cycle.
   void tick(Cycle now);
 
-  /// Ejection side, wired as the router's local-output sink.
+  /// Ejection side: the mesh's link stage delivers here every flit that
+  /// leaves the router's local output port.
   void eject_flit(std::uint32_t vc, Flit flit);
 
-  /// Credit returned by the router for the local input port.
+  /// Credit for the router's local input port, returned by the link stage.
   void return_credit(std::uint32_t vc);
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }

@@ -7,8 +7,8 @@
 // free-list arena: allocation is a pointer pop, release is a pointer push,
 // and copying a flit is a plain increment. The arena never shrinks while
 // the simulation runs (steady state is allocation-free) and is shared by
-// every NI of a mesh; the mesh parks a keep-alive in Kernel::retain() so
-// packet handles captured inside still-queued events outlive the mesh.
+// every NI of a mesh. The mesh owns it as a member declared before every
+// holder of a PacketRef (link stage, routers, NIs), so it is destroyed last.
 #pragma once
 
 #include <cassert>

@@ -4,18 +4,22 @@
 
 namespace puno::noc {
 
-Router::Router(sim::Kernel& kernel, const NocConfig& cfg, NodeId id,
-               sim::Counter& traversals, std::uint64_t& inflight_flits)
-    : kernel_(kernel),
-      cfg_(cfg),
+namespace {
+/// Large credit count standing in for the NI's unbounded reassembly buffer.
+constexpr std::uint32_t kEjectionCredits = 1u << 30;
+}  // namespace
+
+Router::Router(const NocConfig& cfg, NodeId id, sim::Counter& traversals)
+    : cfg_(cfg),
       id_(id),
       traversals_(traversals),
-      inflight_flits_(inflight_flits),
       inputs_(kNumPorts * cfg.total_vcs()),
-      outputs_(kNumPorts),
-      credit_return_(kNumPorts) {
+      outputs_(kNumPorts) {
   for (auto& in : inputs_) in.buffer.set_capacity(cfg.vc_depth);
-  for (auto& port : outputs_) port.vcs.resize(cfg.total_vcs());
+  for (auto& port : outputs_) {
+    port.vcs.resize(cfg.total_vcs(), OutputVc{.credits = cfg.vc_depth});
+  }
+  for (auto& vc : out(Port::kLocal).vcs) vc.credits = kEjectionCredits;
   const std::uint32_t num_cand = kNumPorts * cfg.total_vcs();
   assert(num_cand <= 64 && "validate() caps noc.vcs_per_vnet to fit a mask");
   cand_port_.resize(num_cand);
@@ -26,22 +30,11 @@ Router::Router(sim::Kernel& kernel, const NocConfig& cfg, NodeId id,
   }
 }
 
-void Router::connect_output(Port p, FlitSink sink,
-                            std::uint32_t initial_credits) {
-  OutputPort& port = out(p);
-  port.sink = std::move(sink);
-  for (auto& vc : port.vcs) vc.credits = initial_credits;
-}
-
-void Router::connect_input(Port p, CreditSink credit_return) {
-  credit_return_[static_cast<std::size_t>(p)] = std::move(credit_return);
-}
-
-void Router::receive_flit(Port p, std::uint32_t vc, Flit flit) {
+void Router::receive_flit(Port p, std::uint32_t vc, Flit flit, Cycle now) {
   InputVc& in = in_vc(p, vc);
   assert(!in.buffer.full() && "credit protocol violated");
   // The flit occupies the 4-stage pipeline before it may traverse the switch.
-  flit.ready_at = kernel_.now() + cfg_.pipeline_stages - 1;
+  flit.ready_at = now + cfg_.pipeline_stages - 1;
   if (in.buffer.empty() && !in.active) {
     va_mask_ |= std::uint64_t{1}
                 << (static_cast<std::uint32_t>(p) * cfg_.total_vcs() + vc);
@@ -97,7 +90,7 @@ bool Router::try_allocate_vc(Port p, std::uint32_t vc, const Packet& pkt) {
 }
 
 bool Router::try_switch(std::uint32_t op, std::uint32_t idx, Cycle now,
-                        bool* input_port_used) {
+                        bool* input_port_used, std::vector<Traversal>& hops) {
   const Port ip = cand_port_[idx];
   const std::uint32_t ivc = cand_vc_[idx];
   if (input_port_used[static_cast<std::size_t>(ip)]) return false;
@@ -128,26 +121,12 @@ bool Router::try_switch(std::uint32_t op, std::uint32_t idx, Cycle now,
     if (!in.buffer.empty()) va_mask_ |= bit;
   }
 
-  // Return the freed buffer slot's credit upstream (one-cycle turnaround)
-  if (CreditSink& cr = credit_return_[static_cast<std::size_t>(ip)]) {
-    kernel_.schedule(1, [cr = &cr, ivc] { (*cr)(ivc); });
-  }
-
-  // Link traversal to the downstream receiver. The flit is accounted
-  // as in-flight until the receiver has taken it, so Mesh::idle() never
-  // reports an empty network while flits ride the links.
-  const std::uint32_t out_vc = in.out_vc;
-  FlitSink& sink = oport.sink;
-  ++inflight_flits_;
-  kernel_.schedule(cfg_.link_latency,
-                   [this, &sink, out_vc, f = std::move(flit)]() mutable {
-                     sink(out_vc, std::move(f));
-                     --inflight_flits_;
-                   });
+  hops.push_back(Traversal{id_, static_cast<Port>(op), in.out_vc, ip, ivc,
+                           std::move(flit)});
   return true;
 }
 
-void Router::tick(Cycle now) {
+void Router::tick(Cycle now, std::vector<Traversal>& hops) {
   if (buffered_flits_ == 0) return;
 
   // VC allocation: any idle input VC whose front flit is a ready head, in
@@ -168,11 +147,9 @@ void Router::tick(Cycle now) {
   // starting at rr_next, wrapping once.
   bool input_port_used[kNumPorts] = {};
   for (std::uint32_t op = 0; op < kNumPorts; ++op) {
-    OutputPort& oport = out(static_cast<Port>(op));
-    if (!oport.sink) continue;
     const std::uint64_t m = sa_mask_[op];
     if (m == 0) continue;
-    const std::uint32_t rr = oport.rr_next;
+    const std::uint32_t rr = out(static_cast<Port>(op)).rr_next;
     // Bits at idx >= rr first, then idx < rr: round-robin wrap order.
     std::uint64_t part = m & (~std::uint64_t{0} << rr);
     for (int half = 0; half < 2; ++half) {
@@ -180,7 +157,7 @@ void Router::tick(Cycle now) {
       while (part != 0) {
         const auto idx = static_cast<std::uint32_t>(__builtin_ctzll(part));
         part &= part - 1;
-        if (try_switch(op, idx, now, input_port_used)) {
+        if (try_switch(op, idx, now, input_port_used, hops)) {
           won = true;
           break;
         }

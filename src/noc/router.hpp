@@ -8,8 +8,11 @@
 // output-VC allocation grabs a free downstream VC in the packet's virtual
 // network; switch allocation arbitrates round-robin per output port with at
 // most one flit per input port and per output port per cycle; switch
-// traversal forwards the flit and returns a credit upstream.
+// traversal forwards the flit and frees a buffer slot upstream.
 //
+// The router owns no links. tick() appends every switch traversal to a
+// list the mesh passes in; the mesh's link stage (mesh.hpp) carries the
+// flit to the downstream router or NI and the credit back upstream.
 // Every successful switch traversal increments the mesh-wide
 // "flit router traversals" counter — the exact network-traffic metric of
 // the paper's Figure 11.
@@ -27,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "noc/active_set.hpp"
@@ -35,48 +37,48 @@
 #include "noc/flit_ring.hpp"
 #include "noc/routing.hpp"
 #include "sim/config.hpp"
-#include "sim/kernel.hpp"
+#include "sim/stats.hpp"
 
 namespace puno::noc {
 
+/// One switch traversal: `flit` left `router` through (out_port, out_vc)
+/// and freed a slot in input buffer (in_port, in_vc).
+struct Traversal {
+  NodeId router;
+  Port out_port;
+  std::uint32_t out_vc;
+  Port in_port;
+  std::uint32_t in_vc;
+  Flit flit;
+};
+
 class Router {
  public:
-  /// Downstream flit sink for an output port: (vc, flit).
-  using FlitSink = std::function<void(std::uint32_t, Flit)>;
-  /// Upstream credit return for an input port: (vc).
-  using CreditSink = std::function<void(std::uint32_t)>;
-
-  Router(sim::Kernel& kernel, const NocConfig& cfg, NodeId id,
-         sim::Counter& traversals, std::uint64_t& inflight_flits);
+  /// Every output starts with vc_depth credits per VC, except the local
+  /// (ejection) port, whose NI reassembly buffer is unbounded.
+  Router(const NocConfig& cfg, NodeId id, sim::Counter& traversals);
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }
 
-  /// Wires an output port to a downstream receiver. `initial_credits` is the
-  /// downstream buffer depth per VC (use a large value for ejection ports,
-  /// whose reassembly buffers are unbounded).
-  void connect_output(Port p, FlitSink sink, std::uint32_t initial_credits);
-
-  /// Wires an input port's credit-return path back to its upstream sender.
-  void connect_input(Port p, CreditSink credit_return);
-
   /// Registers the mesh's router active set; receive_flit adds this router
   /// on its 0→1 buffered transition. Null (the default) for standalone
   /// routers in unit tests, which are ticked unconditionally.
   void set_active_set(ActiveSet* set) noexcept { active_set_ = set; }
 
-  /// Delivers a flit into input buffer (p, vc). Called by the upstream link.
-  /// The caller must have reserved a credit; overflow is a protocol bug and
-  /// asserts.
-  void receive_flit(Port p, std::uint32_t vc, Flit flit);
+  /// Delivers a flit into input buffer (p, vc) at cycle `now`. Called by the
+  /// local NI and the mesh's link stage. The caller must have reserved a
+  /// credit; overflow is a protocol bug and asserts.
+  void receive_flit(Port p, std::uint32_t vc, Flit flit, Cycle now);
 
-  /// Restores one credit for output (p, vc). Called by downstream.
+  /// Restores one credit for output (p, vc). Called by the link stage.
   void return_credit(Port p, std::uint32_t vc);
 
-  /// One cycle of switch allocation + traversal.
-  void tick(Cycle now);
+  /// One cycle of switch allocation + traversal; appends each traversal to
+  /// `hops` in the order the switch granted them.
+  void tick(Cycle now, std::vector<Traversal>& hops);
 
   /// True if no flit is buffered anywhere in this router.
   [[nodiscard]] bool idle() const noexcept { return buffered_flits_ == 0; }
@@ -111,7 +113,6 @@ class Router {
     bool held = false;          ///< Allocated to some upstream packet.
   };
   struct OutputPort {
-    FlitSink sink;
     std::vector<OutputVc> vcs;
     std::uint32_t rr_next = 0;  ///< Round-robin pointer over input VCs.
   };
@@ -129,21 +130,15 @@ class Router {
   /// Switch-allocation attempt for scan candidate `idx` competing for
   /// output port `op`; on success performs the traversal and returns true.
   bool try_switch(std::uint32_t op, std::uint32_t idx, Cycle now,
-                  bool* input_port_used);
+                  bool* input_port_used, std::vector<Traversal>& hops);
 
-  sim::Kernel& kernel_;
   const NocConfig cfg_;
   NodeId id_;
   sim::Counter& traversals_;
-  /// Mesh-wide count of flits currently traversing links (they live in the
-  /// kernel's event queue, so buffer occupancy alone cannot see them; the
-  /// mesh needs this for a correct idle() check).
-  std::uint64_t& inflight_flits_;
   ActiveSet* active_set_ = nullptr;
 
   std::vector<InputVc> inputs_;            // [port][vc]
   std::vector<OutputPort> outputs_;        // [port]
-  std::vector<CreditSink> credit_return_;  // [port]
   std::uint64_t buffered_flits_ = 0;
   std::uint64_t local_traversals_ = 0;
   /// Scan-index bit per input VC that holds flits but no output VC yet.

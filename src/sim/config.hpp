@@ -412,6 +412,10 @@ struct SystemConfig {
            std::to_string(cfg.noc.num_vnets) + " vnets (got " +
            std::to_string(cfg.noc.vcs_per_vnet) +
            "): 5 router ports x total VCs must fit a 64-bit mask";
+  // The mesh's link stage returns a traversal's credit the next cycle and
+  // must not deliver its flit any earlier (src/noc/mesh.hpp).
+  if (cfg.noc.link_latency == 0)
+    return std::string("noc.link_latency must be >= 1 (got 0)");
   if (cfg.dir.shards != 0 && (cfg.dir.shards > cfg.num_nodes ||
                               cfg.num_nodes % cfg.dir.shards != 0))
     return std::string("dir.shards must divide num_nodes");

@@ -11,18 +11,18 @@
 // cycles land in a per-cycle bucket of a circular array (append = O(1), no
 // comparisons), and only far-future events (notification backoff expiry,
 // rollover timeouts) fall back to a binary heap. Nearly every event in a
-// simulation is a small constant delay — link traversals, pipeline and cache
-// latencies — so the hot path never touches the heap. Event callables are
-// sim::EventFn (smallfn.hpp), which stores typical captures inline instead
-// of heap-allocating like std::function. Both structures preserve the exact
-// (due-cycle, scheduling-order) event ordering of the original single heap,
-// so simulations are bit-identical to the pre-calendar-queue kernel.
+// simulation is a small constant delay — the NoC link stage's replays,
+// cache and directory latencies — so the hot path never touches the heap.
+// Event callables are sim::EventFn (smallfn.hpp), which stores typical
+// captures inline instead of heap-allocating like std::function. Both
+// structures preserve the exact (due-cycle, scheduling-order) event
+// ordering of the original single heap, so simulations are bit-identical
+// to the pre-calendar-queue kernel.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,12 +58,6 @@ class Kernel {
   Kernel& operator=(const Kernel&) = delete;
 
   [[nodiscard]] Cycle now() const noexcept { return now_; }
-
-  /// Keeps `r` alive until the kernel itself is destroyed — *after* all
-  /// pending events. Components whose scheduled events capture handles into
-  /// component-owned arenas (the NoC packet pool) register the arena here so
-  /// that events still queued when the component dies destruct safely.
-  void retain(std::shared_ptr<void> r) { retained_.push_back(std::move(r)); }
 
   /// Registers a per-cycle component. Order of registration fixes the order
   /// of evaluation within a cycle (and therefore determinism). The name is
@@ -261,10 +255,6 @@ class Kernel {
     post_drain_ = false;
   }
 #endif
-
-  // Destroyed last (declared first): pending events in the structures below
-  // may hold handles into retained arenas.
-  std::vector<std::shared_ptr<void>> retained_;
 
   Cycle now_ = 0;
   std::uint64_t next_seq_ = 0;

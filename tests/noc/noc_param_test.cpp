@@ -1,5 +1,5 @@
-// Parameterized NoC property sweep: random traffic must be fully delivered
-// and the network must drain under every buffer/VC/pipeline configuration.
+// Parameterized NoC sweep: random traffic is fully delivered, every flit
+// accounted for each cycle, and a lone packet takes its exact zero-load time.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -60,8 +60,22 @@ TEST_P(NocParamTest, RandomTrafficFullyDelivered) {
   };
   kernel.schedule(1, injector);
 
+  // Flit conservation at every post-cycle boundary: each injected flit is
+  // ejected, in the link stage, or buffered in a router.
+  const sim::Counter& injected = kernel.stats().counter("noc.flits_sent");
+  const sim::Counter& ejected = kernel.stats().counter("noc.flits_ejected");
+  std::uint64_t unbalanced_cycles = 0;
+  kernel.add_post_cycle_hook([&](Cycle) {
+    const std::uint64_t accounted = ejected.value() +
+                                    mesh.inflight_link_flits() +
+                                    mesh.buffered_router_flits();
+    unbalanced_cycles += injected.value() != accounted;
+  });
+
   kernel.run_until([&] { return delivered == kPackets && mesh.idle(); },
                    1'000'000);
+  EXPECT_EQ(unbalanced_cycles, 0u);
+  EXPECT_EQ(ejected.value(), injected.value());
   EXPECT_EQ(delivered, kPackets);
   EXPECT_TRUE(mesh.idle());
   for (const auto& [id, count] : outstanding) {
@@ -86,10 +100,10 @@ TEST_P(NocParamTest, LatencyLowerBoundRespected) {
   mesh.send(0, 15, VNet::kRequest, 0, std::make_shared<TestPayload>(1));
   kernel.run_until([&] { return arrived != 0; }, 10000);
   ASSERT_NE(arrived, 0u);
-  // 6 hops, each at least (pipeline-1) cycles of router occupancy plus the
-  // link; the analytical floor must never be violated.
-  const Cycle floor = 6 * (stages - 1 + link);
-  EXPECT_GE(arrived - sent_at, floor);
+  // A lone single-flit packet never waits: it spends (pipeline - 1) cycles
+  // in each of the 7 routers from node 0 to node 15 and one link after
+  // each, the last one into the destination NI.
+  EXPECT_EQ(arrived - sent_at, 7 * (stages - 1 + link));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,10 +1,10 @@
-// Router-level unit tests: a single router wired to scripted sinks, so VC
-// allocation, credits and wormhole behaviour can be checked in isolation.
+// Router-level unit tests: a single router ticked on its own, with the
+// traversals its tick() appends read back directly, so VC allocation,
+// credits and wormhole behaviour can be checked in isolation.
 #include "noc/router.hpp"
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 namespace puno::noc {
@@ -15,30 +15,15 @@ struct CapturedFlit {
   std::uint64_t packet_id;
   bool is_head;
   bool is_tail;
-  Cycle at;
+  Cycle at;  ///< Cycle the flit traversed the switch.
 };
 
 class RouterTest : public ::testing::Test {
  protected:
-  RouterTest()
-      : traversals_(kernel_.stats().counter("t")),
-        router_(kernel_, cfg_, /*id=*/5, traversals_, inflight_) {
-    // Node 5 of a 4x4 mesh (coord 1,1). Capture everything leaving each
-    // port; give every output ample credits unless a test overrides.
-    for (std::uint32_t p = 0; p < kNumPorts; ++p) {
-      router_.connect_output(
-          static_cast<Port>(p),
-          [this, p](std::uint32_t vc, Flit f) {
-            out_[p].push_back(CapturedFlit{vc, f.packet->id, f.is_head,
-                                           f.is_tail, kernel_.now()});
-          },
-          /*initial_credits=*/cfg_.vc_depth);
-      router_.connect_input(static_cast<Port>(p),
-                            [this, p](std::uint32_t vc) {
-                              credits_returned_[p].push_back(vc);
-                            });
-    }
-  }
+  // Node 5 of a 4x4 mesh (coord 1,1). Every output starts with vc_depth
+  // credits (the local one with more), and nothing returns them unless a
+  // test does.
+  RouterTest() : router_(cfg_, /*id=*/5, traversals_) {}
 
   PacketRef make_packet(NodeId dst, std::uint32_t flits,
                         VNet vnet = VNet::kRequest) {
@@ -57,25 +42,32 @@ class RouterTest : public ::testing::Test {
       f.packet = pkt;
       f.is_head = i == 0;
       f.is_tail = i + 1 == pkt->num_flits;
-      router_.receive_flit(p, vc, std::move(f));
+      router_.receive_flit(p, vc, std::move(f), now_);
     }
   }
 
+  // Ticks the router once per cycle, filing each traversal under its
+  // output port and its freed input slot under its input port.
   void run(Cycle cycles) {
-    for (Cycle c = 0; c < cycles; ++c) {
-      router_.tick(kernel_.now());
-      kernel_.step();
+    for (Cycle c = 0; c < cycles; ++c, ++now_) {
+      std::vector<Traversal> hops;
+      router_.tick(now_, hops);
+      for (const Traversal& t : hops) {
+        EXPECT_EQ(t.router, router_.id());
+        out_[static_cast<int>(t.out_port)].push_back(
+            CapturedFlit{t.out_vc, t.flit.packet->id, t.flit.is_head,
+                         t.flit.is_tail, now_});
+        credits_returned_[static_cast<int>(t.in_port)].push_back(t.in_vc);
+      }
     }
   }
 
-  // The pool must outlive the kernel: undrained link events hold PacketRefs
-  // whose destruction returns slots to the pool.
+  // The pool outlives the router, whose buffers hold PacketRefs.
   PacketPool pool_;
-  sim::Kernel kernel_;
   NocConfig cfg_;
-  std::uint64_t inflight_ = 0;
-  sim::Counter& traversals_;
+  sim::Counter traversals_;
   Router router_;
+  Cycle now_ = 0;
   std::vector<CapturedFlit> out_[kNumPorts];
   std::vector<std::uint32_t> credits_returned_[kNumPorts];
   std::uint64_t next_id_ = 1;
@@ -96,15 +88,12 @@ TEST_F(RouterTest, RoutesToLocalForSelf) {
 
 TEST_F(RouterTest, PipelineLatencyIsRespected) {
   inject(Port::kLocal, 0, make_packet(7, 1));
-  // With 4 pipeline stages, the flit cannot traverse before cycle 3.
-  router_.tick(0);
-  kernel_.step();
-  router_.tick(1);
-  kernel_.step();
+  // With 4 pipeline stages, a flit buffered at cycle 0 traverses at cycle 3.
+  run(3);
   EXPECT_TRUE(out_[static_cast<int>(Port::kEast)].empty());
   run(10);
   ASSERT_EQ(out_[static_cast<int>(Port::kEast)].size(), 1u);
-  EXPECT_GE(out_[static_cast<int>(Port::kEast)][0].at, 3u);
+  EXPECT_EQ(out_[static_cast<int>(Port::kEast)][0].at, 3u);
 }
 
 TEST_F(RouterTest, WormholeKeepsPacketContiguousPerVc) {

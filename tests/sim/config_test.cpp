@@ -113,6 +113,18 @@ TEST(SystemConfig, ValidateCapsVcsPerVnetAtTheRouterMaskWidth) {
   EXPECT_NE(err->find("<= 4"), std::string::npos) << *err;
 }
 
+TEST(SystemConfig, ValidateRequiresLinkLatencyOfAtLeastOneCycle) {
+  SystemConfig one;
+  one.noc.link_latency = 1;
+  EXPECT_EQ(validate(one), std::nullopt);
+
+  SystemConfig zero;
+  zero.noc.link_latency = 0;
+  const auto err = validate(zero);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("noc.link_latency"), std::string::npos) << *err;
+}
+
 TEST(SystemConfig, EffectiveKnobDefaultsScaleWithNodeCount) {
   SystemConfig cfg;
   cfg.num_nodes = 256;
