@@ -96,6 +96,16 @@ int main(int argc, char** argv) {
   std::string telemetry_dir = "telemetry";
   std::string dashboard_dir;
 
+  // A numeric flag's value, read with runner's checked parsers; exits 2
+  // naming the flag and the value when it is malformed.
+  const auto number = [](const char* flag, const char* text, auto parse,
+                         auto& out) {
+    if (!parse(text, out)) {
+      std::fprintf(stderr, "punobatch: bad value '%s' for %s\n", text, flag);
+      std::exit(2);
+    }
+  };
+
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
@@ -112,9 +122,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--seeds") {
       seeds_spec = next();
     } else if (arg == "--scale") {
-      grid.scale = std::atof(next());
+      number("--scale", next(), runner::parse_f64, grid.scale);
     } else if (arg == "--max-cycles") {
-      grid.max_cycles = std::strtoull(next(), nullptr, 10);
+      number("--max-cycles", next(), runner::parse_u64, grid.max_cycles);
     } else if (arg == "--set") {
       const std::string kv = next();
       const std::size_t eq = kv.find('=');
@@ -138,9 +148,10 @@ int main(int argc, char** argv) {
       }
       return 0;
     } else if (arg == "--jobs") {
-      options.jobs = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      number("--jobs", next(), runner::parse_u32, options.jobs);
     } else if (arg == "--watchdog") {
-      options.watchdog_seconds = std::atof(next());
+      number("--watchdog", next(), runner::parse_f64,
+             options.watchdog_seconds);
     } else if (arg == "--no-cache") {
       use_cache = false;
     } else if (arg == "--cache-dir") {
@@ -163,9 +174,8 @@ int main(int argc, char** argv) {
       telemetry_on = true;
     } else if (arg.rfind("--telemetry=", 0) == 0) {
       telemetry_on = true;
-      telemetry_interval =
-          std::strtoull(arg.c_str() + std::strlen("--telemetry="), nullptr,
-                        10);
+      number("--telemetry", arg.c_str() + std::strlen("--telemetry="),
+             runner::parse_u64, telemetry_interval);
       if (telemetry_interval == 0) {
         std::fprintf(stderr, "--telemetry interval must be > 0\n");
         return 2;

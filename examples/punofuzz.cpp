@@ -15,6 +15,7 @@
 #include <string>
 
 #include "check/fuzz.hpp"
+#include "runner/grid.hpp"
 
 namespace {
 
@@ -59,6 +60,16 @@ int main(int argc, char** argv) {
   check::FuzzOptions opts;
   bool quiet = false;
 
+  // A numeric flag's value, read with runner's checked parsers; exits 2
+  // naming the flag and the value when it is malformed.
+  const auto number = [](const char* flag, const char* text, auto parse,
+                         auto& out) {
+    if (!parse(text, out)) {
+      std::fprintf(stderr, "bad value '%s' for %s\n", text, flag);
+      std::exit(2);
+    }
+  };
+
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
@@ -69,9 +80,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--seeds") {
-      opts.num_seeds = static_cast<std::uint32_t>(std::atoi(next()));
+      number("--seeds", next(), runner::parse_u32, opts.num_seeds);
     } else if (arg == "--seed-start") {
-      opts.seed_start = std::strtoull(next(), nullptr, 10);
+      number("--seed-start", next(), runner::parse_u64, opts.seed_start);
     } else if (arg == "--scheme") {
       const std::string list = next();
       if (list == "both") {
@@ -97,9 +108,9 @@ int main(int argc, char** argv) {
         }
       }
     } else if (arg == "--max-cycles") {
-      opts.max_cycles = std::strtoull(next(), nullptr, 10);
+      number("--max-cycles", next(), runner::parse_u64, opts.max_cycles);
     } else if (arg == "--stride") {
-      opts.checker.stride = static_cast<std::uint32_t>(std::atoi(next()));
+      number("--stride", next(), runner::parse_u32, opts.checker.stride);
     } else if (arg == "--invariants") {
       const std::string list = next();
       if (list == "all") {

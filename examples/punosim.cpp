@@ -1,8 +1,8 @@
 // punosim: command-line driver for single experiments.
 //
 //   ./punosim --workload intruder --scheme puno --seed 7 --scale 0.5
-//             [--no-unicast] [--no-notification] [--commit-hint]
-//             [--replay FILE] [--record-trace FILE] [--csv FILE] [--stats]
+//             [--set KEY=VALUE] [--replay FILE] [--record-trace FILE]
+//             [--csv FILE] [--stats]
 //             [--trace[=FILTER]] [--trace-out FILE] [--abort-report[=FILE]]
 //             [--verify-trace]
 //
@@ -66,10 +66,8 @@ void usage(const char* argv0) {
       "  --seed N          RNG seed (default: 1)\n"
       "  --scale X         committed-txn quota multiplier (default: 1.0)\n"
       "  --set KEY=VALUE   override a config knob (same keys as punobatch\n"
-      "                    --list-keys; e.g. traffic.zipf_theta=1.2)\n"
-      "  --no-unicast      disable PUNO's predictive unicast\n"
-      "  --no-notification disable PUNO's notification\n"
-      "  --commit-hint     enable the commit-hint extension\n"
+      "                    --list-keys; e.g. traffic.zipf_theta=1.2,\n"
+      "                    puno.enable_unicast=0, puno.enable_commit_hint=1)\n"
       "  --replay FILE     replay a recorded workload stream (in memory)\n"
       "  --stream-replay F replay a trace incrementally (constant memory;\n"
       "                    for traces too large to load)\n"
@@ -117,12 +115,22 @@ int main(int argc, char** argv) {
   std::string replay_path, stream_replay_path, record_path, csv_path;
   bool trace_on = false, verify_trace = false, want_abort_report = false;
   std::string trace_filter, trace_out, abort_report_path;
-  std::size_t trace_capacity = trace::TraceRecorder::kDefaultCapacity;
+  std::uint64_t trace_capacity = trace::TraceRecorder::kDefaultCapacity;
   bool telemetry_on = false, verify_telemetry = false, want_dashboard = false;
   bool telemetry_spatial = false;
   bool profile_on = false;
   Cycle telemetry_interval = 1000;
   std::string telemetry_out, telemetry_csv, dashboard_out, profile_out;
+
+  // A numeric flag's value, read with runner's checked parsers; exits 2
+  // naming the flag and the value when it is malformed.
+  const auto number = [](const char* flag, const char* text, auto parse,
+                         auto& out) {
+    if (!parse(text, out)) {
+      std::fprintf(stderr, "bad value '%s' for %s\n", text, flag);
+      std::exit(2);
+    }
+  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -159,15 +167,9 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--seed") {
-      params.seed = std::strtoull(next(), nullptr, 10);
+      number("--seed", next(), runner::parse_u64, params.seed);
     } else if (arg == "--scale") {
-      params.scale = std::atof(next());
-    } else if (arg == "--no-unicast") {
-      params.base_config.puno.enable_unicast = false;
-    } else if (arg == "--no-notification") {
-      params.base_config.puno.enable_notification = false;
-    } else if (arg == "--commit-hint") {
-      params.base_config.puno.enable_commit_hint = true;
+      number("--scale", next(), runner::parse_f64, params.scale);
     } else if (arg == "--replay") {
       replay_path = next();
     } else if (arg == "--stream-replay") {
@@ -182,7 +184,7 @@ int main(int argc, char** argv) {
       trace_out = next();
     } else if (arg == "--trace-capacity") {
       trace_on = true;
-      trace_capacity = std::strtoull(next(), nullptr, 10);
+      number("--trace-capacity", next(), runner::parse_u64, trace_capacity);
     } else if (arg == "--abort-report") {
       trace_on = true;
       want_abort_report = true;
@@ -197,9 +199,8 @@ int main(int argc, char** argv) {
       telemetry_on = true;
     } else if (arg.rfind("--telemetry=", 0) == 0) {
       telemetry_on = true;
-      telemetry_interval =
-          std::strtoull(arg.c_str() + std::strlen("--telemetry="), nullptr,
-                        10);
+      number("--telemetry", arg.c_str() + std::strlen("--telemetry="),
+             runner::parse_u64, telemetry_interval);
       if (telemetry_interval == 0) {
         std::fprintf(stderr, "--telemetry interval must be > 0\n");
         return 2;
@@ -528,8 +529,10 @@ int main(int argc, char** argv) {
       std::string text((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
       std::vector<telemetry::TelemetrySample> parsed;
-      if (!telemetry::read_telemetry_jsonl(text, parsed)) {
-        std::fprintf(stderr, "verify-telemetry: JSONL FAILED to parse\n");
+      std::string err;
+      if (!telemetry::read_telemetry_jsonl(text, parsed, &err)) {
+        std::fprintf(stderr, "verify-telemetry: JSONL FAILED to parse: %s\n",
+                     err.c_str());
         return 1;
       }
       if (parsed != samples) {

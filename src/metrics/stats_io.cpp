@@ -65,21 +65,16 @@ void write_results_csv(const std::vector<RunResult>& results,
   for (const RunResult& r : results) write_result_csv(r, out);
 }
 
-std::string json_escape(std::string_view s) {
-  return sim::jsonio::escape(s);
-}
-
-// The JSON mechanics live in sim/jsonio.hpp (shared with the telemetry
-// exporter and the result cache); this file only knows the RunResult schema.
+// The JSON mechanics live in sim/jsonio.hpp, the tree's one JSON reader and
+// escaper; this file only knows the RunResult schema.
 namespace {
 
-using sim::jsonio::consume;
+using sim::jsonio::escape;
 using sim::jsonio::parse_bool;
 using sim::jsonio::parse_double;
 using sim::jsonio::parse_double_array;
 using sim::jsonio::parse_string;
 using sim::jsonio::parse_u64;
-using sim::jsonio::skip_ws;
 using sim::jsonio::write_double;
 
 [[nodiscard]] bool parse_result_field(std::string_view& s,
@@ -154,7 +149,7 @@ using sim::jsonio::write_double;
 }  // namespace
 
 void write_result_jsonl(const RunResult& r, std::ostream& out) {
-  out << "{\"workload\":\"" << json_escape(r.workload) << "\",\"scheme\":\""
+  out << "{\"workload\":\"" << escape(r.workload) << "\",\"scheme\":\""
       << to_string(r.scheme)
       << "\",\"completed\":" << (r.completed ? "true" : "false")
       << ",\"cycles\":" << r.cycles << ",\"commits\":" << r.commits
@@ -188,7 +183,7 @@ void write_result_jsonl(const RunResult& r, std::ostream& out) {
   // Trace metadata only appears when a trace was attached, so untraced rows
   // stay byte-identical to the pre-tracing schema.
   if (!r.trace_path.empty() || r.trace_events > 0 || r.trace_dropped > 0) {
-    out << ",\"trace_path\":\"" << json_escape(r.trace_path)
+    out << ",\"trace_path\":\"" << escape(r.trace_path)
         << "\",\"trace_events\":" << r.trace_events
         << ",\"trace_dropped\":" << r.trace_dropped;
   }
@@ -196,7 +191,7 @@ void write_result_jsonl(const RunResult& r, std::ostream& out) {
   // rows stay byte-identical to the historical schema.
   if (!r.telemetry_path.empty() || r.telemetry_samples > 0 ||
       r.telemetry_dropped > 0) {
-    out << ",\"telemetry_path\":\"" << json_escape(r.telemetry_path)
+    out << ",\"telemetry_path\":\"" << escape(r.telemetry_path)
         << "\",\"telemetry_samples\":" << r.telemetry_samples
         << ",\"telemetry_dropped\":" << r.telemetry_dropped;
   }
@@ -217,24 +212,15 @@ void write_results_jsonl(const std::vector<RunResult>& results,
   for (const RunResult& r : results) write_result_jsonl(r, out);
 }
 
-bool read_result_jsonl(std::string_view line, RunResult& result) {
+bool read_result_jsonl(std::string_view line, RunResult& result,
+                       std::string* err) {
   result = RunResult{};
-  std::string_view s = line;
-  if (!consume(s, '{')) return false;
-  skip_ws(s);
-  if (!consume(s, '}')) {
-    for (;;) {
-      std::string key;
-      if (!parse_string(s, key)) return false;
-      if (!consume(s, ':')) return false;
-      if (!parse_result_field(s, key, result)) return false;
-      if (consume(s, ',')) continue;
-      if (consume(s, '}')) break;
-      return false;
-    }
-  }
-  skip_ws(s);
-  return s.empty();
+  return sim::jsonio::parse_document(
+      line,
+      [&](const std::string& key, std::string_view& s) {
+        return parse_result_field(s, key, result);
+      },
+      err);
 }
 
 }  // namespace puno::metrics

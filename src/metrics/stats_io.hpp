@@ -19,7 +19,9 @@
 //   telemetry_dropped (integers); unsampled rows omit them.
 // Derived metrics (abort_rate, gd_ratio, ...) are intentionally omitted:
 // they are recomputable from the raw fields. read_result_jsonl() restores
-// every field and skips unknown keys, so the schema can grow compatibly.
+// every field and skips unknown keys, so the schema can grow compatibly; it
+// parses through sim/jsonio.hpp, so a malformed row fails with a message
+// quoting the offending token.
 #pragma once
 
 #include <iosfwd>
@@ -55,13 +57,10 @@ void write_results_jsonl(const std::vector<RunResult>& results,
                          std::ostream& out);
 
 /// Parses one JSONL line back into a RunResult (the inverse of
-/// write_result_jsonl). Returns false — leaving `result` unspecified — on
+/// write_result_jsonl). Returns false — leaving `result` unspecified and,
+/// when `err` is non-null, a message quoting the offending token in it — on
 /// malformed input; unknown keys are skipped.
-[[nodiscard]] bool read_result_jsonl(std::string_view line, RunResult& result);
-
-/// Escapes a string for embedding in a JSON string literal (quotes not
-/// included). Shared by the JSONL writers, the result cache and the runner
-/// manifest.
-[[nodiscard]] std::string json_escape(std::string_view s);
+[[nodiscard]] bool read_result_jsonl(std::string_view line, RunResult& result,
+                                     std::string* err = nullptr);
 
 }  // namespace puno::metrics

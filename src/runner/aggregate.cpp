@@ -3,24 +3,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <iterator>
 #include <map>
 #include <set>
-#include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <tuple>
 
-#ifdef _WIN32
-#include <process.h>
-#define PUNO_GETPID _getpid
-#else
-#include <unistd.h>
-#define PUNO_GETPID getpid
-#endif
-
 #include "metrics/stats_io.hpp"
+#include "runner/cache.hpp"
 #include "sim/jsonio.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/heatmap.hpp"
@@ -31,61 +21,10 @@ namespace puno::runner {
 namespace fs = std::filesystem;
 namespace jio = sim::jsonio;
 
-namespace {
-
-/// The token the parser choked on, for error messages: up to 24 characters
-/// of what remains (whitespace-trimmed, never spanning a newline).
-std::string offending_token(std::string_view s) {
-  jio::skip_ws(s);
-  if (s.empty()) return "<end of line>";
-  std::size_t n = 0;
-  while (n < s.size() && n < 24 && s[n] != '\n' && s[n] != '\r') ++n;
-  return std::string(s.substr(0, n));
-}
-
-bool fail(std::string_view s, const std::string& what, std::string* err) {
-  if (err != nullptr) *err = what + " near '" + offending_token(s) + "'";
-  return false;
-}
-
-/// Drives one flat JSON object: `field(key, s)` parses the value for a key
-/// (dispatching unknown keys to jio::skip_value for forward compat) and
-/// returns false on a malformed value.
-template <typename FieldFn>
-bool parse_object(std::string_view line, FieldFn&& field, std::string* err) {
-  std::string_view s = line;
-  if (!jio::consume(s, '{')) return fail(s, "expected '{'", err);
-  jio::skip_ws(s);
-  std::string_view probe = s;
-  if (!jio::consume(probe, '}')) {
-    while (true) {
-      std::string key;
-      if (!jio::parse_string(s, key)) {
-        return fail(s, "expected key string", err);
-      }
-      if (!jio::consume(s, ':')) return fail(s, "expected ':'", err);
-      if (!field(key, s)) {
-        return fail(s, "bad value for \"" + key + "\"", err);
-      }
-      jio::skip_ws(s);
-      if (jio::consume(s, ',')) continue;
-      if (jio::consume(s, '}')) break;
-      return fail(s, "expected ',' or '}'", err);
-    }
-  } else {
-    s = probe;
-  }
-  jio::skip_ws(s);
-  if (!s.empty()) return fail(s, "trailing garbage", err);
-  return true;
-}
-
-}  // namespace
-
 bool parse_manifest_row(std::string_view line, ManifestRow& row,
                         std::string* err) {
   row = ManifestRow{};
-  return parse_object(
+  return jio::parse_document(
       line,
       [&](const std::string& key, std::string_view& s) {
         if (key == "index") return jio::parse_u64(s, row.index);
@@ -171,9 +110,10 @@ void join_telemetry(const fs::path& manifest_dir, const ManifestRow& m,
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   std::vector<telemetry::TelemetrySample> samples;
-  if (!telemetry::read_telemetry_jsonl(text, samples)) {
+  std::string err;
+  if (!telemetry::read_telemetry_jsonl(text, samples, &err)) {
     throw std::runtime_error("malformed telemetry series '" + p.string() +
-                             "'");
+                             "': " + err);
   }
   if (samples.empty()) return;
   const bool spatial = samples.front().spatial();
@@ -209,10 +149,11 @@ std::vector<AggregateRow> aggregate_manifest(const fs::path& manifest_path,
       ++lineno;
       if (line.empty()) continue;
       metrics::RunResult r;
-      if (!metrics::read_result_jsonl(line, r)) {
+      std::string err;
+      if (!metrics::read_result_jsonl(line, r, &err)) {
         throw std::runtime_error(results_path.string() + ": line " +
                                  std::to_string(lineno) +
-                                 ": malformed result row");
+                                 ": malformed result row: " + err);
       }
       results.push_back(std::move(r));
     }
@@ -269,16 +210,16 @@ std::vector<AggregateRow> aggregate_manifest(const fs::path& manifest_path,
 void write_aggregate_row(const AggregateRow& row, std::ostream& out) {
   char num[40];
   std::snprintf(num, sizeof num, "%.17g", row.scale);
-  out << "{\"key\":\"" << metrics::json_escape(row.key) << "\",\"workload\":\""
-      << metrics::json_escape(row.workload) << "\",\"scheme\":\""
-      << metrics::json_escape(row.scheme) << "\",\"seed\":" << row.seed
+  out << "{\"key\":\"" << jio::escape(row.key) << "\",\"workload\":\""
+      << jio::escape(row.workload) << "\",\"scheme\":\""
+      << jio::escape(row.scheme) << "\",\"seed\":" << row.seed
       << ",\"scale\":" << num << ",\"num_nodes\":" << row.num_nodes
       << ",\"mesh_width\":" << row.mesh_width
       << ",\"mesh_height\":" << row.mesh_height;
   if (!row.overrides.empty()) {
-    out << ",\"overrides\":\"" << metrics::json_escape(row.overrides) << "\"";
+    out << ",\"overrides\":\"" << jio::escape(row.overrides) << "\"";
   }
-  out << ",\"status\":\"" << metrics::json_escape(row.status)
+  out << ",\"status\":\"" << jio::escape(row.status)
       << "\",\"cycles\":" << row.cycles;
   if (row.has_result) {
     out << ",\"commits\":" << row.commits << ",\"aborts\":" << row.aborts
@@ -286,13 +227,9 @@ void write_aggregate_row(const AggregateRow& row, std::ostream& out) {
         << ",\"router_traversals\":" << row.router_traversals;
   }
   if (!row.tile_heat.empty()) {
-    out << ",\"heat_channel\":\"" << metrics::json_escape(row.heat_channel)
-        << "\",\"tile_heat\":[";
-    for (std::size_t i = 0; i < row.tile_heat.size(); ++i) {
-      if (i != 0) out << ',';
-      out << row.tile_heat[i];
-    }
-    out << ']';
+    out << ",\"heat_channel\":\"" << jio::escape(row.heat_channel)
+        << "\",\"tile_heat\":";
+    jio::write_u64_array(out, row.tile_heat);
   }
   out << "}\n";
 }
@@ -300,7 +237,7 @@ void write_aggregate_row(const AggregateRow& row, std::ostream& out) {
 bool parse_aggregate_row(std::string_view line, AggregateRow& row,
                          std::string* err) {
   row = AggregateRow{};
-  return parse_object(
+  return jio::parse_document(
       line,
       [&](const std::string& key, std::string_view& s) {
         if (key == "key") return jio::parse_string(s, row.key);
@@ -375,40 +312,12 @@ bool publish_aggregate(const fs::path& path,
   for (auto& [k, row] : merged) all.push_back(std::move(row));
   sort_aggregate(all);
 
-  // Same atomic-publication idiom as the result cache: a writer-unique temp
-  // file next to the target, then rename. Readers never see a torn file.
-  std::ostringstream tmp_name;
-  tmp_name << path.filename().string() << ".tmp." << PUNO_GETPID() << "."
-           << std::hash<std::thread::id>{}(std::this_thread::get_id());
-  const fs::path tmp =
-      (path.has_parent_path() ? path.parent_path() : fs::path(".")) /
-      tmp_name.str();
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out.is_open()) {
-      if (err != nullptr) *err = "cannot write '" + tmp.string() + "'";
-      return false;
-    }
-    for (const AggregateRow& row : all) write_aggregate_row(row, out);
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      if (err != nullptr) *err = "short write to '" + tmp.string() + "'";
-      return false;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    std::error_code ec2;
-    fs::remove(tmp, ec2);
-    if (err != nullptr) {
-      *err = "cannot publish '" + path.string() + "': " + ec.message();
-    }
-    return false;
-  }
-  return true;
+  return publish_atomically(
+      path,
+      [&](std::ostream& out) {
+        for (const AggregateRow& row : all) write_aggregate_row(row, out);
+      },
+      err);
 }
 
 namespace {

@@ -11,13 +11,13 @@
 //     however many worker threads produced the sweep,
 //   - an append-safe aggregate JSONL on disk: rows merge into whatever is
 //     already there (newest row per cache key wins) and the file is
-//     republished via temp + rename, the same atomic-publication idiom as
-//     the result cache,
+//     republished through publish_atomically (runner/cache.hpp), as the
+//     result cache stores its entries,
 //   - the self-contained fleet dashboard comparing schemes x sizes x
 //     workloads with a per-config mesh-heatmap thumbnail.
 //
-// Parse errors follow the trace-parser convention: the offending token is
-// quoted in the message, with the file and line number.
+// Every reader parses through sim/jsonio.hpp, so a parse error quotes the
+// offending token, and the file-level readers add the file and line.
 #pragma once
 
 #include <cstdint>

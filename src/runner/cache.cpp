@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <thread>
 
@@ -15,6 +16,7 @@
 #endif
 
 #include "metrics/stats_io.hpp"
+#include "sim/jsonio.hpp"
 
 namespace puno::runner {
 
@@ -47,7 +49,56 @@ void put(std::ostream& os, const char* name, bool v) {
   os << ' ' << name << '=' << (v ? 1 : 0);
 }
 
+/// An entry's first line: schema version, key and the full params
+/// rendering (no newline).
+std::string entry_header(const metrics::ExperimentParams& params) {
+  std::ostringstream os;
+  os << "{\"puno_cache\":" << kCacheSchemaVersion << ",\"key\":\""
+     << cache_key(params) << "\",\"params\":\""
+     << sim::jsonio::escape(params_repr(params)) << "\"}";
+  return os.str();
+}
+
 }  // namespace
+
+bool publish_atomically(const fs::path& path,
+                        const std::function<void(std::ostream&)>& write,
+                        std::string* err) {
+  // Unique temp name per writer (pid + thread) in the target's directory,
+  // so concurrent publishers never interleave; rename() makes publication
+  // atomic on POSIX filesystems.
+  std::ostringstream tmp_name;
+  tmp_name << path.filename().string() << ".tmp." << PUNO_GETPID() << "."
+           << std::hash<std::thread::id>{}(std::this_thread::get_id());
+  const fs::path tmp =
+      (path.has_parent_path() ? path.parent_path() : fs::path(".")) /
+      tmp_name.str();
+  std::error_code ec;
+  {
+    std::ofstream out(tmp, std::ios::trunc);
+    if (!out.is_open()) {
+      if (err != nullptr) *err = "cannot write '" + tmp.string() + "'";
+      return false;
+    }
+    write(out);
+    out.flush();
+    if (!out) {
+      fs::remove(tmp, ec);
+      if (err != nullptr) *err = "short write to '" + tmp.string() + "'";
+      return false;
+    }
+  }
+  fs::rename(tmp, path, ec);
+  if (ec) {
+    if (err != nullptr) {
+      *err = "cannot publish '" + path.string() + "': " + ec.message();
+    }
+    std::error_code ignored;
+    fs::remove(tmp, ignored);
+    return false;
+  }
+  return true;
+}
 
 std::string params_repr(const metrics::ExperimentParams& p) {
   // Every field of ExperimentParams and SystemConfig, by name. When a new
@@ -172,11 +223,7 @@ std::optional<metrics::RunResult> ResultCache::load(
   }
   // The header must carry this exact schema/params rendering; anything else
   // is a stale schema, a hash collision or a torn legacy entry.
-  std::ostringstream expected;
-  expected << "{\"puno_cache\":" << kCacheSchemaVersion << ",\"key\":\""
-           << cache_key(params) << "\",\"params\":\""
-           << metrics::json_escape(params_repr(params)) << "\"}";
-  if (header != expected.str()) return std::nullopt;
+  if (header != entry_header(params)) return std::nullopt;
   metrics::RunResult r;
   if (!metrics::read_result_jsonl(body, r)) return std::nullopt;
   return r;
@@ -187,32 +234,10 @@ bool ResultCache::store(const metrics::ExperimentParams& params,
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (ec) return false;
-  // Unique temp name per writer (pid + thread) so concurrent stores of the
-  // same key never interleave; rename() makes publication atomic on POSIX
-  // filesystems.
-  std::ostringstream tmp_name;
-  tmp_name << cache_key(params) << ".tmp." << PUNO_GETPID() << "."
-           << std::hash<std::thread::id>{}(std::this_thread::get_id());
-  const fs::path tmp = dir_ / tmp_name.str();
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    out << "{\"puno_cache\":" << kCacheSchemaVersion << ",\"key\":\""
-        << cache_key(params) << "\",\"params\":\""
-        << metrics::json_escape(params_repr(params)) << "\"}\n";
+  return publish_atomically(entry_path(params), [&](std::ostream& out) {
+    out << entry_header(params) << '\n';
     metrics::write_result_jsonl(result, out);
-    out.flush();
-    if (!out) {
-      fs::remove(tmp, ec);
-      return false;
-    }
-  }
-  fs::rename(tmp, entry_path(params), ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return false;
-  }
-  return true;
+  });
 }
 
 }  // namespace puno::runner

@@ -22,6 +22,8 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -45,6 +47,16 @@ inline constexpr int kCacheSchemaVersion = 7;
 
 /// The content-addressed cache key: "v<schema>-<fnv1a64(params_repr) hex>".
 [[nodiscard]] std::string cache_key(const metrics::ExperimentParams& params);
+
+/// Publishes a file atomically: `write` fills a temp file next to `path`,
+/// named uniquely per writer (pid + thread), which is flushed and renamed
+/// over `path`, so readers never see a torn file. On failure the temp file
+/// is removed and false returned, with a message in *err if given. Used by
+/// ResultCache::store and publish_aggregate.
+[[nodiscard]] bool publish_atomically(
+    const std::filesystem::path& path,
+    const std::function<void(std::ostream&)>& write,
+    std::string* err = nullptr);
 
 class ResultCache {
  public:

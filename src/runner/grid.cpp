@@ -1,6 +1,7 @@
 #include "runner/grid.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
@@ -14,28 +15,33 @@ namespace puno::runner {
 
 namespace {
 
-[[nodiscard]] bool parse_u32(std::string_view v, std::uint32_t& out) {
-  const std::string s(v);
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || n > 0xFFFFFFFFull) return false;
-  out = static_cast<std::uint32_t>(n);
-  return true;
+template <typename T>
+[[nodiscard]] bool parse_unsigned(std::string_view v, T& out) {
+  // from_chars takes no sign or whitespace for an unsigned type and
+  // reports overflow rather than clamping.
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+  return ec == std::errc{} && ptr == end;
 }
 
-[[nodiscard]] bool parse_u64(std::string_view v, std::uint64_t& out) {
-  const std::string s(v);
-  char* end = nullptr;
-  out = std::strtoull(s.c_str(), &end, 10);
-  return end != s.c_str() && *end == '\0';
+}  // namespace
+
+bool parse_u32(std::string_view v, std::uint32_t& out) {
+  return parse_unsigned(v, out);
 }
 
-[[nodiscard]] bool parse_f64(std::string_view v, double& out) {
+bool parse_u64(std::string_view v, std::uint64_t& out) {
+  return parse_unsigned(v, out);
+}
+
+bool parse_f64(std::string_view v, double& out) {
   const std::string s(v);
   char* end = nullptr;
   out = std::strtod(s.c_str(), &end);
   return end != s.c_str() && *end == '\0';
 }
+
+namespace {
 
 [[nodiscard]] bool parse_bool(std::string_view v, bool& out) {
   if (v == "1" || v == "true" || v == "on") {

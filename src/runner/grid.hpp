@@ -37,6 +37,14 @@ struct GridSpec {
   std::vector<OverrideAxis> overrides;
 };
 
+/// Checked number parsers for --set values and numeric command-line flags.
+/// The whole string must be the number: the unsigned ones take decimal
+/// digits only (no sign, no whitespace) and reject values out of range.
+/// Return false on malformed input.
+[[nodiscard]] bool parse_u32(std::string_view v, std::uint32_t& out);
+[[nodiscard]] bool parse_u64(std::string_view v, std::uint64_t& out);
+[[nodiscard]] bool parse_f64(std::string_view v, double& out);
+
 /// Sets one dotted-name SystemConfig field from a string value. Returns
 /// false for an unknown key or an unparseable value.
 [[nodiscard]] bool apply_override(SystemConfig& cfg, std::string_view key,

@@ -12,10 +12,13 @@
 #include <thread>
 
 #include "metrics/stats_io.hpp"
+#include "sim/jsonio.hpp"
 
 namespace puno::runner {
 
 namespace {
+
+namespace jio = sim::jsonio;
 
 using Clock = std::chrono::steady_clock;
 
@@ -75,8 +78,8 @@ void write_manifest_row(std::ostream& out, std::size_t index,
           ? static_cast<double>(o.result.cycles) / o.wall_seconds
           : 0.0;
   out << "{\"index\":" << index << ",\"label\":\""
-      << metrics::json_escape(auto_label(spec)) << "\",\"workload\":\""
-      << metrics::json_escape(p.workload) << "\",\"scheme\":\""
+      << jio::escape(auto_label(spec)) << "\",\"workload\":\""
+      << jio::escape(p.workload) << "\",\"scheme\":\""
       << to_string(p.scheme) << "\",\"seed\":" << p.seed << ",\"scale\":";
   char num[40];
   std::snprintf(num, sizeof num, "%.17g", p.scale);
@@ -91,25 +94,25 @@ void write_manifest_row(std::ostream& out, std::size_t index,
   std::snprintf(num, sizeof num, "%.6g", cps);
   out << num;
   if (!spec.overrides.empty()) {
-    out << ",\"overrides\":\"" << metrics::json_escape(spec.overrides)
+    out << ",\"overrides\":\"" << jio::escape(spec.overrides)
         << "\"";
   }
   // Per-job trace manifest: where the Chrome JSON landed and how complete
   // the ring was, so a sweep's traces can be located programmatically.
   if (!o.result.trace_path.empty() || o.result.trace_events > 0) {
-    out << ",\"trace_path\":\"" << metrics::json_escape(o.result.trace_path)
+    out << ",\"trace_path\":\"" << jio::escape(o.result.trace_path)
         << "\",\"trace_events\":" << o.result.trace_events
         << ",\"trace_dropped\":" << o.result.trace_dropped;
   }
   // Per-job telemetry manifest, same contract as the trace block above.
   if (!o.result.telemetry_path.empty() || o.result.telemetry_samples > 0) {
     out << ",\"telemetry_path\":\""
-        << metrics::json_escape(o.result.telemetry_path)
+        << jio::escape(o.result.telemetry_path)
         << "\",\"telemetry_samples\":" << o.result.telemetry_samples
         << ",\"telemetry_dropped\":" << o.result.telemetry_dropped;
   }
   if (!o.error.empty()) {
-    out << ",\"error\":\"" << metrics::json_escape(o.error) << "\"";
+    out << ",\"error\":\"" << jio::escape(o.error) << "\"";
   }
   out << "}\n";
   out.flush();

@@ -1,6 +1,7 @@
 #include "sim/jsonio.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
@@ -39,6 +40,15 @@ void write_double(std::ostream& out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   out << buf;
+}
+
+void write_u64_array(std::ostream& out, const std::vector<std::uint64_t>& v) {
+  out << '[';
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i != 0) out << ',';
+    out << v[i];
+  }
+  out << ']';
 }
 
 void skip_ws(std::string_view& s) {
@@ -111,125 +121,138 @@ bool parse_string(std::string_view& s, std::string& out) {
 
 namespace {
 
-[[nodiscard]] bool parse_number_token(std::string_view& s, std::string& tok) {
+/// Consumes one number, -?digits(.digits)?([eE][+-]?digits)?, into `tok`.
+[[nodiscard]] bool scan_number(std::string_view& s, std::string_view& tok) {
   skip_ws(s);
-  tok.clear();
-  while (!s.empty()) {
-    const char c = s.front();
-    if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-        c == 'e' || c == 'E') {
-      tok += c;
-      s.remove_prefix(1);
-    } else {
-      break;
-    }
+  std::size_t n = 0;
+  const auto digits = [&] {
+    const std::size_t first = n;
+    while (n < s.size() && s[n] >= '0' && s[n] <= '9') ++n;
+    return n > first;
+  };
+  if (n < s.size() && s[n] == '-') ++n;
+  if (!digits()) return false;
+  if (n < s.size() && s[n] == '.') {
+    ++n;
+    if (!digits()) return false;
   }
-  return !tok.empty();
+  if (n < s.size() && (s[n] == 'e' || s[n] == 'E')) {
+    ++n;
+    if (n < s.size() && (s[n] == '+' || s[n] == '-')) ++n;
+    if (!digits()) return false;
+  }
+  tok = s.substr(0, n);
+  s.remove_prefix(n);
+  return true;
+}
+
+[[nodiscard]] bool parse_literal(std::string_view& s, std::string_view lit) {
+  skip_ws(s);
+  if (s.substr(0, lit.size()) != lit) return false;
+  s.remove_prefix(lit.size());
+  return true;
 }
 
 }  // namespace
 
 bool parse_double(std::string_view& s, double& v) {
-  std::string tok;
-  if (!parse_number_token(s, tok)) return false;
-  char* end = nullptr;
+  std::string_view tok;
+  if (!scan_number(s, tok)) return false;
+  const std::string text(tok);
   errno = 0;
-  v = std::strtod(tok.c_str(), &end);
-  return end != nullptr && *end == '\0' && errno == 0;
+  v = std::strtod(text.c_str(), nullptr);
+  return errno == 0;
 }
 
 bool parse_u64(std::string_view& s, std::uint64_t& v) {
-  std::string tok;
-  if (!parse_number_token(s, tok)) return false;
-  char* end = nullptr;
-  errno = 0;
-  v = std::strtoull(tok.c_str(), &end, 10);
-  if (end != nullptr && *end == '\0' && errno == 0) return true;
-  // Tolerate a float spelling (e.g. "1e3") for an integer field.
-  errno = 0;
-  const double d = std::strtod(tok.c_str(), &end);
-  if (end == nullptr || *end != '\0' || errno != 0 || d < 0) return false;
+  std::string_view tok;
+  if (!scan_number(s, tok) || tok.front() == '-') return false;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (ptr == end) return ec == std::errc{};
+  // A float spelling (e.g. "1e3") of an integer field, below 2^64 only.
+  double d = 0;
+  if (!parse_double(tok, d) || d >= 18446744073709551616.0) return false;
   v = static_cast<std::uint64_t>(d);
   return true;
 }
 
 bool parse_bool(std::string_view& s, bool& v) {
-  skip_ws(s);
-  if (s.substr(0, 4) == "true") {
+  if (parse_literal(s, "true")) {
     v = true;
-    s.remove_prefix(4);
-    return true;
-  }
-  if (s.substr(0, 5) == "false") {
+  } else if (parse_literal(s, "false")) {
     v = false;
-    s.remove_prefix(5);
-    return true;
+  } else {
+    return false;
   }
-  return false;
+  return true;
 }
 
 bool parse_double_array(std::string_view& s, std::vector<double>& out) {
-  if (!consume(s, '[')) return false;
   out.clear();
-  skip_ws(s);
-  if (consume(s, ']')) return true;
-  for (;;) {
-    double v = 0;
-    if (!parse_double(s, v)) return false;
-    out.push_back(v);
-    if (consume(s, ',')) continue;
-    return consume(s, ']');
-  }
+  return parse_array(
+      s,
+      [&](std::string_view& e) {
+        double v = 0;
+        if (!parse_double(e, v)) return false;
+        out.push_back(v);
+        return true;
+      },
+      nullptr);
 }
 
 bool parse_u64_array(std::string_view& s, std::vector<std::uint64_t>& out) {
-  if (!consume(s, '[')) return false;
   out.clear();
-  skip_ws(s);
-  if (consume(s, ']')) return true;
-  for (;;) {
-    std::uint64_t v = 0;
-    if (!parse_u64(s, v)) return false;
-    out.push_back(v);
-    if (consume(s, ',')) continue;
-    return consume(s, ']');
-  }
+  return parse_array(
+      s,
+      [&](std::string_view& e) {
+        std::uint64_t v = 0;
+        if (!parse_u64(e, v)) return false;
+        out.push_back(v);
+        return true;
+      },
+      nullptr);
 }
 
 bool skip_value(std::string_view& s) {
   skip_ws(s);
   if (s.empty()) return false;
-  const char c = s.front();
-  if (c == '"') {
-    std::string dummy;
-    return parse_string(s, dummy);
-  }
-  if (c == '{' || c == '[') {
-    const char close = c == '{' ? '}' : ']';
-    s.remove_prefix(1);
-    skip_ws(s);
-    if (consume(s, close)) return true;
-    for (;;) {
-      if (c == '{') {
-        std::string key;
-        if (!parse_string(s, key)) return false;
-        if (!consume(s, ':')) return false;
-      }
-      if (!skip_value(s)) return false;
-      if (consume(s, ',')) continue;
-      return consume(s, close);
+  switch (s.front()) {
+    case '"': {
+      std::string dummy;
+      return parse_string(s, dummy);
+    }
+    case '{':
+      return parse_object(
+          s,
+          [](const std::string&, std::string_view& v) { return skip_value(v); },
+          nullptr);
+    case '[':
+      return parse_array(
+          s, [](std::string_view& v) { return skip_value(v); }, nullptr);
+    case 't': return parse_literal(s, "true");
+    case 'f': return parse_literal(s, "false");
+    case 'n': return parse_literal(s, "null");
+    default: {
+      std::string_view tok;
+      return scan_number(s, tok);
     }
   }
-  if (c == 't' || c == 'f') {
-    bool dummy = false;
-    return parse_bool(s, dummy);
+}
+
+std::string offending_token(std::string_view s) {
+  skip_ws(s);
+  if (s.empty()) return "<end of input>";
+  std::size_t n = 0;
+  while (n < s.size() && n < 24 && s[n] != '\n' && s[n] != '\r') ++n;
+  return std::string(s.substr(0, n));
+}
+
+bool fail(std::string_view s, const std::string& what, std::string* err) {
+  if (err != nullptr && err->empty()) {
+    *err = what + " near '" + offending_token(s) + "'";
   }
-  if (s.substr(0, 4) == "null") {
-    s.remove_prefix(4);
-    return true;
-  }
-  std::string tok;
-  return parse_number_token(s, tok);
+  return false;
 }
 
 }  // namespace puno::sim::jsonio

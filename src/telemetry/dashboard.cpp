@@ -4,6 +4,7 @@
 #include <functional>
 #include <ostream>
 
+#include "sim/jsonio.hpp"
 #include "sim/stats.hpp"
 #include "telemetry/heatmap.hpp"
 #include "telemetry/html.hpp"
@@ -132,16 +133,6 @@ constexpr std::size_t kScrubberNumberBudget = 200000;
 constexpr std::size_t kScrubberMaxBuckets = 48;
 constexpr std::size_t kHotspotTableK = 5;
 
-void write_u64_json_array(std::ostream& out,
-                          const std::vector<std::uint64_t>& v) {
-  out << '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i != 0) out << ',';
-    out << v[i];
-  }
-  out << ']';
-}
-
 /// The mesh heatmap section: one heatmap per channel with per-tile totals,
 /// an optional time-window scrubber (inline script over embedded frames)
 /// and the top-K hotspot table with a concentration index per channel.
@@ -259,12 +250,12 @@ void write_heatmap_section(std::ostream& out, const DashboardMeta& meta,
   for (std::size_t c = 0; c < channels.size(); ++c) {
     if (c != 0) out << ',';
     out << "{\"key\":\"" << channels[c]->key << "\",\"frames\":[";
-    write_u64_json_array(out, totals[c]);
+    sim::jsonio::write_u64_array(out, totals[c]);
     for (std::size_t b = 0; b < buckets; ++b) {
       const std::size_t begin = b * samples.size() / buckets;
       const std::size_t end = (b + 1) * samples.size() / buckets;
       out << ',';
-      write_u64_json_array(out, aggregate(*channels[c], begin, end));
+      sim::jsonio::write_u64_array(out, aggregate(*channels[c], begin, end));
     }
     out << "]}";
   }

@@ -8,14 +8,7 @@ namespace puno::telemetry {
 
 namespace {
 
-void write_u64_array(std::ostream& out, const std::vector<std::uint64_t>& v) {
-  out << '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i != 0) out << ',';
-    out << v[i];
-  }
-  out << ']';
-}
+using sim::jsonio::write_u64_array;
 
 [[nodiscard]] bool parse_sample_field(std::string_view& s,
                                       const std::string& key,
@@ -140,47 +133,34 @@ void write_telemetry_jsonl(const std::vector<TelemetrySample>& samples,
   for (const TelemetrySample& s : samples) write_sample_jsonl(s, out);
 }
 
-bool read_sample_jsonl(std::string_view line, TelemetrySample& out) {
-  using sim::jsonio::consume;
-  using sim::jsonio::parse_string;
-  using sim::jsonio::skip_ws;
+bool read_sample_jsonl(std::string_view line, TelemetrySample& out,
+                       std::string* err) {
   out = TelemetrySample{};
-  std::string_view s = line;
-  if (!consume(s, '{')) return false;
-  skip_ws(s);
-  if (!consume(s, '}')) {
-    for (;;) {
-      std::string key;
-      if (!parse_string(s, key)) return false;
-      if (!consume(s, ':')) return false;
-      if (!parse_sample_field(s, key, out)) return false;
-      if (consume(s, ',')) continue;
-      if (consume(s, '}')) break;
-      return false;
-    }
-  }
-  skip_ws(s);
-  return s.empty();
+  return sim::jsonio::parse_document(
+      line,
+      [&](const std::string& key, std::string_view& s) {
+        return parse_sample_field(s, key, out);
+      },
+      err);
 }
 
 bool read_telemetry_jsonl(std::string_view text,
-                          std::vector<TelemetrySample>& out) {
+                          std::vector<TelemetrySample>& out,
+                          std::string* err) {
   out.clear();
+  std::size_t lineno = 0;
   while (!text.empty()) {
     const std::size_t nl = text.find('\n');
     const std::string_view line =
         nl == std::string_view::npos ? text : text.substr(0, nl);
     text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
-    bool blank = true;
-    for (const char c : line) {
-      if (c != ' ' && c != '\t' && c != '\r') {
-        blank = false;
-        break;
-      }
-    }
-    if (blank) continue;
+    ++lineno;
+    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
     TelemetrySample s;
-    if (!read_sample_jsonl(line, s)) return false;
+    if (!read_sample_jsonl(line, s, err)) {
+      if (err != nullptr) *err = "line " + std::to_string(lineno) + ": " + *err;
+      return false;
+    }
     out.push_back(std::move(s));
   }
   return true;

@@ -3,10 +3,10 @@
 // the JSONL reader used by the round-trip validator.
 //
 // The JSONL schema is flat — every key maps to an integer or an integer
-// array — and is parsed back by read_telemetry_jsonl, which skips unknown
-// keys so the schema can grow compatibly. Writing is fully deterministic
-// (fixed key order, no floats), so two runs of the same simulation produce
-// byte-identical files regardless of runner parallelism.
+// array — and is parsed back by read_telemetry_jsonl (through sim/jsonio),
+// which skips unknown keys so the schema can grow compatibly. Writing is
+// fully deterministic (fixed key order, no floats), so two runs of the same
+// simulation produce byte-identical files regardless of runner parallelism.
 #pragma once
 
 #include <iosfwd>
@@ -26,15 +26,19 @@ void write_telemetry_jsonl(const std::vector<TelemetrySample>& samples,
                            std::ostream& out);
 
 /// Parses one JSONL line back into a sample. Returns false on malformed
-/// input; unknown keys are skipped.
+/// input, with a message quoting the offending token in *err if given;
+/// unknown keys are skipped.
 [[nodiscard]] bool read_sample_jsonl(std::string_view line,
-                                     TelemetrySample& out);
+                                     TelemetrySample& out,
+                                     std::string* err = nullptr);
 
 /// Parses a whole JSONL document (one object per line; blank lines are
 /// ignored). Returns false — leaving `out` unspecified — on the first
-/// malformed line.
+/// malformed line; *err, if given, then names the 1-based line number and
+/// quotes the offending token.
 [[nodiscard]] bool read_telemetry_jsonl(std::string_view text,
-                                        std::vector<TelemetrySample>& out);
+                                        std::vector<TelemetrySample>& out,
+                                        std::string* err = nullptr);
 
 /// CSV header for a series whose samples carry `num_nodes` per-core states
 /// and per-router columns (core0..coreN-1, router0..routerN-1). `spatial`

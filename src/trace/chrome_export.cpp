@@ -1,42 +1,18 @@
 #include "trace/chrome_export.hpp"
 
 #include <array>
-#include <cctype>
 #include <fstream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 
+#include "sim/jsonio.hpp"
+
 namespace puno::trace {
 
+namespace jio = sim::jsonio;
+
 namespace {
-
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
-
-[[nodiscard]] std::string jesc(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
 
 [[nodiscard]] std::string hex_addr(BlockAddr a) {
   char buf[24];
@@ -55,13 +31,13 @@ class ChromeWriter {
     write_process_meta();
     rec.for_each([&](const TraceEvent& ev) { dispatch(ev); });
     close_open_txns();
-    out_ << "\n],\"otherData\":{\"workload\":\"" << jesc(meta_.workload)
-         << "\",\"scheme\":\"" << jesc(meta_.scheme)
-         << "\",\"seed\":" << meta_.seed
+    out_ << "\n],\"otherData\":{\"workload\":\""
+         << jio::escape(meta_.workload) << "\",\"scheme\":\""
+         << jio::escape(meta_.scheme) << "\",\"seed\":" << meta_.seed
          << ",\"num_nodes\":" << meta_.num_nodes
          << ",\"recorded\":" << rec.recorded()
          << ",\"dropped\":" << rec.dropped() << ",\"filter\":\""
-         << jesc(filter_to_string(rec.category_mask()))
+         << jio::escape(filter_to_string(rec.category_mask()))
          << "\"},\"displayTimeUnit\":\"ns\"}\n";
   }
 
@@ -257,238 +233,6 @@ class ChromeWriter {
   bool first_ = true;
 };
 
-// ---------------------------------------------------------------------------
-// Validator: streaming recursive-descent JSON parser.
-// ---------------------------------------------------------------------------
-
-class JsonScanner {
- public:
-  explicit JsonScanner(std::istream& in) : in_(in) {}
-
-  /// Entry point: parse the whole document, filling `check`.
-  [[nodiscard]] bool run(ChromeTraceCheck& check) {
-    check_ = &check;
-    skip_ws();
-    if (!parse_top_object()) return false;
-    skip_ws();
-    if (peek() != EOF) return fail("trailing content after document");
-    if (!saw_trace_events_) return fail("no \"traceEvents\" array");
-    return true;
-  }
-
-  [[nodiscard]] const std::string& error() const { return err_; }
-
- private:
-  [[nodiscard]] int peek() { return in_.peek(); }
-  int get() { return in_.get(); }
-
-  void skip_ws() {
-    int c = peek();
-    while (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-      get();
-      c = peek();
-    }
-  }
-
-  bool fail(const std::string& what) {
-    if (err_.empty()) err_ = what;
-    return false;
-  }
-
-  bool expect(char c) {
-    if (get() != c) return fail(std::string("expected '") + c + "'");
-    return true;
-  }
-
-  bool parse_string(std::string* out) {
-    if (!expect('"')) return false;
-    for (;;) {
-      const int c = get();
-      if (c == EOF) return fail("unterminated string");
-      if (c == '"') return true;
-      if (c == '\\') {
-        const int e = get();
-        switch (e) {
-          case '"': case '\\': case '/': case 'b': case 'f': case 'n':
-          case 'r': case 't':
-            if (out) out->push_back(static_cast<char>(e));
-            break;
-          case 'u':
-            for (int i = 0; i < 4; ++i) {
-              const int h = get();
-              if (!std::isxdigit(h)) return fail("bad \\u escape");
-            }
-            if (out) out->push_back('?');
-            break;
-          default:
-            return fail("bad escape character");
-        }
-      } else if (out) {
-        out->push_back(static_cast<char>(c));
-      }
-    }
-  }
-
-  bool parse_number() {
-    int c = peek();
-    if (c == '-') get(), c = peek();
-    if (!std::isdigit(c)) return fail("malformed number");
-    while (std::isdigit(peek())) get();
-    if (peek() == '.') {
-      get();
-      if (!std::isdigit(peek())) return fail("malformed fraction");
-      while (std::isdigit(peek())) get();
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      get();
-      if (peek() == '+' || peek() == '-') get();
-      if (!std::isdigit(peek())) return fail("malformed exponent");
-      while (std::isdigit(peek())) get();
-    }
-    return true;
-  }
-
-  bool parse_literal(const char* lit) {
-    for (const char* p = lit; *p != '\0'; ++p) {
-      if (get() != *p) return fail(std::string("bad literal ") + lit);
-    }
-    return true;
-  }
-
-  /// Any JSON value, contents discarded.
-  bool skip_value() {
-    skip_ws();
-    switch (peek()) {
-      case '{': return skip_object();
-      case '[': return skip_array();
-      case '"': return parse_string(nullptr);
-      case 't': return parse_literal("true");
-      case 'f': return parse_literal("false");
-      case 'n': return parse_literal("null");
-      default: return parse_number();
-    }
-  }
-
-  bool skip_object() {
-    if (!expect('{')) return false;
-    skip_ws();
-    if (peek() == '}') return get(), true;
-    for (;;) {
-      skip_ws();
-      if (!parse_string(nullptr)) return false;
-      skip_ws();
-      if (!expect(':')) return false;
-      if (!skip_value()) return false;
-      skip_ws();
-      const int c = get();
-      if (c == '}') return true;
-      if (c != ',') return fail("expected ',' or '}'");
-    }
-  }
-
-  bool skip_array() {
-    if (!expect('[')) return false;
-    skip_ws();
-    if (peek() == ']') return get(), true;
-    for (;;) {
-      if (!skip_value()) return false;
-      skip_ws();
-      const int c = get();
-      if (c == ']') return true;
-      if (c != ',') return fail("expected ',' or ']'");
-    }
-  }
-
-  /// One element of "traceEvents": an object with string "ph" and "name".
-  bool parse_event() {
-    skip_ws();
-    if (peek() != '{') return fail("traceEvents element is not an object");
-    get();
-    std::string ph;
-    bool has_name = false;
-    skip_ws();
-    if (peek() == '}') {
-      get();
-      return fail("traceEvents element missing \"ph\"");
-    }
-    for (;;) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(&key)) return false;
-      skip_ws();
-      if (!expect(':')) return false;
-      if (key == "ph") {
-        skip_ws();
-        if (peek() != '"') return fail("\"ph\" is not a string");
-        if (!parse_string(&ph)) return false;
-      } else if (key == "name") {
-        skip_ws();
-        if (peek() != '"') return fail("\"name\" is not a string");
-        if (!parse_string(nullptr)) return false;
-        has_name = true;
-      } else {
-        if (!skip_value()) return false;
-      }
-      skip_ws();
-      const int c = get();
-      if (c == '}') break;
-      if (c != ',') return fail("expected ',' or '}' in event");
-    }
-    if (ph.empty()) return fail("traceEvents element missing \"ph\"");
-    if (!has_name) return fail("traceEvents element missing \"name\"");
-    ++check_->events;
-    if (ph == "X") ++check_->complete;
-    else if (ph == "i" || ph == "I") ++check_->instants;
-    else if (ph == "M") ++check_->metadata;
-    return true;
-  }
-
-  bool parse_trace_events() {
-    skip_ws();
-    if (peek() != '[') return fail("\"traceEvents\" is not an array");
-    get();
-    skip_ws();
-    if (peek() == ']') return get(), true;
-    for (;;) {
-      if (!parse_event()) return false;
-      skip_ws();
-      const int c = get();
-      if (c == ']') return true;
-      if (c != ',') return fail("expected ',' or ']' in traceEvents");
-    }
-  }
-
-  bool parse_top_object() {
-    skip_ws();
-    if (peek() != '{') return fail("document is not a JSON object");
-    get();
-    skip_ws();
-    if (peek() == '}') return get(), true;
-    for (;;) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(&key)) return false;
-      skip_ws();
-      if (!expect(':')) return false;
-      if (key == "traceEvents") {
-        saw_trace_events_ = true;
-        if (!parse_trace_events()) return false;
-      } else {
-        if (!skip_value()) return false;
-      }
-      skip_ws();
-      const int c = get();
-      if (c == '}') return true;
-      if (c != ',') return fail("expected ',' or '}' at top level");
-    }
-  }
-
-  std::istream& in_;
-  ChromeTraceCheck* check_ = nullptr;
-  std::string err_;
-  bool saw_trace_events_ = false;
-};
-
 }  // namespace
 
 void write_chrome_trace(const TraceRecorder& rec, const TraceMeta& meta,
@@ -507,10 +251,51 @@ bool write_chrome_trace_file(const TraceRecorder& rec, const TraceMeta& meta,
 
 std::optional<ChromeTraceCheck> validate_chrome_trace(std::istream& in,
                                                       std::string* error) {
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
   ChromeTraceCheck check;
-  JsonScanner scanner(in);
-  if (!scanner.run(check)) {
-    if (error != nullptr) *error = scanner.error();
+  bool saw_trace_events = false;
+  // One element of "traceEvents": an object with string "ph" and "name".
+  const auto event = [&](std::string_view& s) {
+    const std::string_view at = s;
+    std::string ph, name;
+    bool has_name = false;
+    if (!jio::parse_object(
+            s,
+            [&](const std::string& key, std::string_view& v) {
+              if (key == "ph") return jio::parse_string(v, ph);
+              if (key == "name") {
+                has_name = true;
+                return jio::parse_string(v, name);
+              }
+              return jio::skip_value(v);
+            },
+            error)) {
+      return false;
+    }
+    if (ph.empty()) {
+      return jio::fail(at, "traceEvents element missing \"ph\"", error);
+    }
+    if (!has_name) {
+      return jio::fail(at, "traceEvents element missing \"name\"", error);
+    }
+    ++check.events;
+    if (ph == "X") ++check.complete;
+    else if (ph == "i" || ph == "I") ++check.instants;
+    else if (ph == "M") ++check.metadata;
+    return true;
+  };
+  const bool ok = jio::parse_document(
+      text,
+      [&](const std::string& key, std::string_view& v) {
+        if (key != "traceEvents") return jio::skip_value(v);
+        saw_trace_events = true;
+        return jio::parse_array(v, event, error);
+      },
+      error);
+  if (!ok) return std::nullopt;
+  if (!saw_trace_events) {
+    jio::fail(text, "no \"traceEvents\" array", error);
     return std::nullopt;
   }
   return check;

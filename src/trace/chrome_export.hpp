@@ -57,13 +57,18 @@ struct ChromeTraceCheck {
   std::uint64_t metadata = 0;      ///< ph=="M" metadata records.
 };
 
-/// Structural validator: parse `in` as JSON (full grammar: objects, arrays,
-/// strings with escapes, numbers, literals), require a top-level object
-/// with a "traceEvents" array whose elements are objects each carrying
-/// string "ph" and "name" fields. Returns std::nullopt (with a message in
-/// *error if given) on any syntax or shape violation. This is the same
-/// structure Perfetto's trace-event importer requires, so a passing file
-/// loads there; used by `punosim --verify-trace` and the trace_smoke test.
+/// Structural validator, built on sim::jsonio: parse `in` as JSON (full
+/// grammar: objects, arrays, strings with escapes, numbers, literals),
+/// require a top-level object with a "traceEvents" array whose elements are
+/// objects each carrying string "ph" and "name" fields. Returns std::nullopt
+/// (with a message quoting the offending token in *error if given) on any
+/// syntax or shape violation. This is the same structure Perfetto's
+/// trace-event importer requires, so a passing file loads there; used by
+/// `punosim --verify-trace` and the trace_smoke test.
+///
+/// Memory: the whole stream is read into one string first. The writer
+/// emits about 142 bytes per event, so a full default ring (2^18 events)
+/// takes about 37 MB.
 [[nodiscard]] std::optional<ChromeTraceCheck> validate_chrome_trace(
     std::istream& in, std::string* error = nullptr);
 

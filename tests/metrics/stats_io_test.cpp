@@ -169,6 +169,15 @@ TEST(StatsIoJsonl, RejectsGarbage) {
   EXPECT_FALSE(read_result_jsonl("{\"workload\":}", r));
   EXPECT_FALSE(read_result_jsonl("{\"cycles\":1} trailing", r));
   EXPECT_FALSE(read_result_jsonl("{\"workload\":\"unterminated", r));
+
+  // The message quotes the offending token.
+  std::string err;
+  EXPECT_FALSE(read_result_jsonl("{\"cycles\":oops,\"aborts\":1}", r, &err));
+  EXPECT_EQ(err, "bad value for \"cycles\" near 'oops,\"aborts\":1}'");
+  EXPECT_FALSE(read_result_jsonl("{\"cycles\":-1}", r, &err));
+  EXPECT_EQ(err, "bad value for \"cycles\" near '-1}'");
+  EXPECT_FALSE(read_result_jsonl("{\"cycles\":1} trailing", r, &err));
+  EXPECT_EQ(err, "trailing garbage near 'trailing'");
 }
 
 TEST(StatsIoJsonl, IgnoresUnknownKeysForForwardCompat) {

@@ -69,6 +69,20 @@ TEST(ApplyOverride, DirectoryKnobs) {
   EXPECT_EQ(cfg.cache.l2_banks, 4u);
 }
 
+TEST(ApplyOverride, RejectsSignsAndOutOfRangeIntegers) {
+  SystemConfig cfg;
+  const std::uint64_t keys = cfg.traffic.keys;
+  EXPECT_FALSE(apply_override(cfg, "traffic.keys", "-1"));
+  EXPECT_FALSE(apply_override(cfg, "traffic.keys", "99999999999999999999"));
+  EXPECT_FALSE(apply_override(cfg, "traffic.keys", "+5"));
+  EXPECT_FALSE(apply_override(cfg, "traffic.keys", " 5"));
+  EXPECT_EQ(cfg.traffic.keys, keys) << "a rejected value must not be stored";
+  EXPECT_FALSE(apply_override(cfg, "noc.vc_depth", "4294967296"));
+  EXPECT_FALSE(apply_override(cfg, "noc.vc_depth", "-18446744073709551615"));
+  ASSERT_TRUE(apply_override(cfg, "traffic.keys", "18446744073709551615"));
+  EXPECT_EQ(cfg.traffic.keys, 18446744073709551615ull);
+}
+
 TEST(OverrideKeys, NewScalingKnobsAreRegistered) {
   const auto& keys = override_keys();
   for (const char* key :

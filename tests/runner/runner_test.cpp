@@ -385,6 +385,10 @@ TEST(Grid, SeedListParsing) {
   EXPECT_EQ(parse_seed_list("3..6"), (std::vector<std::uint64_t>{3, 4, 5, 6}));
   EXPECT_THROW(parse_seed_list("8..3"), std::invalid_argument);
   EXPECT_THROW(parse_seed_list("abc"), std::invalid_argument);
+  // No sign, no wrap-around, no clamping to the largest seed.
+  EXPECT_THROW(parse_seed_list("-1"), std::invalid_argument);
+  EXPECT_THROW(parse_seed_list("99999999999999999999"), std::invalid_argument);
+  EXPECT_THROW(parse_seed_list("1..-1"), std::invalid_argument);
 }
 
 TEST(Grid, SchemeListParsing) {

@@ -102,6 +102,15 @@ TEST(TelemetryExport, ReaderRejectsMalformedInput) {
   EXPECT_FALSE(read_sample_jsonl("{\"cycle\":", out));
   std::vector<TelemetrySample> series;
   EXPECT_FALSE(read_telemetry_jsonl("{\"cycle\":1}\ngarbage\n", series));
+
+  // The message quotes the offending token; the series reader adds the
+  // 1-based line number.
+  std::string err;
+  EXPECT_FALSE(read_sample_jsonl("{\"cycle\":", out, &err));
+  EXPECT_EQ(err, "bad value for \"cycle\" near '<end of input>'");
+  EXPECT_FALSE(read_telemetry_jsonl("{\"cycle\":1}\n\n{\"nacks\":[1]}\n",
+                                    series, &err));
+  EXPECT_EQ(err, "line 3: bad value for \"nacks\" near '[1]}'");
 }
 
 TEST(TelemetryExport, ReaderIgnoresBlankLines) {

@@ -167,6 +167,73 @@ TEST(ValidateChromeTrace, RejectsTrailingGarbage) {
       validate_string("{\"traceEvents\":[]} extra").has_value());
 }
 
+// Accept/reject verdicts on hand-written inputs. Each verdict also holds
+// for the validator's earlier hand-rolled scanner, which pins that moving
+// onto sim::jsonio made the check no looser.
+TEST(ValidateChromeTrace, VerdictsOnHandWrittenInputs) {
+  const auto ev = [](const std::string& members) {
+    return "{\"traceEvents\":[{\"ph\":\"i\",\"name\":\"n\"," + members +
+           "}]}";
+  };
+  const struct {
+    std::string json;
+    bool valid;
+  } cases[] = {
+      {ev("\"ts\":-"), false},
+      {ev("\"ts\":1."), false},
+      {ev("\"ts\":1e"), false},
+      {ev("\"ts\":.5"), false},
+      {ev("\"ts\":+5"), false},
+      {ev("\"ts\":1-2"), false},
+      {ev("\"ts\":nul"), false},
+      {ev("\"ts\":tru"), false},
+      {ev(R"("args":{"s":"a\x"})"), false},
+      {ev(R"("args":{"s":"\u12g4"})"), false},
+      {R"({"traceEvents":[{"ph":"i","name":"n",}]})", false},
+      {R"({"traceEvents":[{"ph":"i","name":"n"},]})", false},
+      {R"({"traceEvents":[],})", false},
+      {R"({"traceEvents":[{"ph":5,"name":"n"}]})", false},
+      {R"({"traceEvents":[{"ph":"i","name":null}]})", false},
+      {R"({"traceEvents":[{"name":"n"}]})", false},
+      {R"({"traceEvents":[{"ph":"i"}]})", false},
+      {R"({"traceEvents":[1]})", false},
+      {R"({"traceEvents":{}})", false},
+      {R"({"otherData":{}})", false},
+      {R"({"traceEvents":[]} x)", false},
+      {R"([{"traceEvents":[]}])", false},
+      {"", false},
+      {R"({"traceEvents":[)", false},
+      {ev("\"ts\":01"), true},
+      {ev("\"ts\":1.5e+3"), true},
+      {ev(R"("args":{"a":[1,{"b":null}],"c":{"d":[]}})"), true},
+      {ev("\"ts\":-0.25E-2"), true},
+      {R"( { "traceEvents" : [ {"name":"\"\\\/\b\f\n\r\t\u00e9",
+             "ph":"X", "ok":true, "no":false} ] } )",
+       true},
+  };
+  for (const auto& c : cases) {
+    std::string err;
+    EXPECT_EQ(validate_string(c.json, &err).has_value(), c.valid)
+        << c.json << "\n" << err;
+  }
+}
+
+TEST(ValidateChromeTrace, RejectionsQuoteTheOffendingToken) {
+  std::string err;
+  EXPECT_FALSE(validate_string(
+                   R"({"traceEvents":[{"ph":"X","name":"n","ts":1.}]})", &err)
+                   .has_value());
+  EXPECT_EQ(err, "bad value for \"ts\" near '1.}]}'");
+  EXPECT_FALSE(
+      validate_string(R"({"traceEvents":[{"name":"n"}]})", &err).has_value());
+  EXPECT_EQ(err, "traceEvents element missing \"ph\" near '{\"name\":\"n\"}]}'");
+  EXPECT_FALSE(validate_string(R"({"otherData":{}})", &err).has_value());
+  EXPECT_EQ(err, "no \"traceEvents\" array near '{\"otherData\":{}}'");
+  EXPECT_FALSE(validate_string("{\"traceEvents\":[]}\n\nmore", &err)
+                   .has_value());
+  EXPECT_EQ(err, "trailing garbage near 'more'");
+}
+
 TEST(ValidateChromeTrace, AcceptsMinimalWellFormedFile) {
   const auto check = validate_string(
       "{\"traceEvents\":[{\"name\":\"n\",\"ph\":\"i\",\"ts\":0}]}");
