@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <iostream>
 #include <iterator>
+#include <stdexcept>
+#include <string>
 
 #include "runner/grid.hpp"
 #include "workloads/stamp.hpp"
@@ -15,11 +17,14 @@ using metrics::ExperimentParams;
 using metrics::RunResult;
 
 double bench_scale() {
-  if (const char* v = std::getenv("PUNO_BENCH_SCALE")) {
-    const double s = std::atof(v);
-    if (s > 0) return s;
+  const char* v = std::getenv("PUNO_BENCH_SCALE");
+  if (v == nullptr || v[0] == '\0') return 1.0;
+  double s = 0.0;
+  if (!runner::parse_f64(v, s) || !(s > 0.0)) {
+    throw std::invalid_argument(std::string("bad PUNO_BENCH_SCALE '") + v +
+                                "' (expected a number > 0)");
   }
-  return 1.0;
+  return s;
 }
 
 bool cache_enabled() {

@@ -19,7 +19,8 @@
 
 namespace puno::bench {
 
-/// Experiment scale taken from PUNO_BENCH_SCALE (default 1.0).
+/// Experiment scale taken from PUNO_BENCH_SCALE (default 1.0). Throws
+/// std::invalid_argument naming the variable unless it is a number > 0.
 [[nodiscard]] double bench_scale();
 
 /// False when PUNO_BENCH_NOCACHE=1 disables the on-disk result cache.

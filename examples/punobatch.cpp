@@ -206,6 +206,7 @@ int main(int argc, char** argv) {
     grid.schemes = runner::parse_scheme_list(schemes_spec);
     grid.seeds = runner::parse_seed_list(seeds_spec);
     specs = runner::expand_grid(grid);
+    options.jobs = runner::resolve_jobs(options.jobs);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "punobatch: %s\n", e.what());
     return 2;
@@ -294,7 +295,7 @@ int main(int argc, char** argv) {
                 specs.size(), grid.workloads.size(), grid.schemes.size(),
                 grid.seeds.size(),
                 grid.overrides.empty() ? "" : " x config overrides",
-                runner::resolve_jobs(options.jobs));
+                options.jobs);
   }
 
   const runner::SweepResult sweep = runner::run_jobs(specs, options);

@@ -254,8 +254,10 @@ int main(int argc, char** argv) {
     try {
       return traffic::registry::make(params.workload, cfg, params.scale);
     } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "%s (--list-workloads shows the registry)\n",
-                   e.what());
+      std::fprintf(stderr, "%s%s\n", e.what(),
+                   traffic::registry::known(params.workload)
+                       ? ""
+                       : " (--list-workloads shows the registry)");
       std::exit(2);
     }
   };

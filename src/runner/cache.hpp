@@ -2,8 +2,8 @@
 //
 // The cache key is a 64-bit FNV-1a hash of a canonical text rendering of
 // the *complete* experiment configuration — every field of ExperimentParams
-// and of the embedded SystemConfig (NoC, cache hierarchy, HTM and PUNO
-// knobs included). Any knob that can change simulated behaviour therefore
+// and every SystemConfig key in for_each_key (src/sim/config.hpp), the same
+// list `--set` walks. Any knob that can change simulated behaviour therefore
 // changes the key; there is no hand-maintained "list of fields that
 // matter" to fall out of date (the failure mode of the old
 // .puno-bench-cache keys, which silently dropped max_cycles and most of
@@ -35,14 +35,15 @@ namespace puno::runner {
 
 /// Bump when simulator behaviour or the cache layout changes so every stale
 /// entry self-expires. (Continues the old bench-cache numbering.)
-inline constexpr int kCacheSchemaVersion = 7;
+inline constexpr int kCacheSchemaVersion = 8;
 
 /// 64-bit FNV-1a.
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view s) noexcept;
 
-/// Canonical text rendering of every behaviour-relevant field of `params`
-/// (including the full SystemConfig). Two params serialize identically iff
-/// they describe the same simulation.
+/// Canonical text rendering of every behaviour-relevant field of `params`:
+/// "workload=... scheme=... seed=... scale=... max_cycles=..." followed by
+/// one " key=value" token per for_each_key field. Two params serialize
+/// identically iff they describe the same simulation.
 [[nodiscard]] std::string params_repr(const metrics::ExperimentParams& params);
 
 /// The content-addressed cache key: "v<schema>-<fnv1a64(params_repr) hex>".

@@ -6,9 +6,10 @@
 // grid always shards and serializes identically.
 //
 // Config overrides address SystemConfig fields by dotted name
-// ("puno.timeout_fraction", "cache.l2_latency", ...); override_keys() lists
-// every supported key. "num_nodes"/"noc.mesh_width" are coupled: setting
-// either keeps num_nodes == mesh_width^2, which the CMP asserts.
+// ("puno.timeout_fraction", "cache.l2_latency", ...), the keys of
+// for_each_key (src/sim/config.hpp); override_keys() lists them. num_nodes
+// and the mesh dimensions are coupled: setting any of them keeps
+// num_nodes == mesh_width x rows(), which validate() checks.
 #pragma once
 
 #include <cstdint>
@@ -37,24 +38,28 @@ struct GridSpec {
   std::vector<OverrideAxis> overrides;
 };
 
-/// Checked number parsers for --set values and numeric command-line flags.
-/// The whole string must be the number: the unsigned ones take decimal
-/// digits only (no sign, no whitespace) and reject values out of range.
-/// Return false on malformed input.
+/// Checked number parsers for --set values, numeric command-line flags and
+/// numeric environment variables. The whole string must be the number: the
+/// unsigned ones take decimal digits only (no sign, no whitespace) and
+/// reject values out of range; parse_f64 rejects nan and inf. Return false
+/// on malformed input and leave `out` untouched.
 [[nodiscard]] bool parse_u32(std::string_view v, std::uint32_t& out);
 [[nodiscard]] bool parse_u64(std::string_view v, std::uint64_t& out);
 [[nodiscard]] bool parse_f64(std::string_view v, double& out);
 
 /// Sets one dotted-name SystemConfig field from a string value. Returns
-/// false for an unknown key or an unparseable value.
+/// false, leaving `cfg` untouched, for an unknown key or an unparseable
+/// value.
 [[nodiscard]] bool apply_override(SystemConfig& cfg, std::string_view key,
                                   std::string_view value);
 
-/// Every key apply_override understands, for --list-keys and diagnostics.
+/// Every key apply_override understands, in for_each_key order, for
+/// --list-keys and diagnostics.
 [[nodiscard]] const std::vector<std::string>& override_keys();
 
-/// Flattens the grid. Throws std::invalid_argument on an unknown workload,
-/// an unknown override key or a bad override value.
+/// Flattens the grid. Throws std::invalid_argument on a bad scale
+/// (traffic::registry::check_scale), an unknown workload, an unknown
+/// override key or a bad override value.
 [[nodiscard]] std::vector<JobSpec> expand_grid(const GridSpec& grid);
 
 /// Splits "a,b,c" (empty pieces dropped).

@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "metrics/stats_io.hpp"
+#include "runner/grid.hpp"
 #include "sim/jsonio.hpp"
 
 namespace puno::runner {
@@ -122,9 +123,13 @@ void write_manifest_row(std::ostream& out, std::size_t index,
 
 unsigned resolve_jobs(unsigned requested) {
   if (requested > 0) return requested;
-  if (const char* v = std::getenv("PUNO_JOBS")) {
-    const long n = std::strtol(v, nullptr, 10);
-    if (n > 0) return static_cast<unsigned>(n);
+  if (const char* v = std::getenv("PUNO_JOBS"); v && v[0] != '\0') {
+    std::uint32_t n = 0;
+    if (!parse_u32(v, n)) {
+      throw std::invalid_argument(std::string("bad PUNO_JOBS '") + v +
+                                  "' (expected a worker count)");
+    }
+    if (n > 0) return n;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

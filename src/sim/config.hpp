@@ -2,10 +2,12 @@
 // mechanism evaluated in Section IV).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "sim/types.hpp"
 
@@ -72,6 +74,9 @@ inline constexpr Scheme kAllSchemes[] = {
   return std::nullopt;
 }
 
+// The configuration structs. Every field a run can vary is a `--set` key,
+// listed once, with its field, in for_each_key below SystemConfig.
+
 struct NocConfig {
   /// Mesh X dimension (routers per row). The paper's Table II system is the
   /// default 4x4 = 16 routers; any width x height mesh is configurable.
@@ -79,8 +84,9 @@ struct NocConfig {
   /// Mesh Y dimension. 0 (the default) means "square": height = mesh_width.
   std::uint32_t mesh_height = 0;
   /// Three virtual networks (requests, forwards, responses) prevent
-  /// protocol-level deadlock, as in GEMS/Garnet configurations.
-  std::uint32_t num_vnets = 3;
+  /// protocol-level deadlock, as in GEMS/Garnet configurations. A constant:
+  /// the protocol's three message classes (noc::VNet) map onto them.
+  static constexpr std::uint32_t num_vnets = 3;
   std::uint32_t vcs_per_vnet = 2;    ///< Virtual channels per vnet per port.
   std::uint32_t vc_depth = 4;        ///< Flit buffer depth per VC.
   std::uint32_t pipeline_stages = 4; ///< 4-stage router (Table II).
@@ -102,7 +108,9 @@ struct NocConfig {
 };
 
 struct CacheConfig {
-  std::uint32_t block_bytes = 64;
+  /// Cache-line size, fixed at 64 B: no run varies it. A power of two, so
+  /// block_of can mask.
+  static constexpr std::uint32_t block_bytes = 64;
 
   std::uint32_t l1_size_bytes = 32 * 1024;  ///< 32 KB private L1.
   std::uint32_t l1_assoc = 4;
@@ -111,14 +119,14 @@ struct CacheConfig {
   std::uint64_t l2_size_bytes = 8ull * 1024 * 1024;  ///< 8 MB shared NUCA L2.
   std::uint32_t l2_assoc = 8;
   std::uint32_t l2_latency = 20;            ///< 20-cycle bank access.
+  std::uint32_t memory_latency = 200;       ///< 200-cycle DRAM (Table II).
   /// Shared-L2 bank count; each home directory is co-located with one bank
   /// of l2_size_bytes / banks. 0 (default) = one bank per home directory
   /// (i.e. per directory shard, which defaults to per node).
   std::uint32_t l2_banks = 0;
-
-  std::uint32_t memory_latency = 200;       ///< 200-cycle DRAM (Table II).
-  std::uint32_t num_memory_controllers = 4;
 };
+static_assert(std::has_single_bit(CacheConfig::block_bytes),
+              "CacheConfig::block_bytes must be a power of two");
 
 /// How a directory entry encodes its sharer list (coherence::SharerSet).
 /// Spellings are the CLI/grid values of "dir.sharer_rep".
@@ -240,8 +248,8 @@ placement_mode_from_string(std::string_view s) noexcept {
 
 /// Knobs of the open-loop production-traffic engine (docs/TRAFFIC.md).
 /// Only the traffic-kernel workloads ("traffic-*") read these; the STAMP
-/// profiles ignore them. Every field flows through the grid setters
-/// ("traffic.*" keys) and the content-addressed result-cache key.
+/// profiles ignore them. Every field is a "traffic.*" key in for_each_key,
+/// so it can be set and is part of the content-addressed result-cache key.
 struct TrafficConfig {
   // --- workload volume -------------------------------------------------
   /// Open-loop arrival quota per core (ExperimentParams::scale multiplies
@@ -380,6 +388,81 @@ struct SystemConfig {
   }
 };
 
+/// The one list of `--set` keys: calls `visit(key, field)` for every
+/// settable SystemConfig field, in declaration order. The key is the
+/// field's member path ("num_nodes", "noc.mesh_width", ...). `Config` is
+/// SystemConfig or const SystemConfig. runner::apply_override and
+/// runner::override_keys walk it to set fields, runner::params_repr to
+/// render the result-cache key, so a knob can be set exactly when it is
+/// keyed. scheme and seed are not listed: ExperimentParams carries them.
+template <typename Config, typename Visit>
+constexpr void for_each_key(Config& c, Visit&& visit) {
+  static_assert(std::is_same_v<std::remove_const_t<Config>, SystemConfig>);
+#define PUNO_KEY(path) visit(#path, c.path)
+  PUNO_KEY(num_nodes);
+  PUNO_KEY(noc.mesh_width);
+  PUNO_KEY(noc.mesh_height);
+  PUNO_KEY(noc.vcs_per_vnet);
+  PUNO_KEY(noc.vc_depth);
+  PUNO_KEY(noc.pipeline_stages);
+  PUNO_KEY(noc.link_latency);
+  PUNO_KEY(noc.flit_bytes);
+  PUNO_KEY(noc.always_tick);
+  PUNO_KEY(cache.l1_size_bytes);
+  PUNO_KEY(cache.l1_assoc);
+  PUNO_KEY(cache.l1_latency);
+  PUNO_KEY(cache.l2_size_bytes);
+  PUNO_KEY(cache.l2_assoc);
+  PUNO_KEY(cache.l2_latency);
+  PUNO_KEY(cache.memory_latency);
+  PUNO_KEY(cache.l2_banks);
+  PUNO_KEY(dir.sharer_rep);
+  PUNO_KEY(dir.coarse_region);
+  PUNO_KEY(dir.limited_pointers);
+  PUNO_KEY(dir.shards);
+  PUNO_KEY(htm.fixed_backoff);
+  PUNO_KEY(htm.backoff_slot);
+  PUNO_KEY(htm.backoff_max_slots);
+  PUNO_KEY(htm.abort_recovery_latency);
+  PUNO_KEY(htm.rmw_entries);
+  PUNO_KEY(htm.requester_wins_max_retries);
+  PUNO_KEY(htm.limited_read_entries);
+  PUNO_KEY(htm.limited_write_entries);
+  PUNO_KEY(puno.pbuffer_entries);
+  PUNO_KEY(puno.txlb_entries);
+  PUNO_KEY(puno.min_timeout);
+  PUNO_KEY(puno.max_timeout);
+  PUNO_KEY(puno.validity_threshold);
+  PUNO_KEY(puno.enable_unicast);
+  PUNO_KEY(puno.enable_notification);
+  PUNO_KEY(puno.max_notified_backoff);
+  PUNO_KEY(puno.timeout_fraction);
+  PUNO_KEY(puno.enable_commit_hint);
+  PUNO_KEY(puno.commit_hint_entries);
+  PUNO_KEY(puno.unicast_min_sharers);
+  PUNO_KEY(traffic.arrivals_per_node);
+  PUNO_KEY(traffic.keys);
+  PUNO_KEY(traffic.zipf_theta);
+  PUNO_KEY(traffic.hot_keys);
+  PUNO_KEY(traffic.hot_frac);
+  PUNO_KEY(traffic.phase_cycles);
+  PUNO_KEY(traffic.arrival);
+  PUNO_KEY(traffic.rate_per_kcycle);
+  PUNO_KEY(traffic.burst_on_frac);
+  PUNO_KEY(traffic.burst_boost);
+  PUNO_KEY(traffic.burst_period);
+  PUNO_KEY(traffic.diurnal_amplitude);
+  PUNO_KEY(traffic.diurnal_period);
+  PUNO_KEY(traffic.queue_capacity);
+  PUNO_KEY(traffic.placement);
+  PUNO_KEY(traffic.keys_per_block);
+  PUNO_KEY(traffic.update_frac);
+  PUNO_KEY(traffic.counter_blocks);
+  PUNO_KEY(traffic.op_think_min);
+  PUNO_KEY(traffic.op_think_max);
+#undef PUNO_KEY
+}
+
 /// Structural validation of a SystemConfig. Returns a human-readable
 /// description of the first problem found, or nullopt if the configuration
 /// is runnable. arch::Cmp calls this at construction and throws on error;
@@ -391,25 +474,22 @@ struct SystemConfig {
     return std::string("num_nodes must be in [2, ") +
            std::to_string(kMaxNodes) + "]";
   if (cfg.noc.mesh_width == 0) return std::string("noc.mesh_width must be > 0");
-  if (cfg.num_nodes != cfg.noc.mesh_width * rows)
+  // 64-bit product: a huge mesh_width must not wrap onto a valid count.
+  if (cfg.num_nodes != std::uint64_t{cfg.noc.mesh_width} * rows)
     return "num_nodes (" + std::to_string(cfg.num_nodes) +
            ") must equal mesh_width x mesh_height (" +
            std::to_string(cfg.noc.mesh_width) + "x" + std::to_string(rows) +
            ")";
-  if (cfg.cache.block_bytes == 0 ||
-      (cfg.cache.block_bytes & (cfg.cache.block_bytes - 1)) != 0)
-    return std::string("cache.block_bytes must be a power of two");
   if (cfg.noc.flit_bytes == 0 || cfg.noc.vc_depth == 0 ||
-      cfg.noc.vcs_per_vnet == 0 || cfg.noc.num_vnets < 3)
-    return std::string(
-        "noc.flit_bytes/vc_depth/vcs_per_vnet must be > 0 and num_vnets >= 3");
+      cfg.noc.vcs_per_vnet == 0)
+    return std::string("noc.flit_bytes/vc_depth/vcs_per_vnet must be > 0");
   // The router's allocation scans keep one bit per (input port, VC) in a
   // 64-bit mask, so 5 ports x total_vcs must fit: vcs_per_vnet <= 4 at the
   // fixed 3 vnets.
-  if (std::uint64_t{5} * cfg.noc.num_vnets * cfg.noc.vcs_per_vnet > 64)
+  if (std::uint64_t{5} * NocConfig::num_vnets * cfg.noc.vcs_per_vnet > 64)
     return "noc.vcs_per_vnet must be <= " +
-           std::to_string(64 / (5 * cfg.noc.num_vnets)) + " with " +
-           std::to_string(cfg.noc.num_vnets) + " vnets (got " +
+           std::to_string(64 / (5 * NocConfig::num_vnets)) + " with " +
+           std::to_string(NocConfig::num_vnets) + " vnets (got " +
            std::to_string(cfg.noc.vcs_per_vnet) +
            "): 5 router ports x total VCs must fit a 64-bit mask";
   // The mesh's link stage returns a traversal's credit the next cycle and

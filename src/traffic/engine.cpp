@@ -8,7 +8,6 @@ namespace puno::traffic {
 namespace {
 
 [[nodiscard]] std::uint64_t scaled_quota(std::uint32_t base, double scale) {
-  if (!(scale > 0.0)) scale = 1.0;
   const double q = std::llround(static_cast<double>(base) * scale);
   return q < 1.0 ? 1 : static_cast<std::uint64_t>(q);
 }

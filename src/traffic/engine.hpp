@@ -60,9 +60,10 @@ class OpenLoopWorkload final : public workloads::Workload {
   /// bucket, so tail percentiles read "cap or more".
   static constexpr std::size_t kDelayHistMax = 4096;
 
-  /// `scale` multiplies cfg.arrivals_per_node (the ExperimentParams::scale
-  /// convention the STAMP profiles use for transaction counts); the quota
-  /// is rounded and floored at 1.
+  /// `scale` (> 0; registry::make checks it) multiplies
+  /// cfg.arrivals_per_node (the ExperimentParams::scale convention the
+  /// STAMP profiles use for transaction counts); the quota is rounded and
+  /// floored at 1.
   OpenLoopWorkload(KernelKind kind, const TrafficConfig& cfg,
                    NodeId num_nodes, std::uint64_t seed,
                    std::uint32_t block_bytes, double scale = 1.0);

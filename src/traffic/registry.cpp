@@ -1,5 +1,7 @@
 #include "traffic/registry.hpp"
 
+#include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 #include "traffic/engine.hpp"
@@ -69,9 +71,18 @@ bool is_traffic(const std::string& name) {
   return false;
 }
 
+void check_scale(double scale) {
+  if (!(scale > 0.0) || !std::isfinite(scale)) {
+    std::ostringstream os;
+    os << "bad scale " << scale << " (must be a finite number > 0)";
+    throw std::invalid_argument(os.str());
+  }
+}
+
 std::unique_ptr<workloads::Workload> make(const std::string& name,
                                           const SystemConfig& cfg,
                                           double scale) {
+  check_scale(scale);
   constexpr const char* kPrefix = "traffic-";
   if (name.rfind(kPrefix, 0) == 0) {
     const auto kind = kernel_kind_from_string(name.substr(8));

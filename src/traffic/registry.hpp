@@ -34,11 +34,16 @@ struct Entry {
 /// True when `name` is an open-loop traffic kernel ("traffic-*").
 [[nodiscard]] bool is_traffic(const std::string& name);
 
+/// Throws std::invalid_argument unless `scale` is a finite number > 0: the
+/// one rule for the quota multiplier make() takes, so a sweep can check it
+/// before simulating.
+void check_scale(double scale);
+
 /// Builds the named workload. Traffic kernels read cfg.traffic /
 /// cfg.cache.block_bytes / cfg.num_nodes / cfg.seed; STAMP profiles read
 /// cfg.num_nodes / cfg.seed and their own calibration tables. `scale`
 /// multiplies the per-node transaction (or arrival) quota. Throws
-/// std::invalid_argument on an unknown name.
+/// std::invalid_argument on an unknown name or a bad scale (check_scale).
 [[nodiscard]] std::unique_ptr<workloads::Workload> make(
     const std::string& name, const SystemConfig& cfg, double scale = 1.0);
 

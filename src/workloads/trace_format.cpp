@@ -1,7 +1,9 @@
 #include "workloads/trace_format.hpp"
 
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace puno::workloads::trace_format {
 
@@ -10,44 +12,36 @@ void fail(std::size_t line, const std::string& what) {
                            std::to_string(line) + ": " + what);
 }
 
-std::uint64_t parse_kv(const std::string& token, const char* key,
-                       std::size_t line) {
+namespace {
+
+// Parses `digits` (the whole of `token`, or its value after "key=") as a T.
+// from_chars takes no sign or whitespace for an unsigned type and reports
+// a value that does not fit T instead of wrapping it.
+template <typename T>
+T parse_number(std::string_view digits, const std::string& token,
+               std::size_t line) {
+  T v{};
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, v);
+  if (ec == std::errc::result_out_of_range) {
+    fail(line, "value out of range in '" + token + "'");
+  }
+  if (ec != std::errc{}) {
+    fail(line, "expected an unsigned integer in '" + token + "'");
+  }
+  if (ptr != end) fail(line, "trailing garbage in '" + token + "'");
+  return v;
+}
+
+// "key=value" with the value parsed as a T; the wrong key is diagnosed too.
+template <typename T>
+T parse_kv(const std::string& token, const char* key, std::size_t line) {
   const std::string prefix = std::string(key) + "=";
   if (token.rfind(prefix, 0) != 0) {
     fail(line, "expected '" + prefix + "...', got '" + token + "'");
   }
-  const std::string value = token.substr(prefix.size());
-  try {
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(value, &used);
-    if (used != value.size()) {
-      fail(line, "trailing garbage in '" + token + "'");
-    }
-    return v;
-  } catch (const std::invalid_argument&) {
-    fail(line, "non-numeric value in '" + token + "'");
-  } catch (const std::out_of_range&) {
-    fail(line, "value out of range in '" + token + "'");
-  }
-}
-
-namespace {
-
-// Bare numeric operand (node, sid, addr). Same validation as parse_kv's
-// value, but the whole token is the number.
-std::uint64_t parse_number(const std::string& token, std::size_t line) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(token, &used);
-    if (used != token.size()) {
-      fail(line, "trailing garbage in '" + token + "'");
-    }
-    return v;
-  } catch (const std::invalid_argument&) {
-    fail(line, "non-numeric operand '" + token + "'");
-  } catch (const std::out_of_range&) {
-    fail(line, "value out of range in '" + token + "'");
-  }
+  return parse_number<T>(std::string_view(token).substr(prefix.size()), token,
+                         line);
 }
 
 }  // namespace
@@ -83,10 +77,10 @@ Line parse_line(const std::string& raw, std::size_t line) {
       fail(line, "bad 'txn' line: expected 'txn <node> <id> pre=N post=N'");
     }
     out.kind = Line::Kind::kTxn;
-    out.node = static_cast<NodeId>(parse_number(node, line));
-    out.static_id = static_cast<StaticTxId>(parse_number(sid, line));
-    out.pre = static_cast<std::uint32_t>(parse_kv(pre, "pre", line));
-    out.post = static_cast<std::uint32_t>(parse_kv(post, "post", line));
+    out.node = parse_number<NodeId>(node, node, line);
+    out.static_id = parse_number<StaticTxId>(sid, sid, line);
+    out.pre = parse_kv<std::uint32_t>(pre, "pre", line);
+    out.post = parse_kv<std::uint32_t>(post, "post", line);
     return out;
   }
   if (tok == "r" || tok == "w") {
@@ -96,10 +90,9 @@ Line parse_line(const std::string& raw, std::size_t line) {
     }
     out.kind = Line::Kind::kOp;
     out.op.is_store = tok == "w";
-    out.op.addr = parse_number(addr, line);
-    out.op.pc = parse_kv(pc, "pc", line);
-    out.op.pre_think =
-        static_cast<std::uint32_t>(parse_kv(think, "think", line));
+    out.op.addr = parse_number<Addr>(addr, addr, line);
+    out.op.pc = parse_kv<std::uint64_t>(pc, "pc", line);
+    out.op.pre_think = parse_kv<std::uint32_t>(think, "think", line);
     return out;
   }
   if (tok == "end") {

@@ -34,13 +34,10 @@ struct Line {
 /// Throws std::runtime_error("trace parse error at line <line>: <what>").
 [[noreturn]] void fail(std::size_t line, const std::string& what);
 
-/// Parses "key=value" and returns the value. Diagnoses a wrong key, a
-/// non-numeric value and an out-of-range value, always quoting the token.
-[[nodiscard]] std::uint64_t parse_kv(const std::string& token,
-                                     const char* key, std::size_t line);
-
 /// Parses one raw trace line ('#' comments stripped here). Throws via
-/// fail() on malformed input. Structural rules (header-first, no nested
+/// fail() on malformed input, quoting the offending token: a wrong key, a
+/// non-numeric value, a sign, or a value that does not fit its field
+/// (NodeId node, StaticTxId id, 32-bit pre/post/think, 64-bit addr/pc). Structural rules (header-first, no nested
 /// txn, ops inside blocks) belong to the caller's state machine — this
 /// function only classifies and decodes a single line.
 [[nodiscard]] Line parse_line(const std::string& raw, std::size_t line);

@@ -1,14 +1,15 @@
 // docs/CONFIG.md completeness: the reference table must name every
-// overridable config knob and every cache-key field.
+// overridable config knob and every cache-key field, and nothing else.
 //
 // The doc is hand-written; these checks make it impossible to add a knob
 // to the --set registry (runner::override_keys) or to the result-cache key
-// (runner::params_repr) without also documenting it — the test fails with
-// the missing key's name.
+// (runner::params_repr) without also documenting it, or to remove one and
+// keep its row — the test fails with the key's name.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -57,6 +58,33 @@ TEST(ConfigDoc, DocumentsEveryCacheKeyField) {
     EXPECT_NE(doc.find("`" + name + "`"), std::string::npos)
         << "docs/CONFIG.md is missing cache-key field `" << name << "`";
   }
+}
+
+// The reverse direction: every backticked key in a table's first column
+// must be a cache-key field (an override key or an ExperimentParams
+// field), so a removed knob cannot keep its row.
+TEST(ConfigDoc, EveryDocumentedKeyExists) {
+  const std::string doc = read_config_doc();
+  ASSERT_FALSE(doc.empty());
+  std::set<std::string> fields;
+  std::istringstream tokens(params_repr(metrics::ExperimentParams{}));
+  std::string tok;
+  while (tokens >> tok) fields.insert(tok.substr(0, tok.find('=')));
+
+  std::istringstream lines(doc);
+  std::string line;
+  std::size_t rows = 0;
+  while (std::getline(lines, line)) {
+    if (line.rfind("| `", 0) != 0) continue;
+    const std::size_t close = line.find('`', 3);
+    ASSERT_NE(close, std::string::npos) << line;
+    const std::string key = line.substr(3, close - 3);
+    ++rows;
+    EXPECT_EQ(fields.count(key), 1u)
+        << "docs/CONFIG.md documents `" << key
+        << "`, which is neither a --set key nor an ExperimentParams field";
+  }
+  EXPECT_EQ(rows, fields.size()) << "one table row per cache-key field";
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
+#include "metrics/experiment.hpp"
+#include "runner/cache.hpp"
 #include "runner/grid.hpp"
 #include "sim/config.hpp"
 
@@ -81,6 +84,41 @@ TEST(ApplyOverride, RejectsSignsAndOutOfRangeIntegers) {
   EXPECT_FALSE(apply_override(cfg, "noc.vc_depth", "-18446744073709551615"));
   ASSERT_TRUE(apply_override(cfg, "traffic.keys", "18446744073709551615"));
   EXPECT_EQ(cfg.traffic.keys, 18446744073709551615ull);
+}
+
+// apply_override parses into a copy: from_chars used to store the parsed
+// prefix ("1.5" set l1_assoc to 1) before the trailing-character check
+// rejected the value.
+TEST(ApplyOverride, RejectedValueLeavesConfigUnchanged) {
+  const auto repr = [](const SystemConfig& c) {
+    metrics::ExperimentParams p;
+    p.base_config = c;
+    return params_repr(p);
+  };
+  const SystemConfig dflt;
+  for (const auto& [key, value] : {
+           std::pair{"cache.l1_assoc", "1.5"},
+           std::pair{"noc.vc_depth", "3 "},
+           std::pair{"puno.validity_threshold", "256"},
+           std::pair{"num_nodes", "0"},
+       }) {
+    SystemConfig cfg;
+    EXPECT_FALSE(apply_override(cfg, key, value)) << key << "=" << value;
+    EXPECT_EQ(repr(cfg), repr(dflt)) << key << "=" << value;
+  }
+}
+
+TEST(ApplyOverride, RejectsNonFiniteDoubles) {
+  for (const char* v : {"nan", "NAN", "inf", "-inf", "infinity", "1e999"}) {
+    double d = 0.5;
+    EXPECT_FALSE(parse_f64(v, d)) << v;
+    EXPECT_EQ(d, 0.5) << v;
+    SystemConfig cfg;
+    EXPECT_FALSE(apply_override(cfg, "puno.timeout_fraction", v)) << v;
+  }
+  double d = 0.0;
+  ASSERT_TRUE(parse_f64("1e3", d));
+  EXPECT_EQ(d, 1000.0);
 }
 
 TEST(OverrideKeys, NewScalingKnobsAreRegistered) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <iterator>
 #include <fstream>
@@ -68,6 +70,31 @@ TEST(Runner, ParallelSweepBitIdenticalToSerial) {
 TEST(Runner, ResolveJobsPrefersExplicitRequest) {
   EXPECT_EQ(resolve_jobs(3), 3u);
   EXPECT_GE(resolve_jobs(0), 1u);
+}
+
+// PUNO_JOBS goes through the checked parser: "4x" once read as 4 and "abc"
+// silently fell back to every hardware thread.
+TEST(Runner, ResolveJobsRejectsMalformedPunoJobs) {
+  const char* old = std::getenv("PUNO_JOBS");
+  const std::string saved = old != nullptr ? old : "";
+  ::setenv("PUNO_JOBS", "3", 1);
+  EXPECT_EQ(resolve_jobs(0), 3u);
+  EXPECT_EQ(resolve_jobs(5), 5u) << "an explicit request wins";
+  for (const char* bad : {"4x", "abc", "-2", " 4"}) {
+    ::setenv("PUNO_JOBS", bad, 1);
+    try {
+      (void)resolve_jobs(0);
+      ADD_FAILURE() << "PUNO_JOBS='" << bad << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("PUNO_JOBS"), std::string::npos)
+          << e.what();
+    }
+  }
+  if (old != nullptr) {
+    ::setenv("PUNO_JOBS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("PUNO_JOBS");
+  }
 }
 
 // A job that throws once is retried and succeeds on the second attempt;
@@ -301,6 +328,20 @@ TEST(Grid, RejectsUnknownWorkloadAndKey) {
   axis.values = {"1"};
   grid.overrides.push_back(axis);
   EXPECT_THROW(expand_grid(grid), std::invalid_argument);
+}
+
+// A non-positive or non-finite scale is rejected before any job runs; it
+// once wrapped the STAMP quota to ~2^32 or silently meant 1.0 for traffic.
+TEST(Grid, RejectsBadScale) {
+  GridSpec grid;
+  grid.workloads = {"kmeans"};
+  grid.schemes = {Scheme::kBaseline};
+  for (const double bad : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    grid.scale = bad;
+    EXPECT_THROW(expand_grid(grid), std::invalid_argument) << bad;
+  }
+  grid.scale = 0.05;
+  EXPECT_EQ(expand_grid(grid).size(), 1u);
 }
 
 TEST(Grid, WorkloadListParsing) {

@@ -113,6 +113,17 @@ TEST(SystemConfig, ValidateCapsVcsPerVnetAtTheRouterMaskWidth) {
   EXPECT_NE(err->find("<= 4"), std::string::npos) << *err;
 }
 
+// num_nodes == mesh_width x rows() is checked in 64 bits: a width of
+// 2^31 + 2 squares to 4 modulo 2^32 and used to pass as a 4-node mesh.
+TEST(SystemConfig, ValidateRejectsAMeshWhoseNodeCountWraps) {
+  SystemConfig cfg;
+  cfg.noc.mesh_width = (1u << 31) + 2;
+  cfg.num_nodes = 4;
+  const auto err = validate(cfg);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("mesh_width"), std::string::npos) << *err;
+}
+
 TEST(SystemConfig, ValidateRequiresLinkLatencyOfAtLeastOneCycle) {
   SystemConfig one;
   one.noc.link_latency = 1;

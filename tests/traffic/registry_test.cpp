@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "traffic/engine.hpp"
@@ -80,6 +81,20 @@ TEST(Registry, MakeThrowsOnUnknownName) {
   SystemConfig cfg;
   EXPECT_THROW((void)make("traffic-heap", cfg), std::invalid_argument);
   EXPECT_THROW((void)make("", cfg), std::invalid_argument);
+}
+
+// One rule for both families: the STAMP profiles once wrapped lround(-N)
+// to a quota near 2^32 while the traffic engine silently used 1.0.
+TEST(Registry, MakeRejectsNonPositiveOrNonFiniteScale) {
+  SystemConfig cfg;
+  cfg.num_nodes = 4;
+  for (const char* name : {"kmeans", "traffic-map"}) {
+    for (const double bad : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+      EXPECT_THROW((void)make(name, cfg, bad), std::invalid_argument)
+          << name << " scale " << bad;
+    }
+    EXPECT_NE(make(name, cfg, 0.05), nullptr) << name;
+  }
 }
 
 }  // namespace

@@ -158,6 +158,52 @@ TEST(TraceWorkload, ParseErrorsNameTheLineAndOffendingToken) {
   // Value with trailing garbage.
   msg = message_of("trace-v1 x\ntxn 0 1 pre=3x post=0\nend\n");
   EXPECT_NE(msg.find("pre=3x"), std::string::npos) << msg;
+
+  // Each number is parsed into its own field type: a sign, or a value that
+  // does not fit (it once wrapped: pre=-5 ran ~2^32 think cycles and node
+  // 65537 replayed as node 1), is rejected with the token quoted.
+  struct Case {
+    const char* line2;
+    const char* token;
+  };
+  for (const Case& c : {
+           Case{"txn 0 1 pre=-5 post=0", "pre=-5"},
+           Case{"txn 0 1 pre=+5 post=0", "pre=+5"},
+           Case{"txn 0 1 pre=4294967301 post=0", "pre=4294967301"},
+           Case{"txn 0 1 pre=0 post=4294967296", "post=4294967296"},
+           Case{"txn 65537 1 pre=0 post=0", "65537"},
+           Case{"txn -1 1 pre=0 post=0", "-1"},
+           Case{"txn 0 4294967296 pre=0 post=0", "4294967296"},
+       }) {
+    msg = message_of(
+        (std::string("trace-v1 x\n") + c.line2 + "\nr 64 pc=1 think=0\nend\n")
+            .c_str());
+    EXPECT_NE(msg.find(std::string("'") + c.token + "'"), std::string::npos)
+        << c.line2 << " -> " << msg;
+    EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+  }
+  for (const Case& c : {
+           Case{"r 64 pc=1 think=4294967296", "think=4294967296"},
+           Case{"r 64 pc=18446744073709551616 think=0",
+                "pc=18446744073709551616"},
+           Case{"r 18446744073709551616 pc=1 think=0", "18446744073709551616"},
+           Case{"r -64 pc=1 think=0", "-64"},
+       }) {
+    msg = message_of(
+        (std::string("trace-v1 x\ntxn 0 1 pre=0 post=0\n") + c.line2 +
+         "\nend\n")
+            .c_str());
+    EXPECT_NE(msg.find(std::string("'") + c.token + "'"), std::string::npos)
+        << c.line2 << " -> " << msg;
+    EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+  }
+
+  // The widest values that fit still load.
+  std::istringstream max_in(
+      "trace-v1 x\ntxn 0 4294967295 pre=4294967295 post=4294967295\n"
+      "r 18446744073709551615 pc=18446744073709551615 think=4294967295\n"
+      "end\n");
+  EXPECT_EQ(TraceWorkload::parse(max_in).total_txns(), 1u);
 }
 
 TEST(TraceWorkload, RecordZeroCapDrainsTheSourceCompletely) {
