@@ -4,26 +4,21 @@
 // grow with the machine.
 #include <cstdio>
 
-#include "arch/cmp.hpp"
-#include "metrics/run_result.hpp"
-#include "workloads/stamp.hpp"
+#include "metrics/experiment.hpp"
 
 namespace {
 
 using namespace puno;
 
 metrics::RunResult run_at(std::uint32_t width, Scheme scheme) {
-  SystemConfig cfg;
-  cfg.noc.mesh_width = width;
-  cfg.num_nodes = width * width;
-  cfg.scheme = scheme;
-  cfg.seed = 1;
-  auto wl = workloads::stamp::make("intruder", cfg.num_nodes, cfg.seed, 0.75);
-  arch::Cmp cmp(cfg, *wl);
-  cmp.run(40'000'000);
-  auto r = metrics::RunResult::from_stats(cmp.kernel().stats());
-  r.cycles = cmp.kernel().now();
-  return r;
+  metrics::ExperimentParams p;
+  p.workload = "intruder";
+  p.scheme = scheme;
+  p.scale = 0.75;
+  p.max_cycles = 40'000'000;
+  p.base_config.noc.mesh_width = width;
+  p.base_config.num_nodes = width * width;
+  return metrics::run_experiment(p);
 }
 
 }  // namespace

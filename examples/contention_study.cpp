@@ -8,8 +8,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "arch/cmp.hpp"
-#include "metrics/run_result.hpp"
+#include "metrics/experiment.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace {
@@ -42,16 +41,12 @@ workloads::SyntheticSpec pool_spec(std::uint32_t hot_blocks) {
 }
 
 metrics::RunResult run_pool(std::uint32_t hot_blocks, Scheme scheme) {
-  SystemConfig cfg;
-  cfg.scheme = scheme;
-  cfg.seed = 1;
-  workloads::SyntheticWorkload wl(pool_spec(hot_blocks), cfg.num_nodes,
-                                  cfg.seed);
-  arch::Cmp cmp(cfg, wl);
-  cmp.run(30'000'000);
-  auto r = metrics::RunResult::from_stats(cmp.kernel().stats());
-  r.cycles = cmp.kernel().now();
-  return r;
+  metrics::ExperimentParams p;
+  p.scheme = scheme;
+  auto wl = std::make_unique<workloads::SyntheticWorkload>(
+      pool_spec(hot_blocks), p.base_config.num_nodes, p.seed);
+  p.workload = wl->name();
+  return metrics::Experiment(p, std::move(wl)).run();
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -206,6 +207,13 @@ int main(int argc, char** argv) {
     grid.schemes = runner::parse_scheme_list(schemes_spec);
     grid.seeds = runner::parse_seed_list(seeds_spec);
     specs = runner::expand_grid(grid);
+    // A bad --set fails here, naming its job, before any job is built;
+    // Cmp's own validate() stays as the backstop.
+    for (const runner::JobSpec& spec : specs) {
+      if (const auto err = validate(spec.params.config())) {
+        throw std::invalid_argument(spec.label + ": invalid config: " + *err);
+      }
+    }
     options.jobs = runner::resolve_jobs(options.jobs);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "punobatch: %s\n", e.what());

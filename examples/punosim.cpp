@@ -20,7 +20,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -38,11 +37,9 @@
 #include "metrics/experiment.hpp"
 #include "metrics/stats_io.hpp"
 #include "runner/grid.hpp"
-#include "telemetry/dashboard.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/host_profiler.hpp"
 #include "telemetry/sampler.hpp"
-#include "traffic/engine.hpp"
 #include "traffic/registry.hpp"
 #include "traffic/stream_trace.hpp"
 #include "workloads/trace.hpp"
@@ -113,14 +110,10 @@ int main(int argc, char** argv) {
   params.workload = "intruder";
   bool dump_stats = false;
   std::string replay_path, stream_replay_path, record_path, csv_path;
-  bool trace_on = false, verify_trace = false, want_abort_report = false;
-  std::string trace_filter, trace_out, abort_report_path;
-  std::uint64_t trace_capacity = trace::TraceRecorder::kDefaultCapacity;
-  bool telemetry_on = false, verify_telemetry = false, want_dashboard = false;
-  bool telemetry_spatial = false;
+  bool verify_trace = false, want_abort_report = false;
+  bool verify_telemetry = false, want_dashboard = false;
   bool profile_on = false;
-  Cycle telemetry_interval = 1000;
-  std::string telemetry_out, telemetry_csv, dashboard_out, profile_out;
+  std::string profile_out;
 
   // A numeric flag's value, read with runner's checked parsers; exits 2
   // naming the flag and the value when it is malformed.
@@ -130,6 +123,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bad value '%s' for %s\n", text, flag);
       std::exit(2);
     }
+  };
+  // Every telemetry flag turns sampling on, every 1000 cycles unless
+  // --telemetry=N chose the interval.
+  const auto telemetry_on = [&params] {
+    if (params.telemetry.interval == 0) params.telemetry.interval = 1000;
   };
 
   for (int i = 1; i < argc; ++i) {
@@ -175,54 +173,54 @@ int main(int argc, char** argv) {
     } else if (arg == "--stream-replay") {
       stream_replay_path = next();
     } else if (arg == "--trace") {
-      trace_on = true;
+      params.trace.enabled = true;
     } else if (arg.rfind("--trace=", 0) == 0) {
-      trace_on = true;
-      trace_filter = arg.substr(std::strlen("--trace="));
+      params.trace.enabled = true;
+      params.trace.filter = arg.substr(std::strlen("--trace="));
     } else if (arg == "--trace-out") {
-      trace_on = true;
-      trace_out = next();
+      params.trace.enabled = true;
+      params.trace.path = next();
     } else if (arg == "--trace-capacity") {
-      trace_on = true;
-      number("--trace-capacity", next(), runner::parse_u64, trace_capacity);
+      params.trace.enabled = true;
+      number("--trace-capacity", next(), runner::parse_u64,
+             params.trace.capacity);
     } else if (arg == "--abort-report") {
-      trace_on = true;
+      params.trace.enabled = true;
       want_abort_report = true;
     } else if (arg.rfind("--abort-report=", 0) == 0) {
-      trace_on = true;
+      params.trace.enabled = true;
       want_abort_report = true;
-      abort_report_path = arg.substr(std::strlen("--abort-report="));
+      params.trace.report_path = arg.substr(std::strlen("--abort-report="));
     } else if (arg == "--verify-trace") {
-      trace_on = true;
+      params.trace.enabled = true;
       verify_trace = true;
     } else if (arg == "--telemetry") {
-      telemetry_on = true;
+      telemetry_on();
     } else if (arg.rfind("--telemetry=", 0) == 0) {
-      telemetry_on = true;
       number("--telemetry", arg.c_str() + std::strlen("--telemetry="),
-             runner::parse_u64, telemetry_interval);
-      if (telemetry_interval == 0) {
+             runner::parse_u64, params.telemetry.interval);
+      if (params.telemetry.interval == 0) {
         std::fprintf(stderr, "--telemetry interval must be > 0\n");
         return 2;
       }
     } else if (arg == "--telemetry-out") {
-      telemetry_on = true;
-      telemetry_out = next();
+      telemetry_on();
+      params.telemetry.jsonl_path = next();
     } else if (arg == "--telemetry-csv") {
-      telemetry_on = true;
-      telemetry_csv = next();
+      telemetry_on();
+      params.telemetry.csv_path = next();
     } else if (arg == "--telemetry-spatial") {
-      telemetry_on = true;
-      telemetry_spatial = true;
+      telemetry_on();
+      params.telemetry.spatial = true;
     } else if (arg == "--dashboard") {
-      telemetry_on = true;
+      telemetry_on();
       want_dashboard = true;
     } else if (arg.rfind("--dashboard=", 0) == 0) {
-      telemetry_on = true;
+      telemetry_on();
       want_dashboard = true;
-      dashboard_out = arg.substr(std::strlen("--dashboard="));
+      params.telemetry.dashboard_path = arg.substr(std::strlen("--dashboard="));
     } else if (arg == "--verify-telemetry") {
-      telemetry_on = true;
+      telemetry_on();
       verify_telemetry = true;
     } else if (arg == "--profile") {
       profile_on = true;
@@ -245,10 +243,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Run through the Cmp directly so the stats registry stays accessible.
-  SystemConfig cfg = params.base_config;
-  cfg.scheme = params.scheme;
-  cfg.seed = params.seed;
+  // Reject a bad config or trace filter before recording or building
+  // anything; Cmp's own validate() stays as the backstop.
+  const SystemConfig cfg = params.config();
+  if (const auto err = validate(cfg)) {
+    std::fprintf(stderr, "invalid config: %s\n", err->c_str());
+    return 2;
+  }
+  if (params.trace.active() && !trace::parse_filter(params.trace.filter)) {
+    std::fprintf(stderr, "unknown trace filter '%s'\n",
+                 params.trace.filter.c_str());
+    return 2;
+  }
 
   const auto make_workload = [&]() -> std::unique_ptr<workloads::Workload> {
     try {
@@ -292,56 +298,46 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!workload) workload = make_workload();
-  arch::Cmp cmp(cfg, *workload);
-  if (auto* open = dynamic_cast<traffic::OpenLoopWorkload*>(workload.get())) {
-    open->attach(cmp.kernel());
+
+  // Default output names share one stem, replay suffix included.
+  const std::string stem = params.workload + "-" + to_string(params.scheme) +
+                           "-s" + std::to_string(params.seed);
+  if (params.trace.active() && params.trace.path.empty()) {
+    params.trace.path = stem + ".trace.json";
+  }
+  if (want_abort_report && params.trace.report_path.empty()) {
+    params.trace.report_path = params.trace.path + ".aborts.txt";
+  }
+  if (params.telemetry.active() && params.telemetry.jsonl_path.empty()) {
+    params.telemetry.jsonl_path = stem + ".telemetry.jsonl";
+  }
+  if (want_dashboard && params.telemetry.dashboard_path.empty()) {
+    params.telemetry.dashboard_path = stem + ".dashboard.html";
   }
 
-  std::optional<trace::TraceRecorder> recorder;
-  if (trace_on) {
-    const auto mask = trace::parse_filter(trace_filter);
-    if (!mask) {
-      std::fprintf(stderr, "unknown trace filter '%s'\n",
-                   trace_filter.c_str());
-      return 2;
-    }
-    recorder.emplace(trace_capacity, *mask);
-    cmp.kernel().set_tracer(&*recorder);
-  }
-
-  std::unique_ptr<telemetry::TelemetrySampler> sampler;
-  if (telemetry_on) {
-    telemetry::TelemetryRequest treq;
-    treq.interval = telemetry_interval;
-    treq.spatial = telemetry_spatial;
-    sampler = telemetry::TelemetrySampler::attach(cmp, treq);
-  }
-
+  metrics::Experiment exp(params, std::move(workload));
   telemetry::HostProfiler profiler;
-  if (profile_on) cmp.kernel().set_profiler(&profiler);
+  if (profile_on) exp.cmp().kernel().set_profiler(&profiler);
 
-  bool completed = false;
+  metrics::RunResult r;
   try {
-    completed = cmp.run(params.max_cycles);
+    r = exp.run();
   } catch (const std::runtime_error& e) {
     // The streaming replay parses lazily, so a malformed line deep in the
-    // trace surfaces here; anything else is a real simulator failure.
-    if (std::string_view(e.what()).substr(0, 17) == "trace parse error") {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
-    throw;
+    // trace surfaces here (bad input, exit 2); anything else is an output
+    // file that could not be written (exit 1).
+    std::fprintf(stderr, "%s\n", e.what());
+    return std::string_view(e.what()).substr(0, 17) == "trace parse error"
+               ? 2
+               : 1;
   }
-  if (profile_on) cmp.kernel().set_profiler(nullptr);
-
-  auto r = metrics::RunResult::from_stats(cmp.kernel().stats());
-  r.cycles = cmp.kernel().now();
-  r.completed = completed;
+  if (profile_on) exp.cmp().kernel().set_profiler(nullptr);
 
   std::printf("workload=%s scheme=%s seed=%llu scale=%.3g\n",
               params.workload.c_str(), to_string(params.scheme),
               static_cast<unsigned long long>(params.seed), params.scale);
-  std::printf("completed            %s\n", completed ? "yes" : "NO (budget)");
+  std::printf("completed            %s\n",
+              r.completed ? "yes" : "NO (budget)");
   std::printf("cycles               %llu\n",
               static_cast<unsigned long long>(r.cycles));
   std::printf("commits              %llu\n",
@@ -374,26 +370,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.notified_backoffs));
   }
 
-  if (recorder.has_value()) {
-    cmp.kernel().set_tracer(nullptr);
-    if (trace_out.empty()) {
-      trace_out = params.workload + "-" + std::string(to_string(params.scheme)) +
-                  "-s" + std::to_string(params.seed) + ".trace.json";
-    }
-    trace::TraceMeta meta;
-    meta.workload = params.workload;
-    meta.scheme = to_string(params.scheme);
-    meta.seed = params.seed;
-    meta.num_nodes = cfg.num_nodes;
-    meta.final_cycle = cmp.kernel().now();
-    if (!trace::write_chrome_trace_file(*recorder, meta, trace_out)) {
-      std::fprintf(stderr, "cannot write trace '%s'\n", trace_out.c_str());
-      return 1;
-    }
+  if (const trace::TraceRecorder* recorder = exp.recorder()) {
     std::printf("trace                %llu events (%llu dropped) -> %s\n",
-                static_cast<unsigned long long>(recorder->size()),
-                static_cast<unsigned long long>(recorder->dropped()),
-                trace_out.c_str());
+                static_cast<unsigned long long>(r.trace_events),
+                static_cast<unsigned long long>(r.trace_dropped),
+                r.trace_path.c_str());
 
     const auto attribution = trace::attribute_aborts(*recorder);
     std::printf(
@@ -403,21 +384,12 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(attribution.necessary_aborts),
         static_cast<unsigned long long>(attribution.overflow_aborts),
         static_cast<unsigned long long>(attribution.unresolved_aborts));
-    if (want_abort_report) {
-      if (abort_report_path.empty()) {
-        abort_report_path = trace_out + ".aborts.txt";
-      }
-      std::ofstream repf(abort_report_path, std::ios::trunc);
-      if (!repf) {
-        std::fprintf(stderr, "cannot write '%s'\n",
-                     abort_report_path.c_str());
-        return 1;
-      }
-      trace::write_abort_report(attribution, repf);
-      std::printf("abort report         -> %s\n", abort_report_path.c_str());
+    if (!params.trace.report_path.empty()) {
+      std::printf("abort report         -> %s\n",
+                  params.trace.report_path.c_str());
     }
     if (verify_trace) {
-      std::ifstream in(trace_out);
+      std::ifstream in(r.trace_path);
       std::string err;
       const auto check = trace::validate_chrome_trace(in, &err);
       if (!check) {
@@ -473,61 +445,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (sampler != nullptr) {
-    sampler->finish();
+  if (const telemetry::TelemetrySampler* sampler = exp.sampler()) {
     const auto& samples = sampler->series().samples();
-    if (telemetry_out.empty()) {
-      telemetry_out = params.workload + "-" +
-                      std::string(to_string(params.scheme)) + "-s" +
-                      std::to_string(params.seed) + ".telemetry.jsonl";
-    }
-    {
-      std::ofstream out(telemetry_out, std::ios::trunc);
-      if (!out) {
-        std::fprintf(stderr, "cannot write '%s'\n", telemetry_out.c_str());
-        return 1;
-      }
-      telemetry::write_telemetry_jsonl(samples, out);
-    }
     std::printf("telemetry            %zu windows (%llu dropped) -> %s\n",
                 samples.size(),
-                static_cast<unsigned long long>(sampler->series().dropped()),
-                telemetry_out.c_str());
-    if (!telemetry_csv.empty()) {
-      std::ofstream out(telemetry_csv, std::ios::trunc);
-      if (!out) {
-        std::fprintf(stderr, "cannot write '%s'\n", telemetry_csv.c_str());
-        return 1;
-      }
-      telemetry::write_telemetry_csv(samples, cfg.num_nodes, out);
-      std::printf("telemetry CSV        -> %s\n", telemetry_csv.c_str());
+                static_cast<unsigned long long>(r.telemetry_dropped),
+                r.telemetry_path.c_str());
+    if (!params.telemetry.csv_path.empty()) {
+      std::printf("telemetry CSV        -> %s\n",
+                  params.telemetry.csv_path.c_str());
     }
-    if (want_dashboard) {
-      if (dashboard_out.empty()) {
-        dashboard_out = params.workload + "-" +
-                        std::string(to_string(params.scheme)) + "-s" +
-                        std::to_string(params.seed) + ".dashboard.html";
-      }
-      std::ofstream out(dashboard_out, std::ios::trunc);
-      if (!out) {
-        std::fprintf(stderr, "cannot write '%s'\n", dashboard_out.c_str());
-        return 1;
-      }
-      telemetry::DashboardMeta dmeta;
-      dmeta.workload = params.workload;
-      dmeta.scheme = to_string(params.scheme);
-      dmeta.cycles = cmp.kernel().now();
-      dmeta.interval = sampler->interval();
-      dmeta.dropped = sampler->series().dropped();
-      dmeta.num_nodes = cfg.num_nodes;
-      dmeta.mesh_width = cfg.noc.mesh_width;
-      dmeta.mesh_height = cfg.noc.rows();
-      telemetry::write_dashboard_html(dmeta, samples, &cmp.kernel().stats(),
-                                      out);
-      std::printf("dashboard            -> %s\n", dashboard_out.c_str());
+    if (!params.telemetry.dashboard_path.empty()) {
+      std::printf("dashboard            -> %s\n",
+                  params.telemetry.dashboard_path.c_str());
     }
     if (verify_telemetry) {
-      std::ifstream in(telemetry_out);
+      std::ifstream in(r.telemetry_path);
       std::string text((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
       std::vector<telemetry::TelemetrySample> parsed;
@@ -562,13 +495,9 @@ int main(int argc, char** argv) {
   }
 
   if (profile_on) {
-    std::string report;
-    {
-      std::ostringstream os;
-      profiler.write_report(os);
-      report = os.str();
-    }
-    std::fputs(report.c_str(), stdout);
+    std::ostringstream report;
+    profiler.write_report(report);
+    std::fputs(report.str().c_str(), stdout);
     if (!profile_out.empty()) {
       std::ofstream out(profile_out, std::ios::trunc);
       if (!out) {
@@ -583,16 +512,18 @@ int main(int argc, char** argv) {
   if (!csv_path.empty()) {
     const bool fresh = !std::filesystem::exists(csv_path);
     std::ofstream csv(csv_path, std::ios::app);
-    r.workload = params.workload;
-    r.scheme = params.scheme;
     if (fresh) csv << metrics::result_csv_header() << '\n';
     metrics::write_result_csv(r, csv);
+    if (!csv.flush()) {
+      std::fprintf(stderr, "cannot write '%s'\n", csv_path.c_str());
+      return 1;
+    }
     std::printf("result row appended to %s\n", csv_path.c_str());
   }
 
   if (dump_stats) {
     std::printf("\n-- full statistics registry --\n");
-    const auto& stats = cmp.kernel().stats();
+    const auto& stats = exp.cmp().kernel().stats();
     for (const auto& [name, c] : stats.counters()) {
       std::printf("%-40s %llu\n", name.c_str(),
                   static_cast<unsigned long long>(c.value()));
@@ -607,5 +538,5 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(h.total()), h.mean());
     }
   }
-  return completed ? 0 : 1;
+  return r.completed ? 0 : 1;
 }

@@ -88,6 +88,7 @@ Cmp::Cmp(const SystemConfig& cfg, workloads::Workload& workload) : cfg_(cfg) {
     cores_.push_back(std::make_unique<Core>(kernel_, cfg_, i, *txns_[i],
                                             *l1s_[i], workload));
   }
+  workload.attach(kernel_);
 }
 
 bool Cmp::all_done() const {

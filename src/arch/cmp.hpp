@@ -20,6 +20,9 @@ namespace puno::arch {
 
 class Cmp {
  public:
+  /// Assembles the machine and attaches `workload` to its kernel
+  /// (Workload::attach), so an open-loop workload runs open loop on every
+  /// path. Throws std::invalid_argument when validate(cfg) fails.
   Cmp(const SystemConfig& cfg, workloads::Workload& workload);
 
   Cmp(const Cmp&) = delete;

@@ -8,7 +8,7 @@
 #include "check/invariant_checker.hpp"
 #include "metrics/stats_io.hpp"
 #include "sim/rng.hpp"
-#include "traffic/engine.hpp"
+#include "traffic/kernels.hpp"
 #include "traffic/registry.hpp"
 
 namespace puno::check {
@@ -139,9 +139,6 @@ SystemConfig make_fuzz_traffic_config(std::uint64_t seed, Scheme scheme) {
 RunOutcome run_one(const SystemConfig& cfg, workloads::Workload& workload,
                    const CheckerConfig& checker_cfg, Cycle max_cycles) {
   arch::Cmp cmp(cfg, workload);
-  if (auto* open = dynamic_cast<traffic::OpenLoopWorkload*>(&workload)) {
-    open->attach(cmp.kernel());
-  }
   const auto checker = InvariantChecker::attach(cmp, checker_cfg);
 
   RunOutcome out;

@@ -59,14 +59,14 @@ struct RunResult {
   std::uint64_t commit_hints_sent = 0;
   std::uint64_t hint_wakeups = 0;
 
-  // Event-trace metadata, set by run_experiment() when the params carried a
+  // Event-trace metadata, set by Experiment::run() when the params carried a
   // TraceRequest (docs/TRACING.md); defaults otherwise. Not derived from the
   // stats registry — from_stats() leaves these untouched.
   std::string trace_path;            ///< Chrome trace JSON file ("" = none).
   std::uint64_t trace_events = 0;    ///< Events retained at export.
   std::uint64_t trace_dropped = 0;   ///< Events lost to ring wraparound.
 
-  // Telemetry metadata, set by run_experiment() when the params carried a
+  // Telemetry metadata, set by Experiment::run() when the params carried a
   // TelemetryRequest (docs/TELEMETRY.md); same contract as the trace fields
   // above (not derived from the stats registry, absent from default output).
   std::string telemetry_path;           ///< Sample-series JSONL ("" = none).

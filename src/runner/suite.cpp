@@ -1,31 +1,9 @@
 #include "runner/suite.hpp"
 
-#include <iterator>
-
 #include "runner/grid.hpp"
 #include "workloads/stamp.hpp"
 
 namespace puno::runner {
-
-namespace {
-
-[[nodiscard]] RunnerOptions to_runner_options(const SuiteOptions& options) {
-  RunnerOptions ro;
-  ro.jobs = options.jobs;
-  ro.cache = options.cache;
-  ro.progress = options.progress;
-  return ro;
-}
-
-[[nodiscard]] std::vector<metrics::RunResult> extract(
-    std::vector<JobOutcome>&& outcomes) {
-  std::vector<metrics::RunResult> results;
-  results.reserve(outcomes.size());
-  for (JobOutcome& o : outcomes) results.push_back(std::move(o.result));
-  return results;
-}
-
-}  // namespace
 
 std::vector<metrics::RunResult> run_suite(Scheme scheme, std::uint64_t seed,
                                           const SuiteOptions& options) {
@@ -34,44 +12,16 @@ std::vector<metrics::RunResult> run_suite(Scheme scheme, std::uint64_t seed,
   grid.schemes = {scheme};
   grid.seeds = {seed};
   grid.scale = options.scale;
-  SweepResult sweep = run_jobs(expand_grid(grid), to_runner_options(options));
-  return extract(std::move(sweep.outcomes));
-}
+  RunnerOptions ro;
+  ro.jobs = options.jobs;
+  ro.cache = options.cache;
+  ro.progress = options.progress;
+  SweepResult sweep = run_jobs(expand_grid(grid), ro);
 
-SuiteComparison run_comparison(std::uint64_t seed,
-                               const SuiteOptions& options) {
-  GridSpec grid;
-  grid.workloads = workloads::stamp::benchmark_names();
-  // Scheme-major so the flat outcome vector splits into 4 contiguous suites.
-  grid.schemes = {Scheme::kBaseline, Scheme::kRandomBackoff, Scheme::kRmwPred,
-                  Scheme::kPuno};
-  grid.seeds = {seed};
-  grid.scale = options.scale;
-
-  // expand_grid is workload-major; rebuild scheme-major by expanding one
-  // scheme at a time into a single job list, then run it as one batch.
-  std::vector<JobSpec> specs;
-  for (const Scheme s : grid.schemes) {
-    GridSpec per = grid;
-    per.schemes = {s};
-    auto part = expand_grid(per);
-    specs.insert(specs.end(), std::make_move_iterator(part.begin()),
-                 std::make_move_iterator(part.end()));
-  }
-  SweepResult sweep = run_jobs(specs, to_runner_options(options));
-  auto results = extract(std::move(sweep.outcomes));
-
-  const std::size_t n = workloads::stamp::benchmark_names().size();
-  SuiteComparison c;
-  c.baseline.assign(std::make_move_iterator(results.begin()),
-                    std::make_move_iterator(results.begin() + n));
-  c.backoff.assign(std::make_move_iterator(results.begin() + n),
-                   std::make_move_iterator(results.begin() + 2 * n));
-  c.rmw.assign(std::make_move_iterator(results.begin() + 2 * n),
-               std::make_move_iterator(results.begin() + 3 * n));
-  c.puno.assign(std::make_move_iterator(results.begin() + 3 * n),
-                std::make_move_iterator(results.begin() + 4 * n));
-  return c;
+  std::vector<metrics::RunResult> results;
+  results.reserve(sweep.outcomes.size());
+  for (JobOutcome& o : sweep.outcomes) results.push_back(std::move(o.result));
+  return results;
 }
 
 }  // namespace puno::runner

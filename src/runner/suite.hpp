@@ -1,9 +1,6 @@
-// Suite-level sweeps on top of the parallel runner.
-//
-// run_suite/run_comparison used to live in puno_metrics and ran strictly
-// serially; they are now thin grid builders over runner::run_jobs, so the
-// whole 8-workload x 4-scheme cross product shards across cores while
-// staying bit-identical to the old serial loops (each job owns its kernel,
+// The STAMP suite on top of the parallel runner: run_suite is a thin grid
+// builder over runner::run_jobs, so the 8 workloads shard across cores
+// while staying bit-identical to a serial loop (each job owns its kernel,
 // RNG and stats registry — see docs/RUNNER.md).
 #pragma once
 
@@ -27,17 +24,5 @@ struct SuiteOptions {
 /// zero metrics) so the suite shape is always 8 rows.
 [[nodiscard]] std::vector<metrics::RunResult> run_suite(
     Scheme scheme, std::uint64_t seed = 1, const SuiteOptions& options = {});
-
-/// The full cross product: every workload under every scheme, in the
-/// paper's order (Baseline, Backoff, RMW-Pred, PUNO), executed as one
-/// sharded batch.
-struct SuiteComparison {
-  std::vector<metrics::RunResult> baseline;
-  std::vector<metrics::RunResult> backoff;
-  std::vector<metrics::RunResult> rmw;
-  std::vector<metrics::RunResult> puno;
-};
-[[nodiscard]] SuiteComparison run_comparison(std::uint64_t seed = 1,
-                                             const SuiteOptions& options = {});
 
 }  // namespace puno::runner

@@ -151,7 +151,7 @@ class Kernel {
   /// Optional event-trace recorder. Null (the default) means tracing is
   /// off; components emit through PUNO_TEV (trace/recorder.hpp), which
   /// reduces to this null check. The kernel does not own the recorder —
-  /// the caller (e.g. metrics::run_experiment) keeps it alive for the run.
+  /// the caller (e.g. metrics::Experiment) keeps it alive for the run.
   void set_tracer(trace::TraceRecorder* t) noexcept { tracer_ = t; }
   [[nodiscard]] trace::TraceRecorder* tracer() const noexcept {
     return tracer_;

@@ -72,10 +72,10 @@ class OpenLoopWorkload final : public workloads::Workload {
   [[nodiscard]] std::optional<workloads::TxnDesc> next(NodeId node) override;
 
   /// Switches from drain mode to open-loop mode: next() reads simulated
-  /// time from `k` and binds the traffic.* stats in k.stats(). Call before
-  /// the first next() (metrics::run_experiment does, right after Cmp
-  /// construction).
-  void attach(sim::Kernel& k);
+  /// time from `k` and binds the traffic.* stats in k.stats(). arch::Cmp's
+  /// constructor calls it; a second call with the same kernel changes
+  /// nothing.
+  void attach(sim::Kernel& k) override;
 
   [[nodiscard]] bool attached() const noexcept { return kernel_ != nullptr; }
   [[nodiscard]] KernelKind kind() const noexcept { return gen_.kind(); }

@@ -9,8 +9,8 @@
 // Memory is O(nodes), not O(trace).
 //
 // Replay order per node is file order, identical to TraceWorkload — the
-// equivalence test replays both against the same simulator config and pins
-// bit-identical results.
+// equivalence test (tests/metrics/experiment_test.cpp) replays both
+// against the same simulator config and pins bit-identical results.
 #pragma once
 
 #include <cstdint>

@@ -14,6 +14,10 @@
 
 #include "sim/types.hpp"
 
+namespace puno::sim {
+class Kernel;
+}  // namespace puno::sim
+
 namespace puno::workloads {
 
 struct TxOp {
@@ -41,6 +45,11 @@ class Workload {
   /// previous transaction *committed* (aborted attempts re-run the same
   /// descriptor, as re-executing a transaction replays the same code).
   [[nodiscard]] virtual std::optional<TxnDesc> next(NodeId node) = 0;
+
+  /// Binds the workload to the kernel that will simulate it. arch::Cmp's
+  /// constructor calls this once, before any next(). Closed-loop workloads
+  /// ignore it; open-loop traffic reads simulated time through `k`.
+  virtual void attach(sim::Kernel& /*k*/) {}
 };
 
 }  // namespace puno::workloads

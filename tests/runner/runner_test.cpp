@@ -278,7 +278,7 @@ TEST(Runner, ManifestHasOneLinePerJob) {
   EXPECT_EQ(lines, specs.size());
 }
 
-// run_suite/run_comparison moved onto the runner: same shape as before,
+// run_suite moved onto the runner: same shape as before,
 // one row per STAMP benchmark in paper order.
 TEST(RunnerSuite, SuiteHasOneRowPerBenchmarkInOrder) {
   SuiteOptions options;

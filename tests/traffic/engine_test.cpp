@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "arch/cmp.hpp"
+#include "metrics/run_result.hpp"
+#include "metrics/stats_io.hpp"
 #include "sim/kernel.hpp"
 
 namespace puno::traffic {
@@ -170,6 +174,47 @@ TEST(OpenLoopWorkload, UncontendedSimulationDropsNothing) {
 
   EXPECT_EQ(wl.dropped(), 0u);
   EXPECT_EQ(cmp.total_committed(), 120u);
+}
+
+TEST(OpenLoopWorkload, CmpAttachesItAtConstruction) {
+  // No caller attaches by hand: building the Cmp alone switches the
+  // workload to open-loop mode and binds its traffic.* stats.
+  SystemConfig cfg;
+  cfg.noc.mesh_width = 2;
+  cfg.num_nodes = 4;
+  OpenLoopWorkload wl(KernelKind::kMap, small_config(), cfg.num_nodes,
+                      cfg.seed, kBlock);
+  arch::Cmp cmp(cfg, wl);
+  EXPECT_TRUE(wl.attached());
+  EXPECT_EQ(cmp.kernel().stats().counters().count("traffic.offered"), 1u);
+}
+
+TEST(OpenLoopWorkload, SecondAttachWithTheSameKernelChangesNothing) {
+  // A caller that still attaches after construction (punobench does) must
+  // get the byte-identical run, RunResult JSONL and stats CSV alike.
+  const auto run = [](bool attach_again) {
+    SystemConfig cfg;
+    cfg.noc.mesh_width = 2;
+    cfg.num_nodes = 4;
+    cfg.seed = 5;
+    cfg.traffic.arrivals_per_node = 60;
+    cfg.traffic.rate_per_kcycle = 200;  // overloaded: queues fill and drop
+    cfg.traffic.queue_capacity = 2;
+    cfg.traffic.keys = 64;
+    OpenLoopWorkload wl(KernelKind::kQueue, cfg.traffic, cfg.num_nodes,
+                        cfg.seed, kBlock);
+    arch::Cmp cmp(cfg, wl);
+    if (attach_again) wl.attach(cmp.kernel());
+    EXPECT_TRUE(cmp.run(2'000'000));
+    EXPECT_GT(wl.dropped(), 0u);
+    metrics::RunResult r = metrics::RunResult::from_stats(cmp.kernel().stats());
+    r.cycles = cmp.kernel().now();
+    std::ostringstream out;
+    metrics::write_result_jsonl(r, out);
+    metrics::write_stats_csv(cmp.kernel().stats(), out);
+    return out.str();
+  };
+  EXPECT_EQ(run(true), run(false));
 }
 
 TEST(OpenLoopWorkload, DropsConsumeNoGeneratorRandomness) {
