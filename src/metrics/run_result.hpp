@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -120,6 +121,66 @@ struct RunResult {
 
   /// Populates the stat-derived fields from a finished run's registry.
   static RunResult from_stats(const sim::StatsRegistry& stats);
+
+  bool operator==(const RunResult&) const = default;
 };
+
+/// The one list of RunResult's JSONL keys (metrics/stats_io.hpp, the result
+/// cache, punobatch --jsonl, punoagg): calls visit(key, field) for every raw
+/// field in declaration order; derived metrics are recomputable and not
+/// listed. The trace, telemetry and open-loop groups are written only when
+/// present, so rows without them keep the historical schema byte for byte.
+/// `Row` is RunResult or const RunResult; see sim/jsonio.hpp's records.
+template <typename Row, typename Visit>
+constexpr void for_each_field(Row& r, Visit&& visit) {
+  static_assert(std::is_same_v<std::remove_const_t<Row>, RunResult>);
+#define PUNO_FIELD(name) visit(#name, r.name)
+  PUNO_FIELD(workload);
+  PUNO_FIELD(scheme);
+  PUNO_FIELD(completed);
+  PUNO_FIELD(cycles);
+  PUNO_FIELD(commits);
+  PUNO_FIELD(aborts);
+  PUNO_FIELD(aborts_by_getx);
+  PUNO_FIELD(aborts_by_gets);
+  PUNO_FIELD(aborts_overflow);
+  PUNO_FIELD(tx_getx_issued);
+  PUNO_FIELD(tx_getx_nacked);
+  PUNO_FIELD(request_retries);
+  PUNO_FIELD(retries_per_contended_acquire);
+  PUNO_FIELD(false_abort_events);
+  PUNO_FIELD(falsely_aborted_txns);
+  PUNO_FIELD(false_abort_multiplicity);
+  PUNO_FIELD(router_traversals);
+  PUNO_FIELD(dir_blocked_mean);
+  PUNO_FIELD(dir_txgetx_services);
+  PUNO_FIELD(good_cycles);
+  PUNO_FIELD(discarded_cycles);
+  PUNO_FIELD(unicast_forwards);
+  PUNO_FIELD(mp_feedbacks);
+  PUNO_FIELD(notified_backoffs);
+  PUNO_FIELD(commit_hints_sent);
+  PUNO_FIELD(hint_wakeups);
+  if (visit.optional(!r.trace_path.empty() || r.trace_events > 0 ||
+                     r.trace_dropped > 0)) {
+    PUNO_FIELD(trace_path);
+    PUNO_FIELD(trace_events);
+    PUNO_FIELD(trace_dropped);
+  }
+  if (visit.optional(!r.telemetry_path.empty() || r.telemetry_samples > 0 ||
+                     r.telemetry_dropped > 0)) {
+    PUNO_FIELD(telemetry_path);
+    PUNO_FIELD(telemetry_samples);
+    PUNO_FIELD(telemetry_dropped);
+  }
+  if (visit.optional(r.offered_txns > 0)) {
+    PUNO_FIELD(offered_txns);
+    PUNO_FIELD(dropped_txns);
+    PUNO_FIELD(queue_delay_p50);
+    PUNO_FIELD(queue_delay_p90);
+    PUNO_FIELD(queue_delay_p99);
+  }
+#undef PUNO_FIELD
+}
 
 }  // namespace puno::metrics

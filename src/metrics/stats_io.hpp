@@ -2,26 +2,12 @@
 // of RunResult rows, for spreadsheet/pandas post-processing of experiments.
 //
 // JSONL schema (one flat JSON object per line, one line per RunResult): the
-// raw fields of RunResult in declaration order, keyed by field name —
-//   workload (string), scheme (string, to_string(Scheme)), completed (bool),
-//   cycles, commits, aborts, aborts_by_getx, aborts_by_gets,
-//   aborts_overflow, tx_getx_issued, tx_getx_nacked, request_retries
-//   (integers), retries_per_contended_acquire (number), false_abort_events,
-//   falsely_aborted_txns (integers), false_abort_multiplicity (array of
-//   numbers), router_traversals (integer), dir_blocked_mean (number),
-//   dir_txgetx_services, good_cycles, discarded_cycles, unicast_forwards,
-//   mp_feedbacks, notified_backoffs, commit_hints_sent, hint_wakeups
-//   (integers). When the run carried an event trace (docs/TRACING.md) three
-//   more keys follow: trace_path (string), trace_events, trace_dropped
-//   (integers); untraced rows omit them and stay byte-identical to the
-//   pre-tracing schema. Likewise, a run with telemetry sampling
-//   (docs/TELEMETRY.md) appends telemetry_path (string), telemetry_samples,
-//   telemetry_dropped (integers); unsampled rows omit them.
-// Derived metrics (abort_rate, gd_ratio, ...) are intentionally omitted:
+// keys that for_each_field in metrics/run_result.hpp lists, in its order,
+// each keyed by its field name and written through sim/jsonio.hpp's
+// write_record. Derived metrics (abort_rate, gd_ratio, ...) are not listed:
 // they are recomputable from the raw fields. read_result_jsonl() restores
-// every field and skips unknown keys, so the schema can grow compatibly; it
-// parses through sim/jsonio.hpp, so a malformed row fails with a message
-// quoting the offending token.
+// every field and skips unknown keys, so the schema can grow compatibly; a
+// malformed row fails with a message quoting the offending token.
 #pragma once
 
 #include <iosfwd>

@@ -1,20 +1,18 @@
 #include "runner/aggregate.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
-#include <iterator>
 #include <map>
 #include <set>
 #include <stdexcept>
 #include <tuple>
 
-#include "metrics/stats_io.hpp"
+#include "metrics/run_result.hpp"
 #include "runner/cache.hpp"
 #include "sim/jsonio.hpp"
-#include "telemetry/export.hpp"
 #include "telemetry/heatmap.hpp"
 #include "telemetry/html.hpp"
+#include "telemetry/series.hpp"
 
 namespace puno::runner {
 
@@ -23,43 +21,7 @@ namespace jio = sim::jsonio;
 
 bool parse_manifest_row(std::string_view line, ManifestRow& row,
                         std::string* err) {
-  row = ManifestRow{};
-  return jio::parse_document(
-      line,
-      [&](const std::string& key, std::string_view& s) {
-        if (key == "index") return jio::parse_u64(s, row.index);
-        if (key == "label") return jio::parse_string(s, row.label);
-        if (key == "workload") return jio::parse_string(s, row.workload);
-        if (key == "scheme") return jio::parse_string(s, row.scheme);
-        if (key == "seed") return jio::parse_u64(s, row.seed);
-        if (key == "scale") return jio::parse_double(s, row.scale);
-        if (key == "max_cycles") return jio::parse_u64(s, row.max_cycles);
-        if (key == "num_nodes") return jio::parse_u64(s, row.num_nodes);
-        if (key == "mesh_width") return jio::parse_u64(s, row.mesh_width);
-        if (key == "mesh_height") return jio::parse_u64(s, row.mesh_height);
-        if (key == "key") return jio::parse_string(s, row.key);
-        if (key == "status") return jio::parse_string(s, row.status);
-        if (key == "attempts") return jio::parse_u64(s, row.attempts);
-        if (key == "wall_s") return jio::parse_double(s, row.wall_s);
-        if (key == "cycles") return jio::parse_u64(s, row.cycles);
-        if (key == "cycles_per_s") {
-          return jio::parse_double(s, row.cycles_per_s);
-        }
-        if (key == "overrides") return jio::parse_string(s, row.overrides);
-        if (key == "trace_path") return jio::parse_string(s, row.trace_path);
-        if (key == "telemetry_path") {
-          return jio::parse_string(s, row.telemetry_path);
-        }
-        if (key == "telemetry_samples") {
-          return jio::parse_u64(s, row.telemetry_samples);
-        }
-        if (key == "telemetry_dropped") {
-          return jio::parse_u64(s, row.telemetry_dropped);
-        }
-        if (key == "error") return jio::parse_string(s, row.error);
-        return jio::skip_value(s);
-      },
-      err);
+  return jio::read_record(line, row, err);
 }
 
 std::vector<ManifestRow> read_manifest_file(const fs::path& path) {
@@ -68,18 +30,9 @@ std::vector<ManifestRow> read_manifest_file(const fs::path& path) {
     throw std::runtime_error("cannot read manifest '" + path.string() + "'");
   }
   std::vector<ManifestRow> rows;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    ManifestRow row;
-    std::string err;
-    if (!parse_manifest_row(line, row, &err)) {
-      throw std::runtime_error(path.string() + ": line " +
-                               std::to_string(lineno) + ": " + err);
-    }
-    rows.push_back(std::move(row));
+  std::string err;
+  if (!jio::read_records(in, rows, &err)) {
+    throw std::runtime_error(path.string() + ": " + err);
   }
   return rows;
 }
@@ -107,11 +60,9 @@ void join_telemetry(const fs::path& manifest_dir, const ManifestRow& m,
   if (!fs::exists(p)) p = manifest_dir / m.telemetry_path;
   if (!fs::exists(p)) return;
   std::ifstream in(p);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
   std::vector<telemetry::TelemetrySample> samples;
   std::string err;
-  if (!telemetry::read_telemetry_jsonl(text, samples, &err)) {
+  if (!jio::read_records(in, samples, &err)) {
     throw std::runtime_error("malformed telemetry series '" + p.string() +
                              "': " + err);
   }
@@ -143,19 +94,9 @@ std::vector<AggregateRow> aggregate_manifest(const fs::path& manifest_path,
       throw std::runtime_error("cannot read results '" +
                                results_path.string() + "'");
     }
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-      ++lineno;
-      if (line.empty()) continue;
-      metrics::RunResult r;
-      std::string err;
-      if (!metrics::read_result_jsonl(line, r, &err)) {
-        throw std::runtime_error(results_path.string() + ": line " +
-                                 std::to_string(lineno) +
-                                 ": malformed result row: " + err);
-      }
-      results.push_back(std::move(r));
+    std::string err;
+    if (!jio::read_records(in, results, &err)) {
+      throw std::runtime_error(results_path.string() + ": " + err);
     }
     if (results.size() != manifest.size()) {
       throw std::runtime_error(
@@ -208,72 +149,12 @@ std::vector<AggregateRow> aggregate_manifest(const fs::path& manifest_path,
 }
 
 void write_aggregate_row(const AggregateRow& row, std::ostream& out) {
-  char num[40];
-  std::snprintf(num, sizeof num, "%.17g", row.scale);
-  out << "{\"key\":\"" << jio::escape(row.key) << "\",\"workload\":\""
-      << jio::escape(row.workload) << "\",\"scheme\":\""
-      << jio::escape(row.scheme) << "\",\"seed\":" << row.seed
-      << ",\"scale\":" << num << ",\"num_nodes\":" << row.num_nodes
-      << ",\"mesh_width\":" << row.mesh_width
-      << ",\"mesh_height\":" << row.mesh_height;
-  if (!row.overrides.empty()) {
-    out << ",\"overrides\":\"" << jio::escape(row.overrides) << "\"";
-  }
-  out << ",\"status\":\"" << jio::escape(row.status)
-      << "\",\"cycles\":" << row.cycles;
-  if (row.has_result) {
-    out << ",\"commits\":" << row.commits << ",\"aborts\":" << row.aborts
-        << ",\"false_abort_events\":" << row.false_abort_events
-        << ",\"router_traversals\":" << row.router_traversals;
-  }
-  if (!row.tile_heat.empty()) {
-    out << ",\"heat_channel\":\"" << jio::escape(row.heat_channel)
-        << "\",\"tile_heat\":";
-    jio::write_u64_array(out, row.tile_heat);
-  }
-  out << "}\n";
+  jio::write_record(out, row);
 }
 
 bool parse_aggregate_row(std::string_view line, AggregateRow& row,
                          std::string* err) {
-  row = AggregateRow{};
-  return jio::parse_document(
-      line,
-      [&](const std::string& key, std::string_view& s) {
-        if (key == "key") return jio::parse_string(s, row.key);
-        if (key == "workload") return jio::parse_string(s, row.workload);
-        if (key == "scheme") return jio::parse_string(s, row.scheme);
-        if (key == "seed") return jio::parse_u64(s, row.seed);
-        if (key == "scale") return jio::parse_double(s, row.scale);
-        if (key == "num_nodes") return jio::parse_u64(s, row.num_nodes);
-        if (key == "mesh_width") return jio::parse_u64(s, row.mesh_width);
-        if (key == "mesh_height") return jio::parse_u64(s, row.mesh_height);
-        if (key == "overrides") return jio::parse_string(s, row.overrides);
-        if (key == "status") return jio::parse_string(s, row.status);
-        if (key == "cycles") return jio::parse_u64(s, row.cycles);
-        if (key == "commits") {
-          row.has_result = true;
-          return jio::parse_u64(s, row.commits);
-        }
-        if (key == "aborts") {
-          row.has_result = true;
-          return jio::parse_u64(s, row.aborts);
-        }
-        if (key == "false_abort_events") {
-          row.has_result = true;
-          return jio::parse_u64(s, row.false_abort_events);
-        }
-        if (key == "router_traversals") {
-          row.has_result = true;
-          return jio::parse_u64(s, row.router_traversals);
-        }
-        if (key == "heat_channel") {
-          return jio::parse_string(s, row.heat_channel);
-        }
-        if (key == "tile_heat") return jio::parse_u64_array(s, row.tile_heat);
-        return jio::skip_value(s);
-      },
-      err);
+  return jio::read_record(line, row, err);
 }
 
 bool publish_aggregate(const fs::path& path,
@@ -288,22 +169,13 @@ bool publish_aggregate(const fs::path& path,
       if (err != nullptr) *err = "cannot read '" + path.string() + "'";
       return false;
     }
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-      ++lineno;
-      if (line.empty()) continue;
-      AggregateRow row;
-      std::string perr;
-      if (!parse_aggregate_row(line, row, &perr)) {
-        if (err != nullptr) {
-          *err = path.string() + ": line " + std::to_string(lineno) + ": " +
-                 perr;
-        }
-        return false;
-      }
-      merged[row.key] = std::move(row);
+    std::vector<AggregateRow> published;
+    std::string perr;
+    if (!jio::read_records(in, published, &perr)) {
+      if (err != nullptr) *err = path.string() + ": " + perr;
+      return false;
     }
+    for (AggregateRow& row : published) merged[row.key] = std::move(row);
   }
   for (const AggregateRow& row : rows) merged[row.key] = row;
 

@@ -16,15 +16,19 @@
 //   - the self-contained fleet dashboard comparing schemes x sizes x
 //     workloads with a per-config mesh-heatmap thumbnail.
 //
-// Every reader parses through sim/jsonio.hpp, so a parse error quotes the
-// offending token, and the file-level readers add the file and line.
+// Both row types list their keys once, in for_each_field below; every
+// reader and writer goes through sim/jsonio.hpp's records, so a parse error
+// quotes the offending token, and the file-level readers add the file and
+// line.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <filesystem>
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace puno::runner {
@@ -50,11 +54,57 @@ struct ManifestRow {
   double cycles_per_s = 0.0;
   std::string overrides;
   std::string trace_path;
+  std::uint64_t trace_events = 0;
+  std::uint64_t trace_dropped = 0;
   std::string telemetry_path;
   std::uint64_t telemetry_samples = 0;
   std::uint64_t telemetry_dropped = 0;
   std::string error;
+
+  bool operator==(const ManifestRow&) const = default;
 };
+
+/// The one list of a manifest row's keys, in write order (the for_each_key
+/// idiom; see sim/jsonio.hpp's records). `Row` is ManifestRow or const
+/// ManifestRow.
+template <typename Row, typename Visit>
+  requires std::same_as<std::remove_const_t<Row>, ManifestRow>
+constexpr void for_each_field(Row& m, Visit&& visit) {
+#define PUNO_FIELD(name) visit(#name, m.name)
+  PUNO_FIELD(index);
+  PUNO_FIELD(label);
+  PUNO_FIELD(workload);
+  PUNO_FIELD(scheme);
+  PUNO_FIELD(seed);
+  PUNO_FIELD(scale);
+  PUNO_FIELD(max_cycles);
+  PUNO_FIELD(num_nodes);
+  PUNO_FIELD(mesh_width);
+  PUNO_FIELD(mesh_height);
+  PUNO_FIELD(key);
+  PUNO_FIELD(status);
+  PUNO_FIELD(attempts);
+  PUNO_FIELD(wall_s);
+  PUNO_FIELD(cycles);
+  PUNO_FIELD(cycles_per_s);
+  if (visit.optional(!m.overrides.empty())) {
+    PUNO_FIELD(overrides);
+  }
+  if (visit.optional(!m.trace_path.empty() || m.trace_events > 0)) {
+    PUNO_FIELD(trace_path);
+    PUNO_FIELD(trace_events);
+    PUNO_FIELD(trace_dropped);
+  }
+  if (visit.optional(!m.telemetry_path.empty() || m.telemetry_samples > 0)) {
+    PUNO_FIELD(telemetry_path);
+    PUNO_FIELD(telemetry_samples);
+    PUNO_FIELD(telemetry_dropped);
+  }
+  if (visit.optional(!m.error.empty())) {
+    PUNO_FIELD(error);
+  }
+#undef PUNO_FIELD
+}
 
 /// Parses one manifest JSONL line; unknown keys are skipped. On malformed
 /// input returns false and, when `err` is non-null, stores a message quoting
@@ -91,7 +141,42 @@ struct AggregateRow {
   std::uint64_t router_traversals = 0;
   std::string heat_channel;  ///< "aborts" | "traversals" | "".
   std::vector<std::uint64_t> tile_heat;  ///< Per-tile whole-run totals.
+
+  bool operator==(const AggregateRow&) const = default;
 };
+
+/// The one list of an aggregate row's keys, in write order. The result
+/// metrics are written only with has_result, and reading any of them sets
+/// it; the heat group closes that group (sim/jsonio.hpp's records).
+template <typename Row, typename Visit>
+  requires std::same_as<std::remove_const_t<Row>, AggregateRow>
+constexpr void for_each_field(Row& a, Visit&& visit) {
+#define PUNO_FIELD(name) visit(#name, a.name)
+  PUNO_FIELD(key);
+  PUNO_FIELD(workload);
+  PUNO_FIELD(scheme);
+  PUNO_FIELD(seed);
+  PUNO_FIELD(scale);
+  PUNO_FIELD(num_nodes);
+  PUNO_FIELD(mesh_width);
+  PUNO_FIELD(mesh_height);
+  if (visit.optional(!a.overrides.empty())) {
+    PUNO_FIELD(overrides);
+  }
+  PUNO_FIELD(status);
+  PUNO_FIELD(cycles);
+  if (visit.optional(a.has_result)) {
+    PUNO_FIELD(commits);
+    PUNO_FIELD(aborts);
+    PUNO_FIELD(false_abort_events);
+    PUNO_FIELD(router_traversals);
+  }
+  if (visit.optional(!a.tile_heat.empty())) {
+    PUNO_FIELD(heat_channel);
+    PUNO_FIELD(tile_heat);
+  }
+#undef PUNO_FIELD
+}
 
 /// Deterministic ordering: workload, scheme, num_nodes, scale, overrides,
 /// seed, then key as the final tiebreak.

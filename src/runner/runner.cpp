@@ -12,14 +12,13 @@
 #include <thread>
 
 #include "metrics/stats_io.hpp"
+#include "runner/aggregate.hpp"
 #include "runner/grid.hpp"
 #include "sim/jsonio.hpp"
 
 namespace puno::runner {
 
 namespace {
-
-namespace jio = sim::jsonio;
 
 using Clock = std::chrono::steady_clock;
 
@@ -74,48 +73,35 @@ constexpr Cycle kWatchdogCheckInterval = 1u << 16;
 void write_manifest_row(std::ostream& out, std::size_t index,
                         const JobSpec& spec, const JobOutcome& o) {
   const metrics::ExperimentParams& p = spec.params;
-  const double cps =
-      o.wall_seconds > 0.0
-          ? static_cast<double>(o.result.cycles) / o.wall_seconds
-          : 0.0;
-  out << "{\"index\":" << index << ",\"label\":\""
-      << jio::escape(auto_label(spec)) << "\",\"workload\":\""
-      << jio::escape(p.workload) << "\",\"scheme\":\""
-      << to_string(p.scheme) << "\",\"seed\":" << p.seed << ",\"scale\":";
-  char num[40];
-  std::snprintf(num, sizeof num, "%.17g", p.scale);
-  out << num << ",\"max_cycles\":" << p.max_cycles
-      << ",\"num_nodes\":" << p.base_config.num_nodes
-      << ",\"mesh_width\":" << p.base_config.noc.mesh_width
-      << ",\"mesh_height\":" << p.base_config.noc.rows() << ",\"key\":\""
-      << cache_key(p) << "\",\"status\":\"" << to_string(o.status)
-      << "\",\"attempts\":" << o.attempts << ",\"wall_s\":";
-  std::snprintf(num, sizeof num, "%.6g", o.wall_seconds);
-  out << num << ",\"cycles\":" << o.result.cycles << ",\"cycles_per_s\":";
-  std::snprintf(num, sizeof num, "%.6g", cps);
-  out << num;
-  if (!spec.overrides.empty()) {
-    out << ",\"overrides\":\"" << jio::escape(spec.overrides)
-        << "\"";
-  }
-  // Per-job trace manifest: where the Chrome JSON landed and how complete
-  // the ring was, so a sweep's traces can be located programmatically.
-  if (!o.result.trace_path.empty() || o.result.trace_events > 0) {
-    out << ",\"trace_path\":\"" << jio::escape(o.result.trace_path)
-        << "\",\"trace_events\":" << o.result.trace_events
-        << ",\"trace_dropped\":" << o.result.trace_dropped;
-  }
-  // Per-job telemetry manifest, same contract as the trace block above.
-  if (!o.result.telemetry_path.empty() || o.result.telemetry_samples > 0) {
-    out << ",\"telemetry_path\":\""
-        << jio::escape(o.result.telemetry_path)
-        << "\",\"telemetry_samples\":" << o.result.telemetry_samples
-        << ",\"telemetry_dropped\":" << o.result.telemetry_dropped;
-  }
-  if (!o.error.empty()) {
-    out << ",\"error\":\"" << jio::escape(o.error) << "\"";
-  }
-  out << "}\n";
+  const metrics::RunResult& r = o.result;
+  ManifestRow row;
+  row.index = index;
+  row.label = auto_label(spec);
+  row.workload = p.workload;
+  row.scheme = to_string(p.scheme);
+  row.seed = p.seed;
+  row.scale = p.scale;
+  row.max_cycles = p.max_cycles;
+  row.num_nodes = p.base_config.num_nodes;
+  row.mesh_width = p.base_config.noc.mesh_width;
+  row.mesh_height = p.base_config.noc.rows();
+  row.key = cache_key(p);
+  row.status = to_string(o.status);
+  row.attempts = o.attempts;
+  row.wall_s = o.wall_seconds;
+  row.cycles = r.cycles;
+  row.cycles_per_s = o.wall_seconds > 0.0
+                         ? static_cast<double>(r.cycles) / o.wall_seconds
+                         : 0.0;
+  row.overrides = spec.overrides;
+  row.trace_path = r.trace_path;
+  row.trace_events = r.trace_events;
+  row.trace_dropped = r.trace_dropped;
+  row.telemetry_path = r.telemetry_path;
+  row.telemetry_samples = r.telemetry_samples;
+  row.telemetry_dropped = r.telemetry_dropped;
+  row.error = o.error;
+  sim::jsonio::write_record(out, row);
   out.flush();
 }
 

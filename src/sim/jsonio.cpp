@@ -4,7 +4,10 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <ostream>
+
+#include "sim/config.hpp"
 
 namespace puno::sim::jsonio {
 
@@ -32,7 +35,17 @@ std::string escape(std::string_view s) {
   return out;
 }
 
-void write_double(std::ostream& out, double v) {
+void write_value(std::ostream& out, const std::string& v) {
+  out << '"' << escape(v) << '"';
+}
+
+void write_value(std::ostream& out, bool v) { out << (v ? "true" : "false"); }
+
+void write_value(std::ostream& out, std::uint32_t v) { out << v; }
+
+void write_value(std::ostream& out, std::uint64_t v) { out << v; }
+
+void write_value(std::ostream& out, double v) {
   if (!(v == v) || v > 1.7e308 || v < -1.7e308) {
     out << 0;
     return;
@@ -42,13 +55,8 @@ void write_double(std::ostream& out, double v) {
   out << buf;
 }
 
-void write_u64_array(std::ostream& out, const std::vector<std::uint64_t>& v) {
-  out << '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i != 0) out << ',';
-    out << v[i];
-  }
-  out << ']';
+void write_value(std::ostream& out, Scheme v) {
+  out << '"' << to_string(v) << '"';
 }
 
 void skip_ws(std::string_view& s) {
@@ -188,30 +196,21 @@ bool parse_bool(std::string_view& s, bool& v) {
   return true;
 }
 
-bool parse_double_array(std::string_view& s, std::vector<double>& out) {
-  out.clear();
-  return parse_array(
-      s,
-      [&](std::string_view& e) {
-        double v = 0;
-        if (!parse_double(e, v)) return false;
-        out.push_back(v);
-        return true;
-      },
-      nullptr);
+bool parse_value(std::string_view& s, std::uint32_t& v) {
+  std::uint64_t wide = 0;
+  if (!parse_u64(s, wide) || wide > std::numeric_limits<std::uint32_t>::max()) {
+    return false;
+  }
+  v = static_cast<std::uint32_t>(wide);
+  return true;
 }
 
-bool parse_u64_array(std::string_view& s, std::vector<std::uint64_t>& out) {
-  out.clear();
-  return parse_array(
-      s,
-      [&](std::string_view& e) {
-        std::uint64_t v = 0;
-        if (!parse_u64(e, v)) return false;
-        out.push_back(v);
-        return true;
-      },
-      nullptr);
+bool parse_value(std::string_view& s, Scheme& v) {
+  std::string name;
+  if (!parse_string(s, name)) return false;
+  const auto scheme = scheme_from_string(name);
+  if (scheme) v = *scheme;
+  return scheme.has_value();
 }
 
 bool skip_value(std::string_view& s) {

@@ -80,51 +80,31 @@ double rate(std::uint64_t delta, std::uint64_t window) {
 
 /// One spatial channel of the heatmap section: JSON/element-id key, human
 /// label, aggregation (delta channels sum over windows, gauges peak) and
-/// the accessor into a sample.
+/// the sample's per-tile vector.
 struct TileChannel {
   const char* key;
   const char* name;
   bool gauge;
-  const std::vector<std::uint64_t>& (*get)(const TelemetrySample&);
+  std::vector<std::uint64_t> TelemetrySample::*tiles;
 };
 
 constexpr TileChannel kTileChannels[] = {
     {"traversals", "router traversals", false,
-     [](const TelemetrySample& s) -> const std::vector<std::uint64_t>& {
-       return s.router_traversals;
-     }},
-    {"aborts", "aborts (victim tile)", false,
-     [](const TelemetrySample& s) -> const std::vector<std::uint64_t>& {
-       return s.tile_aborts;
-     }},
+     &TelemetrySample::router_traversals},
+    {"aborts", "aborts (victim tile)", false, &TelemetrySample::tile_aborts},
     {"false_aborts", "false-abort events (requester tile)", false,
-     [](const TelemetrySample& s) -> const std::vector<std::uint64_t>& {
-       return s.tile_false_aborts;
-     }},
-    {"nacks_sent", "NACKs sent", false,
-     [](const TelemetrySample& s) -> const std::vector<std::uint64_t>& {
-       return s.tile_nacks_sent;
-     }},
+     &TelemetrySample::tile_false_aborts},
+    {"nacks_sent", "NACKs sent", false, &TelemetrySample::tile_nacks_sent},
     {"nacks_recv", "NACKs received", false,
-     [](const TelemetrySample& s) -> const std::vector<std::uint64_t>& {
-       return s.tile_nacks_recv;
-     }},
+     &TelemetrySample::tile_nacks_recv},
     {"pbuf_evict", "P-Buffer evictions", false,
-     [](const TelemetrySample& s) -> const std::vector<std::uint64_t>& {
-       return s.tile_pbuffer_evictions;
-     }},
+     &TelemetrySample::tile_pbuffer_evictions},
     {"ud_mispred", "UD mispredicts", false,
-     [](const TelemetrySample& s) -> const std::vector<std::uint64_t>& {
-       return s.tile_ud_mispredicts;
-     }},
+     &TelemetrySample::tile_ud_mispredicts},
     {"txn_pins", "L1 txn-pinned lines (peak)", true,
-     [](const TelemetrySample& s) -> const std::vector<std::uint64_t>& {
-       return s.tile_txn_pins;
-     }},
+     &TelemetrySample::tile_txn_pins},
     {"queued", "router queue depth (peak)", true,
-     [](const TelemetrySample& s) -> const std::vector<std::uint64_t>& {
-       return s.tile_router_queued;
-     }},
+     &TelemetrySample::tile_router_queued},
 };
 
 /// Embedded scrubber frames are bounded to roughly this many numbers so a
@@ -143,7 +123,7 @@ void write_heatmap_section(std::ostream& out, const DashboardMeta& meta,
 
   std::vector<const TileChannel*> channels;
   for (const TileChannel& c : kTileChannels) {
-    if (!c.get(samples.front()).empty()) channels.push_back(&c);
+    if (!(samples.front().*c.tiles).empty()) channels.push_back(&c);
   }
   if (channels.empty()) return;
 
@@ -153,7 +133,7 @@ void write_heatmap_section(std::ostream& out, const DashboardMeta& meta,
                              std::size_t end) {
     std::vector<std::uint64_t> agg(geom.num_nodes, 0);
     for (std::size_t w = begin; w < end; ++w) {
-      const std::vector<std::uint64_t>& v = c.get(samples[w]);
+      const std::vector<std::uint64_t>& v = samples[w].*c.tiles;
       for (std::size_t i = 0; i < agg.size() && i < v.size(); ++i) {
         agg[i] = c.gauge ? std::max(agg[i], v[i]) : agg[i] + v[i];
       }
@@ -250,12 +230,12 @@ void write_heatmap_section(std::ostream& out, const DashboardMeta& meta,
   for (std::size_t c = 0; c < channels.size(); ++c) {
     if (c != 0) out << ',';
     out << "{\"key\":\"" << channels[c]->key << "\",\"frames\":[";
-    sim::jsonio::write_u64_array(out, totals[c]);
+    sim::jsonio::write_value(out, totals[c]);
     for (std::size_t b = 0; b < buckets; ++b) {
       const std::size_t begin = b * samples.size() / buckets;
       const std::size_t end = (b + 1) * samples.size() / buckets;
       out << ',';
-      sim::jsonio::write_u64_array(out, aggregate(*channels[c], begin, end));
+      sim::jsonio::write_value(out, aggregate(*channels[c], begin, end));
     }
     out << "]}";
   }

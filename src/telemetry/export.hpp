@@ -2,11 +2,13 @@
 // machine-readable interchange format), CSV (for spreadsheets/pandas) and
 // the JSONL reader used by the round-trip validator.
 //
-// The JSONL schema is flat — every key maps to an integer or an integer
-// array — and is parsed back by read_telemetry_jsonl (through sim/jsonio),
-// which skips unknown keys so the schema can grow compatibly. Writing is
-// fully deterministic (fixed key order, no floats), so two runs of the same
-// simulation produce byte-identical files regardless of runner parallelism.
+// The JSONL keys and the CSV columns both come from for_each_field in
+// telemetry/series.hpp. The JSONL schema is flat — every key maps to an
+// integer or an integer array — and is parsed back by read_telemetry_jsonl
+// (through sim/jsonio), which skips unknown keys so the schema can grow
+// compatibly. Writing is fully deterministic (fixed key order, no floats),
+// so two runs of the same simulation produce byte-identical files
+// regardless of runner parallelism.
 #pragma once
 
 #include <iosfwd>
@@ -40,9 +42,10 @@ void write_telemetry_jsonl(const std::vector<TelemetrySample>& samples,
                                         std::vector<TelemetrySample>& out,
                                         std::string* err = nullptr);
 
-/// CSV header for a series whose samples carry `num_nodes` per-core states
-/// and per-router columns (core0..coreN-1, router0..routerN-1). `spatial`
-/// appends the per-tile channel columns (tile_aborts0.., tile_txn_pins0..).
+/// CSV header for a series of `num_nodes` tiles: every scalar in
+/// for_each_field order, then `num_nodes` columns per per-node vector
+/// (core0..coreN-1, router0..routerN-1). `spatial` appends the per-tile
+/// channel columns (tile_aborts0.., tile_txn_pins0..).
 [[nodiscard]] std::string telemetry_csv_header(std::size_t num_nodes,
                                                bool spatial = false);
 

@@ -95,7 +95,7 @@ void HostProfiler::write_json(std::ostream& out) const {
   for (const Bucket& b : hooks_) emit(b);
   out << "],\"total_ticks\":" << total_ticks()
       << ",\"ticks_per_second\":";
-  sim::jsonio::write_double(out, sim::host_ticks_per_second());
+  sim::jsonio::write_value(out, sim::host_ticks_per_second());
   out << "}\n";
 }
 

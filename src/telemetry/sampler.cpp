@@ -1,5 +1,7 @@
 #include "telemetry/sampler.hpp"
 
+#include <iterator>
+
 #include "arch/cmp.hpp"
 #include "htm/txn_context.hpp"
 #include "noc/mesh.hpp"
@@ -10,18 +12,35 @@ namespace puno::telemetry {
 
 namespace {
 
-/// Reads one counter's current value. StatsRegistry::counter creates absent
-/// names with value 0, which matches "component never instantiated" (e.g.
-/// no PUNO counters under the Eager scheme) and never perturbs simulation.
-std::uint64_t read(sim::StatsRegistry& stats, const char* name) {
-  return stats.counter(name).value();
-}
+/// The differenced counters: each sample field is its counter's delta over
+/// the window.
+struct CounterDelta {
+  std::uint64_t TelemetrySample::*field;
+  const char* counter;
+};
 
-/// Like read(), but never creates the counter. The traffic.* counters are
-/// registered lazily by OpenLoopWorkload::attach() precisely so closed-loop
-/// runs' stats dumps stay byte-identical; the sampler must not undo that.
-std::uint64_t read_if_present(const sim::StatsRegistry& stats,
-                              const char* name) {
+constexpr CounterDelta kCounterDeltas[] = {
+    {&TelemetrySample::commits, "htm.commits"},
+    {&TelemetrySample::aborts, "htm.aborts"},
+    {&TelemetrySample::false_aborts, "htm.false_abort_events"},
+    {&TelemetrySample::notified_backoffs, "htm.notified_backoffs"},
+    {&TelemetrySample::nacks, "l1.tx_getx_nacked"},
+    {&TelemetrySample::txgetx_services, "dir.txgetx_services"},
+    {&TelemetrySample::unicasts, "puno.unicast_predictions"},
+    {&TelemetrySample::multicasts, "puno.multicast_fallbacks"},
+    {&TelemetrySample::mp_feedbacks, "dir.mp_feedbacks"},
+    {&TelemetrySample::offered, "traffic.offered"},
+    {&TelemetrySample::admitted, "traffic.admitted"},
+    {&TelemetrySample::shed, "traffic.dropped"},
+    {&TelemetrySample::flits_sent, "noc.flits_sent"},
+    {&TelemetrySample::flits_ejected, "noc.flits_ejected"},
+    {&TelemetrySample::traversals, "noc.router_traversals"},
+};
+
+/// Reads one counter's current value; an absent one reads 0 ("component
+/// never instantiated", e.g. no PUNO counters under Baseline) and is not
+/// created, so the stats dump stays the same as an unsampled run's.
+std::uint64_t read(const sim::StatsRegistry& stats, const char* name) {
   const auto& counters = stats.counters();
   const auto it = counters.find(name);
   return it == counters.end() ? 0 : it->second.value();
@@ -35,6 +54,7 @@ TelemetrySampler::TelemetrySampler(arch::Cmp& cmp, Cycle interval,
       interval_(interval == 0 ? 1 : interval),
       spatial_(spatial),
       ring_(capacity) {
+  prev_.counters.assign(std::size(kCounterDeltas), 0);
   prev_.router_traversals.assign(cmp_.config().num_nodes, 0);
   if (spatial_) {
     // Lazily-created spatial state: only spatial samplers pay for it, and
@@ -74,7 +94,7 @@ void TelemetrySampler::finish() {
 void TelemetrySampler::take_sample(Cycle cycles_completed) {
   const auto& cfg = cmp_.config();
   const auto n = static_cast<NodeId>(cfg.num_nodes);
-  sim::StatsRegistry& stats = cmp_.kernel().stats();
+  const sim::StatsRegistry& stats = cmp_.kernel().stats();
 
   TelemetrySample s;
   s.cycle = cycles_completed;
@@ -96,39 +116,13 @@ void TelemetrySampler::take_sample(Cycle cycles_completed) {
     s.write_set_blocks += txn.write_set_size();
   }
 
-  // HTM / L1 counter deltas.
+  // Counter deltas.
   CounterSnapshot cur;
-  cur.commits = read(stats, "htm.commits");
-  cur.aborts = read(stats, "htm.aborts");
-  cur.false_aborts = read(stats, "htm.false_abort_events");
-  cur.notified_backoffs = read(stats, "htm.notified_backoffs");
-  cur.nacks = read(stats, "l1.tx_getx_nacked");
-  cur.txgetx_services = read(stats, "dir.txgetx_services");
-  cur.unicasts = read(stats, "puno.unicast_predictions");
-  cur.multicasts = read(stats, "puno.multicast_fallbacks");
-  cur.mp_feedbacks = read(stats, "dir.mp_feedbacks");
-  cur.offered = read_if_present(stats, "traffic.offered");
-  cur.admitted = read_if_present(stats, "traffic.admitted");
-  cur.shed = read_if_present(stats, "traffic.dropped");
-  cur.flits_sent = read(stats, "noc.flits_sent");
-  cur.flits_ejected = read(stats, "noc.flits_ejected");
-  cur.traversals = read(stats, "noc.router_traversals");
-
-  s.commits = cur.commits - prev_.commits;
-  s.aborts = cur.aborts - prev_.aborts;
-  s.false_aborts = cur.false_aborts - prev_.false_aborts;
-  s.notified_backoffs = cur.notified_backoffs - prev_.notified_backoffs;
-  s.nacks = cur.nacks - prev_.nacks;
-  s.txgetx_services = cur.txgetx_services - prev_.txgetx_services;
-  s.unicasts = cur.unicasts - prev_.unicasts;
-  s.multicasts = cur.multicasts - prev_.multicasts;
-  s.mp_feedbacks = cur.mp_feedbacks - prev_.mp_feedbacks;
-  s.offered = cur.offered - prev_.offered;
-  s.admitted = cur.admitted - prev_.admitted;
-  s.shed = cur.shed - prev_.shed;
-  s.flits_sent = cur.flits_sent - prev_.flits_sent;
-  s.flits_ejected = cur.flits_ejected - prev_.flits_ejected;
-  s.traversals = cur.traversals - prev_.traversals;
+  cur.counters.resize(std::size(kCounterDeltas));
+  for (std::size_t c = 0; c < std::size(kCounterDeltas); ++c) {
+    cur.counters[c] = read(stats, kCounterDeltas[c].counter);
+    s.*kCounterDeltas[c].field = cur.counters[c] - prev_.counters[c];
+  }
 
   // Directory gauges.
   for (NodeId i = 0; i < n; ++i) {

@@ -4,9 +4,10 @@
 // Attachment model mirrors check::InvariantChecker: attach() registers a
 // post-cycle hook (named "telemetry.sampler" for the host profiler) on the
 // Cmp's kernel. The hook only *reads* — counters from the stats registry,
-// gauges through const introspection accessors — so an attached sampler
-// never changes simulated behaviour; tests/telemetry assert RunResults are
-// bit-identical with sampling on and off.
+// without creating absent ones, and gauges through const introspection
+// accessors — so an attached sampler never changes simulated behaviour or
+// the stats dump; tests/telemetry assert both are identical with sampling
+// on and off.
 #pragma once
 
 #include <memory>
@@ -53,21 +54,8 @@ class TelemetrySampler {
  private:
   /// Snapshot of every differenced counter at the previous sample.
   struct CounterSnapshot {
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-    std::uint64_t false_aborts = 0;
-    std::uint64_t notified_backoffs = 0;
-    std::uint64_t nacks = 0;
-    std::uint64_t txgetx_services = 0;
-    std::uint64_t unicasts = 0;
-    std::uint64_t multicasts = 0;
-    std::uint64_t mp_feedbacks = 0;
-    std::uint64_t offered = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t flits_sent = 0;
-    std::uint64_t flits_ejected = 0;
-    std::uint64_t traversals = 0;
+    /// One value per row of sampler.cpp's kCounterDeltas.
+    std::vector<std::uint64_t> counters;
     std::vector<std::uint64_t> router_traversals;
     // Per-tile cumulative values of the differenced spatial channels.
     // Sized lazily in the constructor only when spatial sampling is on.

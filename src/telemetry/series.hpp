@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -89,6 +90,58 @@ struct TelemetrySample {
 
   bool operator==(const TelemetrySample&) const = default;
 };
+
+/// The one list of a sample's JSONL keys and CSV columns
+/// (telemetry/export.hpp): calls visit(key, field) for every field in
+/// declaration order. The spatial channels are written only for spatial
+/// series, so non-spatial ones keep the pre-spatial schema byte for byte.
+/// `Row` is TelemetrySample or const TelemetrySample; see sim/jsonio.hpp's
+/// records.
+template <typename Row, typename Visit>
+constexpr void for_each_field(Row& s, Visit&& visit) {
+  static_assert(std::is_same_v<std::remove_const_t<Row>, TelemetrySample>);
+#define PUNO_FIELD(name) visit(#name, s.name)
+  PUNO_FIELD(cycle);
+  PUNO_FIELD(window);
+  PUNO_FIELD(cores_in_txn);
+  PUNO_FIELD(cores_aborting);
+  PUNO_FIELD(read_set_blocks);
+  PUNO_FIELD(write_set_blocks);
+  PUNO_FIELD(core_state);
+  PUNO_FIELD(commits);
+  PUNO_FIELD(aborts);
+  PUNO_FIELD(false_aborts);
+  PUNO_FIELD(notified_backoffs);
+  PUNO_FIELD(nacks);
+  PUNO_FIELD(dir_busy);
+  PUNO_FIELD(dir_entries);
+  PUNO_FIELD(txgetx_services);
+  PUNO_FIELD(unicasts);
+  PUNO_FIELD(multicasts);
+  PUNO_FIELD(mp_feedbacks);
+  PUNO_FIELD(pbuffer_usable);
+  PUNO_FIELD(txlb_entries);
+  PUNO_FIELD(offered);
+  PUNO_FIELD(admitted);
+  PUNO_FIELD(shed);
+  PUNO_FIELD(flits_sent);
+  PUNO_FIELD(flits_ejected);
+  PUNO_FIELD(traversals);
+  PUNO_FIELD(noc_buffered);
+  PUNO_FIELD(noc_inflight);
+  PUNO_FIELD(router_traversals);
+  if (visit.optional(s.spatial())) {
+    PUNO_FIELD(tile_aborts);
+    PUNO_FIELD(tile_false_aborts);
+    PUNO_FIELD(tile_nacks_sent);
+    PUNO_FIELD(tile_nacks_recv);
+    PUNO_FIELD(tile_pbuffer_evictions);
+    PUNO_FIELD(tile_ud_mispredicts);
+    PUNO_FIELD(tile_txn_pins);
+    PUNO_FIELD(tile_router_queued);
+  }
+#undef PUNO_FIELD
+}
 
 /// Fixed-capacity sample store. Samples beyond capacity are counted but not
 /// retained (the bound keeps a sampler's footprint predictable inside sweep

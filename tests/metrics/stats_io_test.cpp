@@ -89,43 +89,46 @@ TEST(StatsIoJsonl, RoundTripPreservesEveryField) {
   r.notified_backoffs = 88;
   r.commit_hints_sent = 4;
   r.hint_wakeups = 2;
+  r.trace_path = "traces/yada.trace.json";
+  r.trace_events = 4096;
+  r.trace_dropped = 17;
+  r.telemetry_path = "telemetry/yada.telemetry.jsonl";
+  r.telemetry_samples = 42;
+  r.telemetry_dropped = 3;
+  r.offered_txns = 640;
+  r.dropped_txns = 12;
+  r.queue_delay_p50 = 5;
+  r.queue_delay_p90 = 40;
+  r.queue_delay_p99 = 300;
 
   std::ostringstream out;
   write_result_jsonl(r, out);
   const std::string line = out.str();
-  ASSERT_FALSE(line.empty());
-  EXPECT_EQ(line.back(), '\n');
-  EXPECT_EQ(std::count(line.begin(), line.end(), '\n'), 1);
+  // The whole row, pinned: a key that leaves for_each_field, moves or
+  // changes spelling fails here.
+  EXPECT_EQ(
+      line,
+      R"({"workload":"yada","scheme":"RMW-Pred","completed":true,)"
+      R"("cycles":987654321,"commits":1024,"aborts":33,"aborts_by_getx":20,)"
+      R"("aborts_by_gets":13,"aborts_overflow":2,"tx_getx_issued":5000,)"
+      R"("tx_getx_nacked":40,"request_retries":55,)"
+      R"("retries_per_contended_acquire":2.625,"false_abort_events":11,)"
+      R"("falsely_aborted_txns":9,)"
+      R"("false_abort_multiplicity":[0.5,0.25,0.125,0.125],)"
+      R"("router_traversals":777777,"dir_blocked_mean":0.10000000000000001,)"
+      R"("dir_txgetx_services":4321,"good_cycles":900000,)"
+      R"("discarded_cycles":87654,"unicast_forwards":66,"mp_feedbacks":7,)"
+      R"("notified_backoffs":88,"commit_hints_sent":4,"hint_wakeups":2,)"
+      R"("trace_path":"traces/yada.trace.json","trace_events":4096,)"
+      R"("trace_dropped":17,"telemetry_path":"telemetry/yada.telemetry.jsonl",)"
+      R"("telemetry_samples":42,"telemetry_dropped":3,"offered_txns":640,)"
+      R"("dropped_txns":12,"queue_delay_p50":5,"queue_delay_p90":40,)"
+      R"("queue_delay_p99":300})"
+      "\n");
 
   RunResult back;
   ASSERT_TRUE(read_result_jsonl(line, back));
-  EXPECT_EQ(back.workload, r.workload);
-  EXPECT_EQ(back.scheme, r.scheme);
-  EXPECT_EQ(back.completed, r.completed);
-  EXPECT_EQ(back.cycles, r.cycles);
-  EXPECT_EQ(back.commits, r.commits);
-  EXPECT_EQ(back.aborts, r.aborts);
-  EXPECT_EQ(back.aborts_by_getx, r.aborts_by_getx);
-  EXPECT_EQ(back.aborts_by_gets, r.aborts_by_gets);
-  EXPECT_EQ(back.aborts_overflow, r.aborts_overflow);
-  EXPECT_EQ(back.tx_getx_issued, r.tx_getx_issued);
-  EXPECT_EQ(back.tx_getx_nacked, r.tx_getx_nacked);
-  EXPECT_EQ(back.request_retries, r.request_retries);
-  EXPECT_EQ(back.retries_per_contended_acquire,
-            r.retries_per_contended_acquire);
-  EXPECT_EQ(back.false_abort_events, r.false_abort_events);
-  EXPECT_EQ(back.falsely_aborted_txns, r.falsely_aborted_txns);
-  EXPECT_EQ(back.false_abort_multiplicity, r.false_abort_multiplicity);
-  EXPECT_EQ(back.router_traversals, r.router_traversals);
-  EXPECT_EQ(back.dir_blocked_mean, r.dir_blocked_mean);
-  EXPECT_EQ(back.dir_txgetx_services, r.dir_txgetx_services);
-  EXPECT_EQ(back.good_cycles, r.good_cycles);
-  EXPECT_EQ(back.discarded_cycles, r.discarded_cycles);
-  EXPECT_EQ(back.unicast_forwards, r.unicast_forwards);
-  EXPECT_EQ(back.mp_feedbacks, r.mp_feedbacks);
-  EXPECT_EQ(back.notified_backoffs, r.notified_backoffs);
-  EXPECT_EQ(back.commit_hints_sent, r.commit_hints_sent);
-  EXPECT_EQ(back.hint_wakeups, r.hint_wakeups);
+  EXPECT_EQ(back, r);
 }
 
 TEST(StatsIoJsonl, TraceKeysAreConditionalAndRoundTrip) {

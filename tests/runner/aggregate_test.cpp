@@ -20,6 +20,7 @@
 #include "runner/aggregate.hpp"
 #include "runner/grid.hpp"
 #include "runner/runner.hpp"
+#include "sim/jsonio.hpp"
 
 namespace puno::runner {
 namespace {
@@ -90,6 +91,37 @@ TEST(ManifestParse, ReadsEveryFieldAndSkipsUnknownKeys) {
   EXPECT_EQ(row.mesh_height, 8u);
   EXPECT_EQ(row.status, "cached");
   EXPECT_EQ(row.telemetry_path, "t.jsonl");
+
+  // A row with every field set survives the manifest writer's record.
+  ManifestRow full;
+  full.index = 7;
+  full.label = "vacation/PUNO/s2";
+  full.workload = "vacation";
+  full.scheme = "PUNO";
+  full.seed = 2;
+  full.scale = 0.1;
+  full.max_cycles = 500000;
+  full.num_nodes = 8;
+  full.mesh_width = 4;
+  full.mesh_height = 2;
+  full.key = "v8-0123456789abcdef";
+  full.status = "failed";
+  full.attempts = 2;
+  full.wall_s = 0.115246242;
+  full.cycles = 4321;
+  full.cycles_per_s = 37493.1;
+  full.overrides = "noc.vc_depth=8";
+  full.trace_path = "traces/v.trace.json";
+  full.trace_events = 4096;
+  full.trace_dropped = 17;
+  full.telemetry_path = "telemetry/v.telemetry.jsonl";
+  full.telemetry_samples = 9;
+  full.telemetry_dropped = 1;
+  full.error = "watchdog: \"late\"";
+  std::ostringstream os;
+  sim::jsonio::write_record(os, full);
+  ASSERT_TRUE(parse_manifest_row(os.str(), row, &err)) << err;
+  EXPECT_EQ(row, full);
 }
 
 TEST(ManifestParse, QuotesTheOffendingToken) {
@@ -128,8 +160,7 @@ TEST(AggregateRowIo, RoundTripsByteExactly) {
   std::ostringstream os2;
   write_aggregate_row(parsed, os2);
   EXPECT_EQ(os.str(), os2.str());
-  EXPECT_TRUE(parsed.has_result);
-  EXPECT_EQ(parsed.tile_heat, row.tile_heat);
+  EXPECT_EQ(parsed, row);
 
   // A failed row without metrics or heat keeps its conditional keys out.
   AggregateRow bare;
@@ -143,7 +174,7 @@ TEST(AggregateRowIo, RoundTripsByteExactly) {
   EXPECT_EQ(os3.str().find("tile_heat"), std::string::npos);
   ASSERT_TRUE(parse_aggregate_row(
       os3.str().substr(0, os3.str().size() - 1), parsed, &err));
-  EXPECT_FALSE(parsed.has_result);
+  EXPECT_EQ(parsed, bare);
 }
 
 TEST(AggregatePublish, MergesByKeyAndLeavesNoTempFiles) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "metrics/stats_io.hpp"
+#include "runner/aggregate.hpp"
 #include "runner/cache.hpp"
 #include "runner/grid.hpp"
 #include "runner/suite.hpp"
@@ -255,6 +256,9 @@ TEST(Runner, ManifestHasOneLinePerJob) {
     RunResult r;
     r.workload = spec.params.workload;
     r.completed = true;
+    r.trace_path = spec.params.workload + ".trace.json";
+    r.trace_events = 100;
+    r.trace_dropped = 3;
     return r;
   };
 
@@ -263,6 +267,13 @@ TEST(Runner, ManifestHasOneLinePerJob) {
   options.manifest_path = manifest.string();
   const SweepResult sweep = run_jobs(specs, options, fn);
   EXPECT_EQ(sweep.failed, 0u);
+
+  // Every trace key the writer emits reads back.
+  for (const ManifestRow& row : read_manifest_file(manifest)) {
+    EXPECT_EQ(row.trace_path, row.workload + ".trace.json");
+    EXPECT_EQ(row.trace_events, 100u);
+    EXPECT_EQ(row.trace_dropped, 3u);
+  }
 
   std::ifstream in(manifest);
   ASSERT_TRUE(in.is_open());

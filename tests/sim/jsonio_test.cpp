@@ -43,7 +43,7 @@ TEST(JsonioNumber, FollowsTheJsonGrammar) {
 TEST(JsonioNumber, DoublesRoundTripTheWriterSpelling) {
   for (const double v : {0.0, -1.5, 0.1, 1e-300, 123456.789, 1.7e308}) {
     std::ostringstream os;
-    write_double(os, v);
+    write_value(os, v);
     const std::string text = os.str();
     std::string_view s = text;
     double back = 0;
@@ -106,16 +106,16 @@ TEST(JsonioValue, EscapeRoundTripsThroughParseString) {
 TEST(JsonioValue, ArraysParseAndWrite) {
   std::vector<std::uint64_t> v;
   std::string_view s = " [1, 2 ,3] ";
-  ASSERT_TRUE(parse_u64_array(s, v));
+  ASSERT_TRUE(parse_value(s, v));
   EXPECT_EQ(v, (std::vector<std::uint64_t>{1, 2, 3}));
   std::ostringstream os;
-  write_u64_array(os, v);
+  write_value(os, v);
   EXPECT_EQ(os.str(), "[1,2,3]");
   std::ostringstream empty;
-  write_u64_array(empty, {});
+  write_value(empty, std::vector<std::uint64_t>{});
   EXPECT_EQ(empty.str(), "[]");
   s = "[1,-2]";
-  EXPECT_FALSE(parse_u64_array(s, v));
+  EXPECT_FALSE(parse_value(s, v));
 }
 
 TEST(JsonioWalker, QuotesTheFailingValueFromItsStart) {

@@ -111,6 +111,15 @@ TEST(TelemetryExport, ReaderRejectsMalformedInput) {
   EXPECT_FALSE(read_telemetry_jsonl("{\"cycle\":1}\n\n{\"nacks\":[1]}\n",
                                     series, &err));
   EXPECT_EQ(err, "line 3: bad value for \"nacks\" near '[1]}'");
+
+  // The u32 gauges reject a value past 2^32-1 instead of wrapping it.
+  EXPECT_FALSE(read_sample_jsonl(R"({"cores_in_txn":4294967296,"cycle":1})",
+                                 out, &err));
+  EXPECT_EQ(err,
+            R"(bad value for "cores_in_txn" near '4294967296,"cycle":1}')");
+  EXPECT_FALSE(read_sample_jsonl("{\"cores_aborting\":4294967296}", out));
+  ASSERT_TRUE(read_sample_jsonl("{\"cores_aborting\":4294967295}", out));
+  EXPECT_EQ(out.cores_aborting, 4294967295u);
 }
 
 TEST(TelemetryExport, ReaderIgnoresBlankLines) {

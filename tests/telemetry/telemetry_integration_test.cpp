@@ -1,7 +1,7 @@
 // End-to-end telemetry contracts over real simulations:
 //
 //   1. Observability: attaching the sampler never changes simulated results
-//      (bit-identical RunResult with and without telemetry).
+//      (bit-identical RunResult and stats dump with and without telemetry).
 //   2. Determinism: the runner produces byte-identical telemetry JSONL no
 //      matter how many worker threads execute the sweep.
 //   3. Cache contract: sampled jobs bypass the result cache and sampling is
@@ -12,12 +12,15 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "arch/cmp.hpp"
 #include "metrics/experiment.hpp"
 #include "metrics/stats_io.hpp"
 #include "runner/cache.hpp"
 #include "runner/runner.hpp"
+#include "sim/kernel.hpp"
 #include "telemetry/export.hpp"
 
 namespace puno::telemetry {
@@ -58,15 +61,30 @@ struct TempDir {
   ~TempDir() { fs::remove_all(path); }
 };
 
+/// The run's result and its whole stats dump (write_stats_csv).
+std::pair<metrics::RunResult, std::string> run_with_stats(
+    const metrics::ExperimentParams& p) {
+  metrics::Experiment exp(p);
+  const metrics::RunResult r = exp.run();
+  std::ostringstream stats;
+  metrics::write_stats_csv(exp.cmp().kernel().stats(), stats);
+  return {r, stats.str()};
+}
+
 TEST(TelemetryIntegration, SamplingDoesNotPerturbResults) {
   for (const Scheme scheme : {Scheme::kBaseline, Scheme::kPuno}) {
-    const metrics::RunResult plain = metrics::run_experiment(
-        small_params(scheme));
+    const auto [plain, plain_stats] = run_with_stats(small_params(scheme));
 
     metrics::ExperimentParams sampled_params = small_params(scheme);
     sampled_params.telemetry.interval = 100;
-    metrics::RunResult sampled = metrics::run_experiment(sampled_params);
+    sampled_params.telemetry.spatial = true;
+    auto [sampled, sampled_stats] = run_with_stats(sampled_params);
     EXPECT_GT(sampled.telemetry_samples, 0u);
+    // The sampler reads counters without creating them: a Baseline run has
+    // no puno.* counters, sampled or not.
+    EXPECT_EQ(sampled_stats, plain_stats)
+        << "scheme " << to_string(scheme)
+        << ": sampling changed the stats dump";
 
     // Strip the telemetry bookkeeping: every simulated field must match.
     sampled.telemetry_path.clear();
