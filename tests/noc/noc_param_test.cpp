@@ -1,7 +1,10 @@
 // Parameterized NoC sweep: random traffic is fully delivered, every flit
-// accounted for each cycle, and a lone packet takes its exact zero-load time.
+// accounted for each cycle, every delivery lands on its pinned cycle, and a
+// lone packet takes its exact zero-load time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -23,6 +26,60 @@ using NocParam = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t,
 
 class NocParamTest : public ::testing::TestWithParam<NocParam> {};
 
+/// FNV-1a over every delivery (payload id, node, cycle) of a sweep point's
+/// random traffic, in delivery order. Pins exact timing under contention
+/// off the default config: a change to arbitration, credits or pipeline
+/// timing at any point moves its digest.
+struct DeliveryDigest {
+  NocParam param;
+  std::uint64_t digest;
+};
+constexpr DeliveryDigest kDeliveryDigests[] = {
+    {{2u, 1u, 2u, 1u}, 0x7649b6134cdea0f5ULL},
+    {{2u, 1u, 2u, 2u}, 0x327cc73c6cdd9ca1ULL},
+    {{2u, 1u, 4u, 1u}, 0x916a07f4f11f1f86ULL},
+    {{2u, 1u, 4u, 2u}, 0x72c18fbfcee1ded9ULL},
+    {{2u, 2u, 2u, 1u}, 0x3d0a49eaddbd33a1ULL},
+    {{2u, 2u, 2u, 2u}, 0x63bb99b5a341ad40ULL},
+    {{2u, 2u, 4u, 1u}, 0xbc4cd78e44c7462dULL},
+    {{2u, 2u, 4u, 2u}, 0x15f11b17c7be70c4ULL},
+    {{2u, 4u, 2u, 1u}, 0x66a2cc96b116f3e7ULL},
+    {{2u, 4u, 2u, 2u}, 0xfa6f30f02877ebacULL},
+    {{2u, 4u, 4u, 1u}, 0x13f5a83eb8d7ab77ULL},
+    {{2u, 4u, 4u, 2u}, 0xb9c04abe865a5906ULL},
+    {{4u, 1u, 2u, 1u}, 0xbaf8c6f59351ddabULL},
+    {{4u, 1u, 2u, 2u}, 0x029a0cc17f2762e1ULL},
+    {{4u, 1u, 4u, 1u}, 0x44dcf512e97c414fULL},
+    {{4u, 1u, 4u, 2u}, 0x38bcdae1db276162ULL},
+    {{4u, 2u, 2u, 1u}, 0x25d36c00e9c9811bULL},
+    {{4u, 2u, 2u, 2u}, 0x873f51c1641bd97fULL},
+    {{4u, 2u, 4u, 1u}, 0x56561b9a5b3475a9ULL},
+    {{4u, 2u, 4u, 2u}, 0xb8c7fe6994099a98ULL},
+    {{4u, 4u, 2u, 1u}, 0x257e0c2c7a3c814bULL},
+    {{4u, 4u, 2u, 2u}, 0xce49029c2b2f7910ULL},
+    {{4u, 4u, 4u, 1u}, 0xfc96579f9c399b03ULL},
+    {{4u, 4u, 4u, 2u}, 0x1317d4927b7052d2ULL},
+    {{8u, 1u, 2u, 1u}, 0x14e03f53b0b68d34ULL},
+    {{8u, 1u, 2u, 2u}, 0x1794734c3f1ed1a1ULL},
+    {{8u, 1u, 4u, 1u}, 0x9790ce1ee003172fULL},
+    {{8u, 1u, 4u, 2u}, 0x181308849089c995ULL},
+    {{8u, 2u, 2u, 1u}, 0x58713044d7645e24ULL},
+    {{8u, 2u, 2u, 2u}, 0x0e69c1a803d2b82fULL},
+    {{8u, 2u, 4u, 1u}, 0x9df561b0688206ecULL},
+    {{8u, 2u, 4u, 2u}, 0xcb1c36f9867f3049ULL},
+    {{8u, 4u, 2u, 1u}, 0xccdc2658485f389dULL},
+    {{8u, 4u, 2u, 2u}, 0x4d4ec1731151be9eULL},
+    {{8u, 4u, 4u, 1u}, 0x126fabc3a9746fd1ULL},
+    {{8u, 4u, 4u, 2u}, 0x3b4a9b89de011268ULL},
+};
+
+void mix(std::uint64_t& h, std::uint64_t v) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (v >> (8 * byte)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+}
+
 TEST_P(NocParamTest, RandomTrafficFullyDelivered) {
   const auto& [depth, vcs, stages, link] = GetParam();
   sim::Kernel kernel;
@@ -37,10 +94,15 @@ TEST_P(NocParamTest, RandomTrafficFullyDelivered) {
 
   int delivered = 0;
   std::map<int, int> outstanding;
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
   for (NodeId d = 0; d < 16; ++d) {
-    mesh.set_handler(d, [&](Packet p) {
+    mesh.set_handler(d, [&, d](Packet p) {
       ++delivered;
-      --outstanding[static_cast<const TestPayload*>(p.payload.get())->value];
+      const int id = static_cast<const TestPayload*>(p.payload.get())->value;
+      --outstanding[id];
+      mix(digest, static_cast<std::uint64_t>(id));
+      mix(digest, d);
+      mix(digest, kernel.now());
     });
   }
 
@@ -81,6 +143,11 @@ TEST_P(NocParamTest, RandomTrafficFullyDelivered) {
   for (const auto& [id, count] : outstanding) {
     ASSERT_EQ(count, 0) << "packet " << id;
   }
+  const auto pinned = std::find_if(
+      std::begin(kDeliveryDigests), std::end(kDeliveryDigests),
+      [&](const DeliveryDigest& row) { return row.param == GetParam(); });
+  ASSERT_NE(pinned, std::end(kDeliveryDigests)) << "no pinned digest";
+  EXPECT_EQ(digest, pinned->digest) << std::hex << "got 0x" << digest;
 }
 
 TEST_P(NocParamTest, LatencyLowerBoundRespected) {
