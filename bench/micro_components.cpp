@@ -120,6 +120,42 @@ void BM_MeshSaturated(benchmark::State& state) {
 }
 BENCHMARK(BM_MeshSaturated);
 
+void BM_Mesh16x16UniformRandom(benchmark::State& state) {
+  // The NoC alone at mesh256's scale, with no protocol above it. A 4x4
+  // mesh's router state fits in L2, so the two cases above cannot show a
+  // router layout change; 256 routers' state does not. Each node sends a
+  // packet to a uniformly random other node with probability 1/100 per
+  // cycle, 40% of them 64-byte data packets (5 flits): ~80 router
+  // traversals per cycle, about what mesh256 runs. One iteration is one
+  // simulated cycle; per_traversal is CPU time per router traversal.
+  struct Payload final : noc::PacketPayload {};
+  sim::Kernel kernel;
+  NocConfig cfg;
+  cfg.mesh_width = 16;
+  noc::Mesh mesh(kernel, cfg);
+  kernel.add_tickable(mesh);
+  sim::Rng rng(1, 0);
+  auto payload = std::make_shared<Payload>();
+  const std::uint32_t n = mesh.num_nodes();
+  const auto cycle = [&] {
+    for (NodeId src = 0; src < n; ++src) {
+      if (!rng.next_bool(0.01)) continue;
+      auto dst = static_cast<NodeId>(rng.next_below(n - 1));
+      if (dst >= src) ++dst;
+      mesh.send(src, dst, static_cast<noc::VNet>(rng.next_below(3)),
+                rng.next_bool(0.4) ? 64 : 0, payload);
+    }
+    kernel.step();
+  };
+  for (int warm = 0; warm < 2000; ++warm) cycle();  // reach steady state
+  const std::uint64_t before = mesh.router_traversals();
+  for (auto _ : state) cycle();
+  state.counters["per_traversal"] = benchmark::Counter(
+      static_cast<double>(mesh.router_traversals() - before),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_Mesh16x16UniformRandom);
+
 void BM_WorkloadGeneration(benchmark::State& state) {
   auto wl = workloads::stamp::make("bayes", 16, 1, /*scale=*/1e9);
   NodeId node = 0;

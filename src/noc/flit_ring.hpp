@@ -1,17 +1,16 @@
-// Fixed-capacity ring buffer for a router input VC's flit queue.
+// Index half of a router input VC's flit ring.
 //
 // A VC buffer holds at most NocConfig::vc_depth flits — the credit protocol
-// guarantees it — so the std::deque it used to be (heap blocks, bookkeeping,
-// poor locality) is replaced with a ring over storage sized once at router
-// construction. Depths up to kInline live directly inside the router's VC
-// array (no pointer chase at all); deeper configurations take a single
-// up-front heap block and are still allocation-free afterwards.
+// guarantees it. The router keeps every input VC's flits in one slot array
+// sized once at construction (inputs x vc_depth) and passes each call the
+// VC's span of it; the ring itself is just a head and a size, one byte
+// each, which is why validate() caps vc_depth at kMaxDepth. Wraps are
+// compares against the span's size, not a modulo.
 #pragma once
 
 #include <cassert>
-#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <utility>
 
 #include "noc/flit.hpp"
@@ -20,69 +19,52 @@ namespace puno::noc {
 
 class FlitRing {
  public:
-  /// VC depths up to this store their flits inline (default depth is 4).
-  static constexpr std::uint32_t kInline = 8;
+  /// Deepest ring the byte-wide indices can address.
+  static constexpr std::uint32_t kMaxDepth = 255;
 
-  FlitRing() = default;
-  FlitRing(const FlitRing&) = delete;
-  FlitRing& operator=(const FlitRing&) = delete;
-  FlitRing(FlitRing&&) = default;
-  FlitRing& operator=(FlitRing&&) = default;
-
-  /// Sets the capacity. Must be called once, before any push.
-  void set_capacity(std::uint32_t depth) {
-    assert(size_ == 0 && "capacity change with buffered flits");
-    cap_ = depth;
-    if (depth > kInline) spill_ = std::make_unique<Flit[]>(depth);
-    head_ = 0;
-    size_ = 0;
-  }
-
-  [[nodiscard]] std::uint32_t capacity() const noexcept { return cap_; }
   [[nodiscard]] std::uint32_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] bool full() const noexcept { return size_ == cap_; }
+  [[nodiscard]] bool full(std::span<const Flit> slots) const noexcept {
+    return size_ == slots.size();
+  }
 
-  void push_back(Flit f) {
-    assert(size_ < cap_ && "VC ring overflow (credit protocol violated)");
-    slot((head_ + size_) % cap_) = std::move(f);
+  void push_back(std::span<Flit> slots, Flit f) {
+    assert(size_ < slots.size() &&
+           "VC ring overflow (credit protocol violated)");
+    slots[wrap(head_ + size_, slots)] = std::move(f);
     ++size_;
   }
 
-  [[nodiscard]] Flit& front() noexcept {
+  [[nodiscard]] Flit& front(std::span<Flit> slots) const noexcept {
     assert(size_ > 0);
-    return slot(head_);
-  }
-  [[nodiscard]] const Flit& front() const noexcept {
-    assert(size_ > 0);
-    return const_cast<FlitRing*>(this)->slot(head_);
+    return slots[head_];
   }
 
-  void pop_front() noexcept {
+  void pop_front(std::span<Flit> slots) noexcept {
     assert(size_ > 0);
-    slot(head_) = Flit{};  // release the packet handle promptly
-    head_ = (head_ + 1) % cap_;
+    slots[head_] = Flit{};  // release the packet handle promptly
+    head_ = static_cast<std::uint8_t>(wrap(head_ + 1u, slots));
     --size_;
   }
 
   /// Drops the youngest flit (fault injection for the invariant-checker
   /// tests; head/VA state stays sane).
-  void pop_back() noexcept {
+  void pop_back(std::span<Flit> slots) noexcept {
     assert(size_ > 0);
     --size_;
-    slot((head_ + size_) % cap_) = Flit{};
+    slots[wrap(head_ + size_, slots)] = Flit{};
   }
 
  private:
-  [[nodiscard]] Flit& slot(std::uint32_t i) noexcept {
-    return spill_ != nullptr ? spill_[i] : inline_[i];
+  /// Folds a position in [0, 2 * size) back into the span.
+  [[nodiscard]] static std::uint32_t wrap(std::uint32_t pos,
+                                          std::span<const Flit> slots) {
+    return pos >= slots.size() ? pos - static_cast<std::uint32_t>(slots.size())
+                               : pos;
   }
 
-  std::uint32_t cap_ = 0;
-  std::uint32_t head_ = 0;
-  std::uint32_t size_ = 0;
-  Flit inline_[kInline];
-  std::unique_ptr<Flit[]> spill_;  ///< Engaged only when cap_ > kInline.
+  std::uint8_t head_ = 0;
+  std::uint8_t size_ = 0;
 };
 
 }  // namespace puno::noc

@@ -46,19 +46,10 @@ Mesh::Mesh(sim::Kernel& kernel, const NocConfig& cfg)
     });
   }
 
-  // The topology never changes after construction, so the O(n^2) all-pairs
-  // hop average is computed once here instead of per call.
-  std::uint64_t hops = 0;
-  std::uint64_t pairs = 0;
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = 0; b < n; ++b) {
-      if (a == b) continue;
-      hops += hop_distance(a, b, cfg_.mesh_width);
-      ++pairs;
-    }
-  }
+  // Mean hop distance over the n(n - 1) ordered src != dst pairs.
   const double avg_hops =
-      static_cast<double>(hops) / static_cast<double>(pairs);
+      static_cast<double>(total_hop_distance(cfg_.mesh_width, cfg_.rows())) /
+      static_cast<double>(std::uint64_t{n} * (n - 1));
   const double per_hop = cfg_.pipeline_stages + cfg_.link_latency;
   avg_c2c_latency_ = static_cast<std::uint32_t>(avg_hops * per_hop);
 }

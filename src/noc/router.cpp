@@ -10,46 +10,49 @@ constexpr std::uint32_t kEjectionCredits = 1u << 30;
 }  // namespace
 
 Router::Router(const NocConfig& cfg, NodeId id, sim::Counter& traversals)
-    : cfg_(cfg),
-      id_(id),
+    : inputs_(kNumPorts * cfg.total_vcs()),
+      slots_(inputs_.size() * cfg.vc_depth),
+      outputs_(kNumPorts * cfg.total_vcs(), OutputVc{.credits = cfg.vc_depth}),
       traversals_(traversals),
-      inputs_(kNumPorts * cfg.total_vcs()),
-      outputs_(kNumPorts) {
-  for (auto& in : inputs_) in.buffer.set_capacity(cfg.vc_depth);
-  for (auto& port : outputs_) {
-    port.vcs.resize(cfg.total_vcs(), OutputVc{.credits = cfg.vc_depth});
+      pipeline_delay_(Cycle{cfg.pipeline_stages} - 1),
+      mesh_width_(cfg.mesh_width),
+      id_(id),
+      depth_(static_cast<std::uint8_t>(cfg.vc_depth)),
+      total_vcs_(static_cast<std::uint8_t>(cfg.total_vcs())),
+      vcs_per_vnet_(static_cast<std::uint8_t>(cfg.vcs_per_vnet)),
+      num_scan_(static_cast<std::uint8_t>(inputs_.size())) {
+  assert(inputs_.size() <= kMaxScan &&
+         "validate() caps noc.vcs_per_vnet to fit a mask");
+  assert(cfg.vc_depth >= 1 && cfg.vc_depth <= FlitRing::kMaxDepth &&
+         "validate() caps noc.vc_depth to fit the ring's byte indices");
+  for (std::uint32_t vc = 0; vc < total_vcs_; ++vc) {
+    output(static_cast<std::uint32_t>(Port::kLocal), vc).credits =
+        kEjectionCredits;
   }
-  for (auto& vc : out(Port::kLocal).vcs) vc.credits = kEjectionCredits;
-  const std::uint32_t num_cand = kNumPorts * cfg.total_vcs();
-  assert(num_cand <= 64 && "validate() caps noc.vcs_per_vnet to fit a mask");
-  cand_port_.resize(num_cand);
-  cand_vc_.resize(num_cand);
-  for (std::uint32_t idx = 0; idx < num_cand; ++idx) {
-    cand_port_[idx] = static_cast<Port>(idx / cfg.total_vcs());
-    cand_vc_[idx] = idx % cfg.total_vcs();
+  for (std::uint32_t idx = 0; idx < num_scan_; ++idx) {
+    port_of_[idx] = static_cast<Port>(idx / total_vcs_);
   }
 }
 
 void Router::receive_flit(Port p, std::uint32_t vc, Flit flit, Cycle now) {
-  InputVc& in = in_vc(p, vc);
-  assert(!in.buffer.full() && "credit protocol violated");
+  const std::uint32_t idx = static_cast<std::uint32_t>(p) * total_vcs_ + vc;
+  InputVc& in = inputs_[idx];
+  const std::span<Flit> slots = slots_of(idx);
+  assert(!in.ring.full(slots) && "credit protocol violated");
   // The flit occupies the 4-stage pipeline before it may traverse the switch.
-  flit.ready_at = now + cfg_.pipeline_stages - 1;
-  if (in.buffer.empty() && !in.active) {
-    va_mask_ |= std::uint64_t{1}
-                << (static_cast<std::uint32_t>(p) * cfg_.total_vcs() + vc);
-  }
-  in.buffer.push_back(std::move(flit));
+  flit.ready_at = now + pipeline_delay_;
+  if (in.ring.empty() && !in.active) va_mask_ |= std::uint64_t{1} << idx;
+  in.ring.push_back(slots, std::move(flit));
   ++buffered_flits_;
   if (buffered_flits_ == 1 && active_set_ != nullptr) active_set_->add(id_);
 }
 
 bool Router::corrupt_drop_flit_for_test() {
-  for (std::uint32_t idx = 0; idx < inputs_.size(); ++idx) {
+  for (std::uint32_t idx = 0; idx < num_scan_; ++idx) {
     InputVc& in = inputs_[idx];
-    if (in.buffer.empty()) continue;
-    in.buffer.pop_back();  // drop the youngest flit; head/VA state stays sane
-    if (in.buffer.empty() && !in.active) {
+    if (in.ring.empty()) continue;
+    in.ring.pop_back(slots_of(idx));  // drop the youngest flit
+    if (in.ring.empty() && !in.active) {
       va_mask_ &= ~(std::uint64_t{1} << idx);
     }
     --buffered_flits_;
@@ -59,30 +62,28 @@ bool Router::corrupt_drop_flit_for_test() {
 }
 
 void Router::return_credit(Port p, std::uint32_t vc) {
-  OutputVc& ovc = out(p).vcs[vc];
-  assert(ovc.credits < cfg_.vc_depth || p == Port::kLocal);
+  OutputVc& ovc = output(static_cast<std::uint32_t>(p), vc);
+  assert(ovc.credits < depth_ || p == Port::kLocal);
   ++ovc.credits;
 }
 
-bool Router::try_allocate_vc(Port p, std::uint32_t vc, const Packet& pkt) {
-  InputVc& in = in_vc(p, vc);
-  in.out_port = route_xy(id_, pkt.dst, cfg_.mesh_width);
-  OutputPort& oport = out(in.out_port);
+bool Router::try_allocate_vc(std::uint32_t idx, const Packet& pkt) {
+  InputVc& in = inputs_[idx];
+  in.out_port = route_xy(id_, pkt.dst, mesh_width_);
+  const auto op = static_cast<std::uint32_t>(in.out_port);
   // VCs are partitioned per virtual network; a packet may only claim a VC
   // inside its vnet's slice, which is what breaks protocol deadlock.
   const std::uint32_t base =
-      static_cast<std::uint32_t>(pkt.vnet) * cfg_.vcs_per_vnet;
-  for (std::uint32_t i = 0; i < cfg_.vcs_per_vnet; ++i) {
-    const std::uint32_t cand = base + i;
-    if (!oport.vcs[cand].held) {
-      oport.vcs[cand].held = true;
-      in.out_vc = cand;
+      static_cast<std::uint32_t>(pkt.vnet) * vcs_per_vnet_;
+  for (std::uint32_t cand = base; cand < base + vcs_per_vnet_; ++cand) {
+    OutputVc& ovc = output(op, cand);
+    if (!ovc.held) {
+      ovc.held = true;
+      in.out_vc = static_cast<std::uint8_t>(cand);
       in.active = true;
-      const std::uint64_t bit =
-          std::uint64_t{1}
-          << (static_cast<std::uint32_t>(p) * cfg_.total_vcs() + vc);
+      const std::uint64_t bit = std::uint64_t{1} << idx;
       va_mask_ &= ~bit;
-      sa_mask_[static_cast<std::size_t>(in.out_port)] |= bit;
+      sa_mask_[op] |= bit;
       return true;
     }
   }
@@ -91,38 +92,38 @@ bool Router::try_allocate_vc(Port p, std::uint32_t vc, const Packet& pkt) {
 
 bool Router::try_switch(std::uint32_t op, std::uint32_t idx, Cycle now,
                         bool* input_port_used, std::vector<Traversal>& hops) {
-  const Port ip = cand_port_[idx];
-  const std::uint32_t ivc = cand_vc_[idx];
+  const Port ip = port_of_[idx];
   if (input_port_used[static_cast<std::size_t>(ip)]) return false;
-  InputVc& in = in_vc(ip, ivc);
-  if (!in.active || in.buffer.empty()) return false;
+  InputVc& in = inputs_[idx];
+  if (!in.active || in.ring.empty()) return false;
   if (static_cast<std::uint32_t>(in.out_port) != op) return false;
-  const Flit& front = in.buffer.front();
+  const std::span<Flit> slots = slots_of(idx);
+  Flit& front = in.ring.front(slots);
   if (front.ready_at > now) return false;
-  OutputPort& oport = out(static_cast<Port>(op));
-  OutputVc& ovc = oport.vcs[in.out_vc];
+  OutputVc& ovc = output(op, in.out_vc);
   if (ovc.credits == 0) return false;
 
   // Winner: traverse the switch.
-  Flit flit = std::move(in.buffer.front());
-  in.buffer.pop_front();
+  const bool tail = front.is_tail;
+  const auto in_vc = static_cast<std::uint8_t>(
+      idx - static_cast<std::uint32_t>(ip) * total_vcs_);
+  hops.push_back(Traversal{id_, static_cast<Port>(op), in.out_vc, ip, in_vc,
+                           std::move(front)});
+  in.ring.pop_front(slots);
   --buffered_flits_;
   --ovc.credits;
   input_port_used[static_cast<std::size_t>(ip)] = true;
-  oport.rr_next = (idx + 1) % (kNumPorts * cfg_.total_vcs());
+  rr_next_[op] = static_cast<std::uint8_t>(idx + 1 == num_scan_ ? 0 : idx + 1);
   traversals_.add();
   ++local_traversals_;
 
-  if (flit.is_tail) {
+  if (tail) {
     ovc.held = false;
     in.active = false;
     const std::uint64_t bit = std::uint64_t{1} << idx;
     sa_mask_[op] &= ~bit;
-    if (!in.buffer.empty()) va_mask_ |= bit;
+    if (!in.ring.empty()) va_mask_ |= bit;
   }
-
-  hops.push_back(Traversal{id_, static_cast<Port>(op), in.out_vc, ip, ivc,
-                           std::move(flit)});
   return true;
 }
 
@@ -135,21 +136,20 @@ void Router::tick(Cycle now, std::vector<Traversal>& hops) {
   while (waiting != 0) {
     const auto idx = static_cast<std::uint32_t>(__builtin_ctzll(waiting));
     waiting &= waiting - 1;
-    InputVc& in = inputs_[idx];
-    const Flit& head = in.buffer.front();
+    const Flit& head = inputs_[idx].ring.front(slots_of(idx));
     if (!head.is_head || head.ready_at > now) continue;
-    try_allocate_vc(cand_port_[idx], cand_vc_[idx], *head.packet);
+    try_allocate_vc(idx, *head.packet);
   }
 
   // Switch allocation + traversal: one flit per output port and per input
   // port per cycle, round-robin among competing input VCs: the allocated
   // candidates for each output port are visited in scan-index order
-  // starting at rr_next, wrapping once.
+  // starting at rr_next_, wrapping once.
   bool input_port_used[kNumPorts] = {};
   for (std::uint32_t op = 0; op < kNumPorts; ++op) {
     const std::uint64_t m = sa_mask_[op];
     if (m == 0) continue;
-    const std::uint32_t rr = out(static_cast<Port>(op)).rr_next;
+    const std::uint32_t rr = rr_next_[op];
     // Bits at idx >= rr first, then idx < rr: round-robin wrap order.
     std::uint64_t part = m & (~std::uint64_t{0} << rr);
     for (int half = 0; half < 2; ++half) {

@@ -17,19 +17,33 @@
 // "flit router traversals" counter — the exact network-traffic metric of
 // the paper's Figure 11.
 //
-// Hot-path notes: input VCs buffer flits in fixed-capacity rings (no deque,
-// no steady-state allocation), packets ride pooled PacketRef handles, and
-// the router reports its 0→1 buffered transition to an optional ActiveSet so
-// the mesh can skip quiescent routers entirely. The VA and SA scans iterate
-// candidate bitmasks instead of every (port, vc) slot: va_mask_ holds input
-// VCs with buffered flits awaiting VC allocation, sa_mask_[op] the allocated
-// input VCs routed to output port op. Bit position is the scan index
-// port * total_vcs + vc, visited in ascending (VA) or round-robin-from-
-// rr_next (SA) order. The (port, vc) space must fit one 64-bit word, so
-// validate() caps noc.vcs_per_vnet at 4 with the fixed 3 vnets.
+// Hot-path notes: a router's state is three flat arrays sized once from
+// NocConfig, plus a few inline fields, so a tick or a flit delivery
+// touches a few cache lines of one router (~3.5 KiB in four heap blocks at
+// the default config):
+//   - inputs_: one 5-byte InputVc per input VC: its ring's head and size as
+//     bytes (FlitRing) plus the VA state (active, out_port, out_vc);
+//   - slots_: every input VC's flits, vc_depth slots per VC, in input-VC
+//     order; FlitRing indexes the VC's span of it;
+//   - outputs_: one OutputVc (credits, held) per output (port, vc).
+// An input VC's scan index, port * total_vcs + vc, indexes inputs_, its
+// span of slots_ and its bit in the scan masks. The round-robin pointers
+// and the index -> port table live inline, and the router keeps only the
+// config fields it reads. Ring and round-robin wraps are compares, so no
+// division runs per flit. Packets ride pooled PacketRef handles, and the
+// router reports its 0->1 buffered transition to an optional ActiveSet so
+// the mesh can skip quiescent routers entirely. The VA and SA scans
+// iterate candidate bitmasks instead of every (port, vc) slot: va_mask_
+// holds input VCs with buffered flits awaiting VC allocation, sa_mask_[op]
+// the allocated input VCs routed to output port op, visited in ascending
+// (VA) or round-robin-from-rr_next_ (SA) order. The (port, vc) space must
+// fit one 64-bit word, so validate() caps noc.vcs_per_vnet at 4 with the
+// fixed 3 vnets; it caps noc.vc_depth at FlitRing::kMaxDepth.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "noc/active_set.hpp"
@@ -46,9 +60,9 @@ namespace puno::noc {
 struct Traversal {
   NodeId router;
   Port out_port;
-  std::uint32_t out_vc;
+  std::uint8_t out_vc;
   Port in_port;
-  std::uint32_t in_vc;
+  std::uint8_t in_vc;
   Flit flit;
 };
 
@@ -102,45 +116,39 @@ class Router {
   bool corrupt_drop_flit_for_test();
 
  private:
+  /// Scan-index space: one bit per input (port, vc) in a 64-bit mask.
+  static constexpr std::uint32_t kMaxScan = 64;
+
   struct InputVc {
-    FlitRing buffer;
+    FlitRing ring;              ///< Indexes this VC's span of slots_.
     bool active = false;        ///< Holds an in-flight packet (post-VA).
     Port out_port = Port::kLocal;
-    std::uint32_t out_vc = 0;
+    std::uint8_t out_vc = 0;
   };
   struct OutputVc {
     std::uint32_t credits = 0;
     bool held = false;          ///< Allocated to some upstream packet.
   };
-  struct OutputPort {
-    std::vector<OutputVc> vcs;
-    std::uint32_t rr_next = 0;  ///< Round-robin pointer over input VCs.
-  };
 
-  [[nodiscard]] InputVc& in_vc(Port p, std::uint32_t vc) {
-    return inputs_[static_cast<std::size_t>(p) * cfg_.total_vcs() + vc];
+  /// The flit slots of input VC `idx` (scan index port * total_vcs + vc).
+  [[nodiscard]] std::span<Flit> slots_of(std::uint32_t idx) noexcept {
+    return {slots_.data() + std::size_t{idx} * depth_, depth_};
   }
-  [[nodiscard]] OutputPort& out(Port p) {
-    return outputs_[static_cast<std::size_t>(p)];
+  [[nodiscard]] OutputVc& output(std::uint32_t port, std::uint32_t vc) {
+    return outputs_[port * total_vcs_ + vc];
   }
 
-  /// Tries VC allocation for the head flit at the front of (p, vc).
-  bool try_allocate_vc(Port p, std::uint32_t vc, const Packet& pkt);
+  /// Tries VC allocation for the head flit at the front of input VC `idx`.
+  bool try_allocate_vc(std::uint32_t idx, const Packet& pkt);
 
   /// Switch-allocation attempt for scan candidate `idx` competing for
   /// output port `op`; on success performs the traversal and returns true.
   bool try_switch(std::uint32_t op, std::uint32_t idx, Cycle now,
                   bool* input_port_used, std::vector<Traversal>& hops);
 
-  const NocConfig cfg_;
-  NodeId id_;
-  sim::Counter& traversals_;
-  ActiveSet* active_set_ = nullptr;
-
-  std::vector<InputVc> inputs_;            // [port][vc]
-  std::vector<OutputPort> outputs_;        // [port]
-  std::uint64_t buffered_flits_ = 0;
-  std::uint64_t local_traversals_ = 0;
+  std::vector<InputVc> inputs_;    // [port * total_vcs + vc]
+  std::vector<Flit> slots_;        // [(port * total_vcs + vc) * depth + i]
+  std::vector<OutputVc> outputs_;  // [port * total_vcs + vc]
   /// Scan-index bit per input VC that holds flits but no output VC yet.
   /// A set bit does not imply the head is ready — that is re-checked.
   std::uint64_t va_mask_ = 0;
@@ -148,10 +156,22 @@ class Router {
   /// port the packet is routed to. A set bit does not imply a flit is
   /// buffered or ready — both are re-checked in scan order.
   std::uint64_t sa_mask_[kNumPorts] = {};
-  /// Scan index -> (input port, input vc), precomputed to keep the integer
-  /// divisions out of the scan loops.
-  std::vector<Port> cand_port_;
-  std::vector<std::uint32_t> cand_vc_;
+  std::uint64_t buffered_flits_ = 0;
+  std::uint64_t local_traversals_ = 0;
+  ActiveSet* active_set_ = nullptr;
+  sim::Counter& traversals_;
+  Cycle pipeline_delay_;          ///< noc.pipeline_stages - 1.
+  std::uint32_t mesh_width_;
+  NodeId id_;
+  std::uint8_t depth_;            ///< noc.vc_depth.
+  std::uint8_t total_vcs_;
+  std::uint8_t vcs_per_vnet_;
+  std::uint8_t num_scan_;         ///< kNumPorts * total_vcs_.
+  /// Round-robin pointer per output port over scan indices.
+  std::uint8_t rr_next_[kNumPorts] = {};
+  /// Scan index -> input port, precomputed to keep the divisions out of
+  /// the scan loops.
+  std::array<Port, kMaxScan> port_of_{};
 };
 
 }  // namespace puno::noc

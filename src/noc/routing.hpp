@@ -64,4 +64,16 @@ struct Coord {
                                     std::abs(ca.y - cb.y));
 }
 
+/// hop_distance summed over all ordered node pairs of a width x height
+/// mesh, in closed form. Along one dimension of n positions, |a - b| summed
+/// over all ordered pairs is (n^3 - n) / 3 (an exact division: n^3 - n is
+/// a product of three consecutive integers), and each X pair recurs for
+/// every ordered pair of rows, as each Y pair does for every pair of columns.
+[[nodiscard]] constexpr std::uint64_t total_hop_distance(
+    std::uint32_t width, std::uint32_t height) noexcept {
+  const std::uint64_t w = width;
+  const std::uint64_t h = height;
+  return h * h * ((w * w * w - w) / 3) + w * w * ((h * h * h - h) / 3);
+}
+
 }  // namespace puno::noc

@@ -492,6 +492,12 @@ constexpr void for_each_key(Config& c, Visit&& visit) {
            std::to_string(NocConfig::num_vnets) + " vnets (got " +
            std::to_string(cfg.noc.vcs_per_vnet) +
            "): 5 router ports x total VCs must fit a 64-bit mask";
+  // A router input VC's ring indexes its flit slots with byte-wide head and
+  // size (src/noc/flit_ring.hpp).
+  if (cfg.noc.vc_depth > 255)
+    return "noc.vc_depth must be in [1, 255] (got " +
+           std::to_string(cfg.noc.vc_depth) +
+           "): a VC ring indexes its flits with bytes";
   // The mesh's link stage returns a traversal's credit the next cycle and
   // must not deliver its flit any earlier (src/noc/mesh.hpp).
   if (cfg.noc.link_latency == 0)

@@ -82,6 +82,19 @@ TEST(HopDistance, KnownValues) {
   EXPECT_EQ(hop_distance(5, 6, 4), 1u);
 }
 
+TEST(HopDistance, ClosedFormTotalMatchesAllPairsSum) {
+  for (std::uint32_t w = 1; w <= 16; ++w) {
+    for (std::uint32_t h = 1; h <= 16; ++h) {
+      const auto n = static_cast<NodeId>(w * h);
+      std::uint64_t sum = 0;
+      for (NodeId a = 0; a < n; ++a) {
+        for (NodeId b = 0; b < n; ++b) sum += hop_distance(a, b, w);
+      }
+      EXPECT_EQ(total_hop_distance(w, h), sum) << w << "x" << h;
+    }
+  }
+}
+
 TEST(Port, Names) {
   EXPECT_STREQ(to_string(Port::kLocal), "L");
   EXPECT_STREQ(to_string(Port::kNorth), "N");

@@ -136,6 +136,23 @@ TEST(SystemConfig, ValidateRequiresLinkLatencyOfAtLeastOneCycle) {
   EXPECT_NE(err->find("noc.link_latency"), std::string::npos) << *err;
 }
 
+// A VC ring's byte-wide indices address at most 255 flits. Checked through
+// validate() only: a router at such a depth would allocate its slots.
+TEST(SystemConfig, ValidateCapsVcDepthAtTheRingIndexWidth) {
+  SystemConfig top;
+  top.noc.vc_depth = 255;
+  EXPECT_EQ(validate(top), std::nullopt);
+
+  for (const std::uint32_t depth : {256u, 4294967295u}) {
+    SystemConfig over;
+    over.noc.vc_depth = depth;
+    const auto err = validate(over);
+    ASSERT_TRUE(err.has_value()) << depth;
+    EXPECT_NE(err->find("noc.vc_depth"), std::string::npos) << *err;
+    EXPECT_NE(err->find(std::to_string(depth)), std::string::npos) << *err;
+  }
+}
+
 TEST(SystemConfig, EffectiveKnobDefaultsScaleWithNodeCount) {
   SystemConfig cfg;
   cfg.num_nodes = 256;
