@@ -21,7 +21,6 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include <filesystem>
 #include <fstream>
@@ -41,7 +40,6 @@
 #include "telemetry/host_profiler.hpp"
 #include "telemetry/sampler.hpp"
 #include "traffic/registry.hpp"
-#include "traffic/stream_trace.hpp"
 #include "workloads/trace.hpp"
 
 namespace {
@@ -65,9 +63,9 @@ void usage(const char* argv0) {
       "  --set KEY=VALUE   override a config knob (same keys as punobatch\n"
       "                    --list-keys; e.g. traffic.zipf_theta=1.2,\n"
       "                    puno.enable_unicast=0, puno.enable_commit_hint=1)\n"
-      "  --replay FILE     replay a recorded workload stream (in memory)\n"
-      "  --stream-replay F replay a trace incrementally (constant memory;\n"
-      "                    for traces too large to load)\n"
+      "  --replay FILE     replay a recorded trace; it is checked before\n"
+      "                    the run and read from one open file in\n"
+      "                    constant memory\n"
       "  --record-trace F  write the generated stream to F and exit\n"
       "  --csv FILE        append the result as a CSV row\n"
       "  --stats           dump the full statistics registry\n"
@@ -109,7 +107,7 @@ int main(int argc, char** argv) {
   metrics::ExperimentParams params;
   params.workload = "intruder";
   bool dump_stats = false;
-  std::string replay_path, stream_replay_path, record_path, csv_path;
+  std::string replay_path, record_path, csv_path;
   bool verify_trace = false, want_abort_report = false;
   bool verify_telemetry = false, want_dashboard = false;
   bool profile_on = false;
@@ -170,8 +168,6 @@ int main(int argc, char** argv) {
       number("--scale", next(), runner::parse_f64, params.scale);
     } else if (arg == "--replay") {
       replay_path = next();
-    } else if (arg == "--stream-replay") {
-      stream_replay_path = next();
     } else if (arg == "--trace") {
       params.trace.enabled = true;
     } else if (arg.rfind("--trace=", 0) == 0) {
@@ -286,12 +282,9 @@ int main(int argc, char** argv) {
   try {
     if (!replay_path.empty()) {
       workload = std::make_unique<workloads::TraceWorkload>(
-          workloads::TraceWorkload::load(replay_path));
+          workloads::TraceWorkload::open(replay_path,
+                                         static_cast<NodeId>(cfg.num_nodes)));
       params.workload = workload->name() + " (replay)";
-    } else if (!stream_replay_path.empty()) {
-      workload = std::make_unique<traffic::StreamTraceWorkload>(
-          stream_replay_path, static_cast<NodeId>(cfg.num_nodes));
-      params.workload = workload->name() + " (stream-replay)";
     }
   } catch (const std::runtime_error& e) {
     std::fprintf(stderr, "%s\n", e.what());
@@ -323,13 +316,10 @@ int main(int argc, char** argv) {
   try {
     r = exp.run();
   } catch (const std::runtime_error& e) {
-    // The streaming replay parses lazily, so a malformed line deep in the
-    // trace surfaces here (bad input, exit 2); anything else is an output
-    // file that could not be written (exit 1).
+    // A replayed trace was checked before the run, so this is an output
+    // file that could not be written.
     std::fprintf(stderr, "%s\n", e.what());
-    return std::string_view(e.what()).substr(0, 17) == "trace parse error"
-               ? 2
-               : 1;
+    return 1;
   }
   if (profile_on) exp.cmp().kernel().set_profiler(nullptr);
 

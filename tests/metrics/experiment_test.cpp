@@ -11,7 +11,6 @@
 #include "arch/cmp.hpp"
 #include "metrics/stats_io.hpp"
 #include "traffic/registry.hpp"
-#include "traffic/stream_trace.hpp"
 #include "workloads/trace.hpp"
 
 namespace puno::metrics {
@@ -33,8 +32,8 @@ struct RunBytes {
 }
 
 TEST(Experiment, ReplaysRunLikeTheRecordedWorkload) {
-  // kmeans from the registry, from its recording loaded whole, and from
-  // the same recording streamed: one simulation, three workload sources.
+  // kmeans from the registry and from its recording: one simulation, two
+  // workload sources.
   ExperimentParams p;
   p.workload = "kmeans";
   p.scale = 0.05;
@@ -56,18 +55,12 @@ TEST(Experiment, ReplaysRunLikeTheRecordedWorkload) {
 
   ExperimentParams replay = p;
   replay.workload = "kmeans (replay)";
-  Experiment loaded(replay, std::make_unique<workloads::TraceWorkload>(
-                                workloads::TraceWorkload::load(path)));
-  const RunBytes from_load = run_bytes(loaded);
-  EXPECT_EQ(from_load.result_jsonl, expected.result_jsonl);
-  EXPECT_EQ(from_load.stats_csv, expected.stats_csv);
-
-  replay.workload = "kmeans (stream-replay)";
-  Experiment streamed(replay, std::make_unique<traffic::StreamTraceWorkload>(
-                                  path, static_cast<NodeId>(cfg.num_nodes)));
-  const RunBytes from_stream = run_bytes(streamed);
-  EXPECT_EQ(from_stream.result_jsonl, expected.result_jsonl);
-  EXPECT_EQ(from_stream.stats_csv, expected.stats_csv);
+  const auto nodes = static_cast<NodeId>(cfg.num_nodes);
+  Experiment replayed(replay, std::make_unique<workloads::TraceWorkload>(
+                                  workloads::TraceWorkload::open(path, nodes)));
+  const RunBytes from_trace = run_bytes(replayed);
+  EXPECT_EQ(from_trace.result_jsonl, expected.result_jsonl);
+  EXPECT_EQ(from_trace.stats_csv, expected.stats_csv);
 
   std::filesystem::remove(path);
 }

@@ -1,5 +1,6 @@
-#include "traffic/stream_trace.hpp"
-
+// File-backed replay of open-loop traffic recordings through
+// workloads::TraceWorkload::open: one open file, a node's blocks in file
+// order, and every malformed line rejected when the file is opened.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -14,6 +15,8 @@
 namespace puno::traffic {
 namespace {
 
+using workloads::TraceWorkload;
+
 [[nodiscard]] std::string write_temp(const std::string& text,
                                      const std::string& stem) {
   const std::filesystem::path p =
@@ -23,14 +26,19 @@ namespace {
   return p.string();
 }
 
-/// Records a small open-loop workload (drain mode) to trace-v1 text.
-[[nodiscard]] std::string record_traffic(NodeId nodes) {
+/// A small open-loop workload (drain mode, 10 arrivals per node).
+[[nodiscard]] OpenLoopWorkload traffic_source(NodeId nodes) {
   TrafficConfig cfg;
   cfg.arrivals_per_node = 10;
   cfg.keys = 128;
-  OpenLoopWorkload wl(KernelKind::kQueue, cfg, nodes, 13, 64);
+  return OpenLoopWorkload(KernelKind::kQueue, cfg, nodes, 13, 64);
+}
+
+/// Records traffic_source(nodes) to trace-v1 text.
+[[nodiscard]] std::string record_traffic(NodeId nodes) {
+  OpenLoopWorkload wl = traffic_source(nodes);
   std::ostringstream out;
-  workloads::TraceWorkload::record(wl, nodes, out);
+  TraceWorkload::record(wl, nodes, out);
   return out.str();
 }
 
@@ -48,24 +56,39 @@ void expect_same_desc(const workloads::TxnDesc& a,
   }
 }
 
-TEST(StreamTraceWorkload, MatchesMaterializedReplayDescriptorForDescriptor) {
-  constexpr NodeId kNodes = 4;
-  const std::string text = record_traffic(kNodes);
-  const std::string path = write_temp(text, "stream-equiv");
+/// The message of the error opening `text` as a trace throws, or "".
+[[nodiscard]] std::string open_error(const std::string& text,
+                                     const std::string& stem) {
+  const std::string path = write_temp(text, stem);
+  std::string msg;
+  try {
+    (void)TraceWorkload::open(path, 1);
+  } catch (const std::runtime_error& e) {
+    msg = e.what();
+  }
+  std::filesystem::remove(path);
+  return msg;
+}
 
-  std::istringstream in(text);
-  workloads::TraceWorkload materialized = workloads::TraceWorkload::parse(in);
-  StreamTraceWorkload streaming(path, kNodes);
+TEST(StreamTraceWorkload, MatchesMaterializedReplayDescriptorForDescriptor) {
+  // The replay yields the recorded source's descriptors, node by node.
+  constexpr NodeId kNodes = 4;
+  const std::string path = write_temp(record_traffic(kNodes), "stream-equiv");
+  OpenLoopWorkload source = traffic_source(kNodes);
+  TraceWorkload replay = TraceWorkload::open(path, kNodes);
 
   for (NodeId n = 0; n < kNodes; ++n) {
+    std::uint64_t replayed = 0;
     for (;;) {
-      const auto a = materialized.next(n);
-      const auto b = streaming.next(n);
+      const auto a = source.next(n);
+      const auto b = replay.next(n);
       ASSERT_EQ(a.has_value(), b.has_value());
       if (!a) break;
       expect_same_desc(*a, *b);
+      ++replayed;
     }
-    EXPECT_EQ(streaming.replayed(n), 10u);
+    EXPECT_EQ(replayed, 10u);
+    EXPECT_EQ(replay.txns_for(n), 10u);
   }
   std::filesystem::remove(path);
 }
@@ -74,60 +97,53 @@ TEST(StreamTraceWorkload, CursorsAdvanceIndependently) {
   constexpr NodeId kNodes = 3;
   const std::string path =
       write_temp(record_traffic(kNodes), "stream-cursors");
-  StreamTraceWorkload wl(path, kNodes);
+  TraceWorkload wl = TraceWorkload::open(path, kNodes);
+  OpenLoopWorkload source = traffic_source(kNodes);
 
   // Drain node 2 completely before touching the others.
   int node2 = 0;
   while (wl.next(2).has_value()) ++node2;
   EXPECT_EQ(node2, 10);
-  EXPECT_EQ(wl.replayed(0), 0u);
-  EXPECT_TRUE(wl.next(0).has_value());
-  EXPECT_TRUE(wl.next(1).has_value());
+  for (const NodeId n : {NodeId{0}, NodeId{1}}) {
+    const auto a = source.next(n);
+    const auto b = wl.next(n);
+    ASSERT_TRUE(a.has_value() && b.has_value());
+    expect_same_desc(*a, *b);  // still each node's first block
+  }
   EXPECT_FALSE(wl.next(2).has_value());  // stays exhausted
   std::filesystem::remove(path);
 }
 
 TEST(StreamTraceWorkload, ThrowsOnMissingFile) {
-  EXPECT_THROW(StreamTraceWorkload("/nonexistent/nowhere.trace", 2),
+  EXPECT_THROW((void)TraceWorkload::open("/nonexistent/nowhere.trace", 2),
                std::runtime_error);
 }
 
 TEST(StreamTraceWorkload, MalformedLinesNameTheOffendingToken) {
-  const std::string path = write_temp(
+  const std::string msg = open_error(
       "trace-v1 bad\n"
       "txn 0 1 pre=0 post=0\n"
       "r banana pc=1 think=0\n"
       "end\n",
       "stream-badtoken");
-  StreamTraceWorkload wl(path, 1);
-  try {
-    (void)wl.next(0);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("banana"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
-  }
-  std::filesystem::remove(path);
+  EXPECT_NE(msg.find("banana"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
 }
 
 TEST(StreamTraceWorkload, RejectsTruncatedBlocks) {
-  const std::string path = write_temp(
+  const std::string msg = open_error(
       "trace-v1 truncated\n"
       "txn 0 1 pre=0 post=0\n"
       "r 64 pc=1 think=0\n",  // no `end`
       "stream-truncated");
-  StreamTraceWorkload wl(path, 1);
-  EXPECT_THROW((void)wl.next(0), std::runtime_error);
-  std::filesystem::remove(path);
+  EXPECT_NE(msg.find("unterminated txn block"), std::string::npos) << msg;
 }
 
 TEST(StreamTraceWorkload, RejectsMissingHeader) {
-  const std::string path = write_temp(
-      "txn 0 1 pre=0 post=0\nend\n", "stream-noheader");
-  // The header is validated eagerly when the reader opens the file.
-  EXPECT_THROW(StreamTraceWorkload(path, 1), std::runtime_error);
-  std::filesystem::remove(path);
+  const std::string msg =
+      open_error("txn 0 1 pre=0 post=0\nend\n", "stream-noheader");
+  EXPECT_NE(msg.find("line 1: missing 'trace-v1' header"), std::string::npos)
+      << msg;
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "workloads/stamp.hpp"
@@ -22,8 +23,7 @@ end
 )";
 
 TraceWorkload tiny() {
-  std::istringstream in(kTrace);
-  return TraceWorkload::parse(in);
+  return TraceWorkload(std::make_unique<std::istringstream>(kTrace), 2);
 }
 
 TEST(WorkloadAnalysis, CountsTxnsSitesAndOps) {
@@ -65,8 +65,8 @@ TEST(WorkloadAnalysis, ThinkAccounting) {
 }
 
 TEST(WorkloadAnalysis, EmptyWorkloadYieldsZeros) {
-  std::istringstream in("trace-v1 empty\n");
-  TraceWorkload w = TraceWorkload::parse(in);
+  TraceWorkload w(std::make_unique<std::istringstream>("trace-v1 empty\n"),
+                  4);
   const WorkloadProfile p = analyze(w, 4);
   EXPECT_EQ(p.total_txns, 0u);
   EXPECT_EQ(p.footprint_blocks, 0u);

@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <string>
 
 #include "workloads/stamp.hpp"
 
 namespace puno::workloads {
 namespace {
+
+/// Replays `text` on a machine of `num_nodes` cores.
+TraceWorkload load(const std::string& text, NodeId num_nodes = 2) {
+  return TraceWorkload(std::make_unique<std::istringstream>(text), num_nodes);
+}
 
 constexpr const char* kTinyTrace = R"(# a minimal two-node trace
 trace-v1 mini
@@ -23,8 +30,7 @@ end
 )";
 
 TEST(TraceWorkload, ParsesMinimalTrace) {
-  std::istringstream in(kTinyTrace);
-  TraceWorkload w = TraceWorkload::parse(in);
+  TraceWorkload w = load(kTinyTrace);
   EXPECT_EQ(w.name(), "mini");
   EXPECT_EQ(w.total_txns(), 3u);
   EXPECT_EQ(w.txns_for(0), 2u);
@@ -44,8 +50,7 @@ TEST(TraceWorkload, ParsesMinimalTrace) {
 }
 
 TEST(TraceWorkload, StreamsExhaustIndependently) {
-  std::istringstream in(kTinyTrace);
-  TraceWorkload w = TraceWorkload::parse(in);
+  TraceWorkload w = load(kTinyTrace);
   EXPECT_TRUE(w.next(1).has_value());
   EXPECT_FALSE(w.next(1).has_value());
   EXPECT_TRUE(w.next(0).has_value());
@@ -55,8 +60,7 @@ TEST(TraceWorkload, StreamsExhaustIndependently) {
 }
 
 TEST(TraceWorkload, EmptyTransactionAllowed) {
-  std::istringstream in(kTinyTrace);
-  TraceWorkload w = TraceWorkload::parse(in);
+  TraceWorkload w = load(kTinyTrace);
   (void)w.next(0);
   auto d = w.next(0);
   ASSERT_TRUE(d.has_value());
@@ -65,8 +69,7 @@ TEST(TraceWorkload, EmptyTransactionAllowed) {
 
 TEST(TraceWorkload, RejectsMalformedInput) {
   const auto expect_throw = [](const char* text) {
-    std::istringstream in(text);
-    EXPECT_THROW(TraceWorkload::parse(in), std::runtime_error) << text;
+    EXPECT_THROW(load(text), std::runtime_error) << text;
   };
   expect_throw("");                                   // empty
   expect_throw("txn 0 0 pre=0 post=0\nend\n");        // missing header
@@ -78,15 +81,18 @@ TEST(TraceWorkload, RejectsMalformedInput) {
 }
 
 TEST(TraceWorkload, RoundTripIsIdentical) {
-  std::istringstream in(kTinyTrace);
-  TraceWorkload w = TraceWorkload::parse(in);
+  TraceWorkload w = load(kTinyTrace);
   std::ostringstream out;
-  w.write(out);
-  std::istringstream in2(out.str());
-  TraceWorkload w2 = TraceWorkload::parse(in2);
+  TraceWorkload::record(w, 2, out);
+  TraceWorkload w2 = load(out.str());
   std::ostringstream out2;
-  w2.write(out2);
+  TraceWorkload::record(w2, 2, out2);
   EXPECT_EQ(out.str(), out2.str());
+  EXPECT_EQ(out.str(),
+            "trace-v1 mini\n"
+            "txn 0 3 pre=10 post=20\nr 64 pc=100 think=2\nw 64 pc=101 think=3\n"
+            "end\ntxn 0 3 pre=5 post=5\nend\n"
+            "txn 1 0 pre=0 post=0\nr 128 pc=7 think=1\nend\n");
 }
 
 TEST(TraceWorkload, RecordsSyntheticWorkloadFaithfully) {
@@ -96,8 +102,7 @@ TEST(TraceWorkload, RecordsSyntheticWorkloadFaithfully) {
 
   // Replaying the trace yields exactly the same descriptor sequence as a
   // fresh generator with the same seed.
-  std::istringstream in(rec.str());
-  TraceWorkload replay = TraceWorkload::parse(in);
+  TraceWorkload replay = load(rec.str(), 4);
   auto fresh = stamp::make("kmeans", 4, 11, 0.05);
   for (NodeId n = 0; n < 4; ++n) {
     while (true) {
@@ -123,17 +128,15 @@ TEST(TraceWorkload, RecordHonoursPerNodeCap) {
   auto source = stamp::make("kmeans", 2, 1, 1.0);
   std::ostringstream rec;
   TraceWorkload::record(*source, 2, rec, /*max_per_node=*/3);
-  std::istringstream in(rec.str());
-  TraceWorkload w = TraceWorkload::parse(in);
+  TraceWorkload w = load(rec.str());
   EXPECT_EQ(w.txns_for(0), 3u);
   EXPECT_EQ(w.txns_for(1), 3u);
 }
 
 TEST(TraceWorkload, ParseErrorsNameTheLineAndOffendingToken) {
   const auto message_of = [](const char* text) -> std::string {
-    std::istringstream in(text);
     try {
-      (void)TraceWorkload::parse(in);
+      (void)load(text);
     } catch (const std::runtime_error& e) {
       return e.what();
     }
@@ -199,11 +202,12 @@ TEST(TraceWorkload, ParseErrorsNameTheLineAndOffendingToken) {
   }
 
   // The widest values that fit still load.
-  std::istringstream max_in(
-      "trace-v1 x\ntxn 0 4294967295 pre=4294967295 post=4294967295\n"
-      "r 18446744073709551615 pc=18446744073709551615 think=4294967295\n"
-      "end\n");
-  EXPECT_EQ(TraceWorkload::parse(max_in).total_txns(), 1u);
+  EXPECT_EQ(load("trace-v1 x\ntxn 0 4294967295 pre=4294967295 "
+                 "post=4294967295\n"
+                 "r 18446744073709551615 pc=18446744073709551615 "
+                 "think=4294967295\nend\n")
+                .total_txns(),
+            1u);
 }
 
 TEST(TraceWorkload, RecordZeroCapDrainsTheSourceCompletely) {
@@ -219,18 +223,63 @@ TEST(TraceWorkload, RecordZeroCapDrainsTheSourceCompletely) {
   while (fresh->next(1).has_value()) ++expect1;
   ASSERT_GT(expect0, 0u);
 
-  std::istringstream in(rec.str());
-  TraceWorkload w = TraceWorkload::parse(in);
+  TraceWorkload w = load(rec.str());
   EXPECT_EQ(w.txns_for(0), expect0);
   EXPECT_EQ(w.txns_for(1), expect1);
 }
 
 TEST(TraceWorkload, CommentsAndBlankLinesIgnored) {
-  std::istringstream in(
+  TraceWorkload w = load(
       "trace-v1 c\n\n# full comment line\ntxn 0 1 pre=1 post=1 # trailing\n"
       "r 64 pc=1 think=1\nend\n");
-  TraceWorkload w = TraceWorkload::parse(in);
   EXPECT_EQ(w.total_txns(), 1u);
+}
+
+TEST(TraceWorkload, RejectsNodesTheMachineDoesNotHave) {
+  // kTinyTrace's line 7 holds node 1's block: a one-core machine has no
+  // node 1, so the check fails there, quoting the node token.
+  try {
+    (void)load(kTinyTrace, 1);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("trace parse error at line 7"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("node '1'"), std::string::npos) << msg;
+  }
+
+  // A trace may use fewer nodes than the machine has: the others idle.
+  TraceWorkload w = load(kTinyTrace, 16);
+  EXPECT_EQ(w.total_txns(), 3u);
+  EXPECT_FALSE(w.next(15).has_value());
+  EXPECT_TRUE(w.next(1).has_value());
+}
+
+TEST(TraceWorkload, InterleavedTraceKeepsPerNodeFileOrder) {
+  // Round-robin blocks for three nodes, static id = 10 * node + index:
+  // each node's scan must pass over the other nodes' blocks, in whatever
+  // order the nodes ask.
+  std::string text = "trace-v1 rr\n";
+  for (int k = 0; k < 4; ++k) {
+    for (int n = 0; n < 3; ++n) {
+      text += "txn " + std::to_string(n) + " " + std::to_string(10 * n + k) +
+              " pre=0 post=0\n# between\nr " +
+              std::to_string(64 * (10 * n + k)) + " pc=1 think=0\nend\n\n";
+    }
+  }
+  TraceWorkload w = load(text, 3);
+  EXPECT_EQ(w.txns_for(0), 4u);
+  EXPECT_EQ(w.txns_for(2), 4u);
+  int served[3] = {0, 0, 0};
+  for (const NodeId n : {2, 2, 0, 1, 2, 1, 1, 0, 0, 2, 1, 0}) {
+    const auto d = w.next(n);
+    ASSERT_TRUE(d.has_value()) << "node " << n;
+    EXPECT_EQ(d->static_id, 10u * n + static_cast<unsigned>(served[n]));
+    ASSERT_EQ(d->ops.size(), 1u);
+    EXPECT_EQ(d->ops[0].addr, 64u * d->static_id);
+    ++served[n];
+  }
+  for (NodeId n = 0; n < 3; ++n) EXPECT_FALSE(w.next(n).has_value());
 }
 
 }  // namespace
