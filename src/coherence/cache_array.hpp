@@ -3,13 +3,24 @@
 // Used for both the private L1s and the shared L2 banks. The simulator
 // tracks tags and per-line metadata only — simulated programs have no data
 // values, so "data" never needs to be stored.
+//
+// The lines come from std::calloc, not a value-initialized vector: the zero
+// pages of a fresh mapping then fault only when a set is first used, so
+// building a CMP (256 KiB of tags per 16-tile L2 bank) touches no page and
+// its cost does not depend on what earlier runs left in the heap. That
+// needs a trivially copyable line whose all-zero bytes are its default:
+// address 0, invalid, LRU 0, and a LineState whose default is zero.
 #pragma once
 
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <optional>
-#include <vector>
+#include <span>
+#include <type_traits>
 
 #include "sim/types.hpp"
 
@@ -26,6 +37,9 @@ struct CacheLine {
 
 template <typename LineState>
 class CacheArray {
+  static_assert(std::is_trivially_copyable_v<CacheLine<LineState>>,
+                "CacheArray zero-fills its lines with calloc");
+
  public:
   /// size_bytes / block_bytes must be divisible by assoc; all powers of two.
   CacheArray(std::uint64_t size_bytes, std::uint32_t assoc,
@@ -33,9 +47,12 @@ class CacheArray {
       : assoc_(assoc),
         block_bytes_(block_bytes),
         num_sets_(static_cast<std::uint32_t>(size_bytes / block_bytes / assoc)),
-        lines_(static_cast<std::size_t>(num_sets_) * assoc) {
+        lines_(static_cast<CacheLine<LineState>*>(
+            std::calloc(static_cast<std::size_t>(num_sets_) * assoc,
+                        sizeof(CacheLine<LineState>)))) {
     assert(std::has_single_bit(num_sets_));
     assert(std::has_single_bit(block_bytes_));
+    if (!lines_) throw std::bad_alloc();
   }
 
   [[nodiscard]] std::uint32_t num_sets() const noexcept { return num_sets_; }
@@ -106,18 +123,28 @@ class CacheArray {
   /// Iterates all valid lines (test/debug aid).
   template <typename Fn>
   void for_each_valid(Fn&& fn) {
-    for (auto& line : lines_) {
+    for (auto& line : lines()) {
       if (line.valid) fn(line);
     }
   }
   template <typename Fn>
   void for_each_valid(Fn&& fn) const {
-    for (const auto& line : lines_) {
+    for (const auto& line : lines()) {
       if (line.valid) fn(line);
     }
   }
 
  private:
+  struct Free {
+    void operator()(void* p) const noexcept { std::free(p); }
+  };
+
+  [[nodiscard]] std::span<CacheLine<LineState>> lines() noexcept {
+    return {lines_.get(), static_cast<std::size_t>(num_sets_) * assoc_};
+  }
+  [[nodiscard]] std::span<const CacheLine<LineState>> lines() const noexcept {
+    return {lines_.get(), static_cast<std::size_t>(num_sets_) * assoc_};
+  }
   [[nodiscard]] CacheLine<LineState>& at(std::uint32_t set, std::uint32_t way) {
     return lines_[static_cast<std::size_t>(set) * assoc_ + way];
   }
@@ -126,7 +153,7 @@ class CacheArray {
   std::uint32_t block_bytes_;
   std::uint32_t num_sets_;
   std::uint64_t lru_clock_ = 0;
-  std::vector<CacheLine<LineState>> lines_;
+  std::unique_ptr<CacheLine<LineState>[], Free> lines_;
 };
 
 }  // namespace puno::coherence

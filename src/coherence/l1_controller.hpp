@@ -115,6 +115,8 @@ class L1Controller {
   struct L1Meta {
     LineState state = LineState::kS;
   };
+  static_assert(static_cast<int>(LineState::kS) == 0,
+                "CacheArray zero-fills lines: the default state must be 0");
   struct Mshr {
     BlockAddr addr = 0;
     bool is_store = false;

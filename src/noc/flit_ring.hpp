@@ -5,7 +5,9 @@
 // sized once at construction (inputs x vc_depth) and passes each call the
 // VC's span of it; the ring itself is just a head and a size, one byte
 // each, which is why validate() caps vc_depth at kMaxDepth. Wraps are
-// compares against the span's size, not a modulo.
+// compares against the span's size, not a modulo. The mesh writes a flit
+// into its ring only once the flit may switch, so the front flit is always
+// eligible and the ring stores no timing.
 #pragma once
 
 #include <cassert>

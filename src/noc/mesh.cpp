@@ -1,5 +1,6 @@
 #include "noc/mesh.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace puno::noc {
@@ -21,11 +22,15 @@ Mesh::Mesh(sim::Kernel& kernel, const NocConfig& cfg)
     : kernel_(kernel),
       cfg_(cfg),
       traversals_(&kernel.stats().counter("noc.router_traversals")),
-      stage_(cfg.link_latency + 1),
+      stage_(cfg.link_latency + std::max(cfg.pipeline_stages - 1, 1u)),
+      injecting_(cfg.pipeline_stages),
+      pipeline_delay_(cfg.pipeline_stages - 1),
       handlers_(num_nodes()),
       ni_active_(num_nodes()),
       router_active_(num_nodes()) {
   assert(cfg_.link_latency >= 1 && "validate() rejects noc.link_latency 0");
+  assert(cfg_.pipeline_stages >= 1 &&
+         "validate() rejects noc.pipeline_stages 0");
   const auto width = static_cast<std::int32_t>(cfg_.mesh_width);
   step_ = {0, -width, width, 1, -1};  // local, north, south, east, west
   const std::uint32_t n = num_nodes();
@@ -36,8 +41,7 @@ Mesh::Mesh(sim::Kernel& kernel, const NocConfig& cfg)
     routers_.back()->set_active_set(&router_active_);
   }
   for (NodeId i = 0; i < n; ++i) {
-    nis_.push_back(std::make_unique<NetworkInterface>(kernel_, cfg_, i,
-                                                      *routers_[i], pool_,
+    nis_.push_back(std::make_unique<NetworkInterface>(kernel_, cfg_, i, pool_,
                                                       kernel_.stats()));
     nis_.back()->set_active_set(&ni_active_);
     nis_.back()->set_delivery_handler([this, i](Packet p) {
@@ -84,75 +88,109 @@ void Mesh::send(NodeId src, NodeId dst, VNet vnet, std::uint32_t data_bytes,
 }
 
 void Mesh::tick(Cycle now) {
-  const std::size_t s = now % stage_.size();
-  std::vector<Traversal>& hops = stage_[s];
-  assert(hops.empty() && "link stage slot reused before its flits landed");
+  std::vector<Injection>& injected =
+      injecting_[(now + pipeline_delay_) % injecting_.size()];
+  std::vector<Traversal>& hops = stage_[now % stage_.size()].hops;
   if (cfg_.always_tick) {
     // Reference schedule: full id-ordered sweep, every cycle. The active
     // sets are still pruned so their contents match the active-set mode
     // bit for bit (the invariant checker asserts coverage in both modes).
-    for (auto& ni : nis_) ni->tick(now);
-    for (auto& r : routers_) r->tick(now, hops);
+    for (auto& ni : nis_) ni->tick(now, injected);
+    enter_routers(now);
+    for (auto& r : routers_) r->tick(hops);
     ni_active_.for_each_prune(
         [this](NodeId id) { return !nis_[id]->idle(); });
     router_active_.for_each_prune(
         [this](NodeId id) { return !routers_[id]->idle(); });
   } else {
     // Active-set schedule: same id order as the full sweep, minus
-    // components whose tick would provably be a no-op. NIs run first and
-    // may inject into their local router, activating it for the router pass
-    // below — exactly the visibility the full sweep had.
-    ni_active_.for_each_prune([this, now](NodeId id) {
-      nis_[id]->tick(now);
+    // components whose tick would provably be a no-op. Every flit that may
+    // switch this cycle enters its router before the router pass, which
+    // activates the router for it.
+    ni_active_.for_each_prune([this, now, &injected](NodeId id) {
+      nis_[id]->tick(now, injected);
       return !nis_[id]->idle();
     });
-    router_active_.for_each_prune([this, now, &hops](NodeId id) {
-      routers_[id]->tick(now, hops);
+    enter_routers(now);
+    router_active_.for_each_prune([this, &hops](NodeId id) {
+      routers_[id]->tick(hops);
       return !routers_[id]->idle();
     });
   }
   if (hops.empty()) return;
   // Credits are read only inside router and NI ticks, so returning a whole
   // slot's credits before any of its flits cannot be observed.
+  const std::size_t s = now % stage_.size();
   kernel_.schedule(1, [this, s] { return_credits(s); });
-  kernel_.schedule(cfg_.link_latency, [this, s] { deliver_flits(s); });
+  kernel_.schedule(cfg_.link_latency, [this, s] { land(s); });
+}
+
+void Mesh::enter_routers(Cycle now) {
+  // The slot this tick reuses was switched link_latency + max(d, 1) cycles
+  // ago; its router-bound flits have served their pipeline.
+  StageSlot& slot = stage_[now % stage_.size()];
+  assert((slot.landed || slot.hops.empty()) &&
+         "link stage slot reused before its flits landed");
+  for (Traversal& t : slot.hops) {
+    if (t.out_port == Port::kLocal) continue;  // ejected when it landed
+    routers_[neighbour_id(t.router, t.out_port)]->receive_flit(
+        opposite(t.out_port), t.out_vc, std::move(t.flit));
+  }
+  slot.hops.clear();
+  slot.landed = false;
+  std::vector<Injection>& injected = injecting_[now % injecting_.size()];
+  for (Injection& i : injected) {
+    routers_[i.router]->receive_flit(Port::kLocal, i.vc, std::move(i.flit));
+  }
+  injected.clear();
 }
 
 void Mesh::return_credits(std::size_t s) {
-  for (const Traversal& t : stage_[s]) {
+  for (const Traversal& t : stage_[s].hops) {
     if (t.in_port == Port::kLocal) {
       nis_[t.router]->return_credit(t.in_vc);
     } else {
-      neighbour(t.router, t.in_port)
-          .return_credit(opposite(t.in_port), t.in_vc);
+      routers_[neighbour_id(t.router, t.in_port)]->return_credit(
+          opposite(t.in_port), t.in_vc);
     }
   }
 }
 
-void Mesh::deliver_flits(std::size_t s) {
-  const Cycle now = kernel_.now();
-  for (Traversal& t : stage_[s]) {
+void Mesh::land(std::size_t s) {
+  StageSlot& slot = stage_[s];
+  for (Traversal& t : slot.hops) {
     if (t.out_port == Port::kLocal) {
       nis_[t.router]->eject_flit(t.out_vc, std::move(t.flit));
-    } else {
-      neighbour(t.router, t.out_port)
-          .receive_flit(opposite(t.out_port), t.out_vc, std::move(t.flit),
-                        now);
     }
   }
-  stage_[s].clear();
+  slot.landed = true;
+}
+
+template <typename Fn>
+void Mesh::for_each_held(Fn&& fn) const {
+  for (const StageSlot& slot : stage_) {
+    if (!slot.landed) continue;
+    for (const Traversal& t : slot.hops) {
+      if (t.out_port != Port::kLocal) fn(neighbour_id(t.router, t.out_port));
+    }
+  }
+  for (const auto& injected : injecting_) {
+    for (const Injection& i : injected) fn(i.router);
+  }
 }
 
 std::uint64_t Mesh::inflight_link_flits() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& slot : stage_) total += slot.size();
+  for (const StageSlot& slot : stage_) {
+    if (!slot.landed) total += slot.hops.size();
+  }
   return total;
 }
 
 bool Mesh::idle() const {
-  if (inflight_link_flits() != 0 || inflight_local_ != 0) return false;
-  for (const auto& r : routers_) {
-    if (!r->idle()) return false;
+  if (inflight_link_flits() != 0 || inflight_local_ != 0 ||
+      buffered_router_flits() != 0) {
+    return false;
   }
   for (const auto& ni : nis_) {
     if (!ni->idle()) return false;
@@ -163,12 +201,37 @@ bool Mesh::idle() const {
 std::uint64_t Mesh::buffered_router_flits() const {
   std::uint64_t total = 0;
   for (const auto& r : routers_) total += r->buffered_flits();
+  for_each_held([&total](NodeId) { ++total; });
+  return total;
+}
+
+std::uint64_t Mesh::buffered_flits(NodeId n) const {
+  std::uint64_t total = routers_[n]->buffered_flits();
+  for_each_held([&total, n](NodeId id) { total += id == n; });
   return total;
 }
 
 bool Mesh::corrupt_drop_flit_for_test() {
   for (auto& r : routers_) {
     if (r->corrupt_drop_flit_for_test()) return true;
+  }
+  // A landed slot's credits have returned; erasing a held flit leaves the
+  // flit simply gone, as a flow-control bug would.
+  for (StageSlot& slot : stage_) {
+    if (!slot.landed) continue;
+    const auto held = std::find_if(
+        slot.hops.begin(), slot.hops.end(),
+        [](const Traversal& t) { return t.out_port != Port::kLocal; });
+    if (held != slot.hops.end()) {
+      slot.hops.erase(held);
+      return true;
+    }
+  }
+  for (auto& injected : injecting_) {
+    if (!injected.empty()) {
+      injected.pop_back();
+      return true;
+    }
   }
   return false;
 }

@@ -8,24 +8,41 @@
 // no router traversals, as on a real tiled CMP.
 //
 // Scheduling: instead of ticking all N routers and N NIs every cycle, the
-// mesh keeps two id-ordered active sets. A router registers when a flit
-// lands in an empty router (Router::receive_flit), an NI when a message is
-// queued (NetworkInterface::send); each is pruned once it drains. Because
-// iteration is in ascending id order — NIs first, then routers, exactly the
-// order the full sweep used — and a skipped component's tick was a no-op by
-// construction, the active-set schedule is cycle-for-cycle identical to the
-// full sweep. NocConfig::always_tick restores the full sweep (the reference
-// path the equivalence tests compare against); the active sets are kept
-// up to date in both modes so the invariant checker can assert coverage.
+// mesh keeps two id-ordered active sets. A router registers when a flit is
+// written into it while it holds none (Router::receive_flit), an NI when a
+// message is queued (NetworkInterface::send); each is pruned once it
+// drains. Because iteration is in ascending id order — NIs first, then
+// routers, exactly the order the full sweep used — and a skipped
+// component's tick was a no-op by construction, the active-set schedule is
+// cycle-for-cycle identical to the full sweep. NocConfig::always_tick
+// restores the full sweep (the reference path the equivalence tests compare
+// against); the active sets are kept up to date in both modes so the
+// invariant checker can assert coverage.
 //
-// Link stage: the mesh, not the routers, owns link timing and topology.
-// A cycle's switch traversals go into slot now % (link_latency + 1) of a
-// ring of traversal lists. Two kernel events replay a non-empty slot in
-// traversal order: at now + 1 each credit returns upstream; at
-// now + link_latency each flit enters the next router, through the
-// opposite port, or the tile's NI, and the slot is cleared. The credits
-// must land no later than the flits, so validate() requires
-// link_latency >= 1.
+// Link stage and router pipeline: the mesh, not the routers, owns link
+// timing, topology and the router pipeline delay d = pipeline_stages - 1.
+// A flit enters a router's input buffer only in the first tick in which it
+// may switch, so a router never holds a flit it cannot act on:
+//   - A cycle's switch traversals go into slot now % (link_latency +
+//     max(d, 1)) of a ring of traversal lists. Two kernel events replay a
+//     non-empty slot in traversal order: at now + 1 each credit returns
+//     upstream; at now + link_latency the slot lands, and each flit bound
+//     for an NI is ejected. The credits must land no later than the flits,
+//     so validate() requires link_latency >= 1.
+//   - A landed slot's router-bound flits stay where they are: they are in
+//     the downstream router's pipeline. At the start of tick
+//     S + link_latency + max(d, 1), before the router pass, they are
+//     written into their routers through the opposite port and the slot is
+//     cleared for that tick's traversals. A link arrival lands after its
+//     cycle's router pass, so it waits at least one tick even when d = 0.
+//   - An NI injection at tick C goes into slot (C + d) % (d + 1) of a ring
+//     of injection lists; after the NI pass of tick E, slot E % (d + 1) is
+//     written into the local input ports, so the flit first switches at
+//     C + d, in its own tick when d = 0.
+// A flit held in a router's pipeline counts as buffered in that router
+// (buffered_flits, buffered_router_flits); inflight_link_flits counts only
+// flits on their links. Both are computed by scanning the two rings, off
+// the hot path.
 #pragma once
 
 #include <array>
@@ -96,8 +113,12 @@ class Mesh final : public sim::Tickable {
   [[nodiscard]] std::uint64_t inflight_local_messages() const noexcept {
     return inflight_local_;
   }
-  /// Flits sitting in router input buffers, summed over the whole mesh.
+  /// Flits buffered in routers, summed over the whole mesh: in input
+  /// buffers or held in a router's pipeline.
   [[nodiscard]] std::uint64_t buffered_router_flits() const;
+  /// Flits buffered in router `n`: its input buffers plus the flits held in
+  /// its pipeline. The telemetry sampler's per-tile queue gauge.
+  [[nodiscard]] std::uint64_t buffered_flits(NodeId n) const;
   /// Protocol messages handed to send() since construction (including
   /// same-tile bypasses, which never become flits).
   [[nodiscard]] std::uint64_t messages_injected() const noexcept {
@@ -109,8 +130,8 @@ class Mesh final : public sim::Tickable {
     return messages_delivered_;
   }
   /// True if the router is on the active-set schedule. Any router holding
-  /// buffered flits must be active, or it would silently stop draining —
-  /// the invariant checker asserts exactly that.
+  /// flits in its input buffers must be active, or it would silently stop
+  /// draining — the invariant checker asserts exactly that.
   [[nodiscard]] bool router_active(NodeId n) const noexcept {
     return router_active_.contains(n);
   }
@@ -121,27 +142,49 @@ class Mesh final : public sim::Tickable {
   }
 
   /// Fault injection for the invariant-checker tests ONLY: drops one flit
-  /// from some router buffer. Returns false if the network held no flit.
+  /// from some router buffer, or else one held in a router's pipeline.
+  /// Returns false if no router held a flit.
   bool corrupt_drop_flit_for_test();
 
  private:
+  /// One link-stage slot: the traversals of one cycle. `landed` is set once
+  /// they have crossed their links; the router-bound ones are then held in
+  /// the downstream router's pipeline until the slot is next reused.
+  struct StageSlot {
+    std::vector<Traversal> hops;
+    bool landed = false;
+  };
+
   /// Link-stage replays of slot `s`: credits upstream, then (link_latency
-  /// cycles after the traversals) flits downstream, clearing the slot.
+  /// cycles after the traversals) the ejections into NIs.
   void return_credits(std::size_t s);
-  void deliver_flits(std::size_t s);
-  /// The router beyond inter-router port `p` of router `id`.
-  [[nodiscard]] Router& neighbour(NodeId id, Port p) {
-    return *routers_[id + step_[static_cast<std::size_t>(p)]];
+  void land(std::size_t s);
+  /// Writes the flits whose pipeline delay ends in tick `now` into their
+  /// routers: the landed stage slot `now` reuses, then this tick's
+  /// injection slot.
+  void enter_routers(Cycle now);
+  /// Calls fn(router id) for each flit held in a router's pipeline.
+  template <typename Fn>
+  void for_each_held(Fn&& fn) const;
+  /// The id of the router beyond inter-router port `p` of router `id`.
+  [[nodiscard]] NodeId neighbour_id(NodeId id, Port p) const {
+    return static_cast<NodeId>(id + step_[static_cast<std::size_t>(p)]);
   }
 
   sim::Kernel& kernel_;
   const NocConfig cfg_;
   sim::Counter* traversals_;
   /// Shared packet arena. Declared before every holder of a PacketRef (the
-  /// stage, routers, NIs), so it is destroyed after all of them.
+  /// stage, the injection ring, routers, NIs), so it is destroyed after all
+  /// of them.
   PacketPool pool_;
-  /// The link stage: traversal lists indexed by cycle % (link_latency + 1).
-  std::vector<std::vector<Traversal>> stage_;
+  /// The link stage: traversal lists indexed by
+  /// cycle % (link_latency + max(d, 1)).
+  std::vector<StageSlot> stage_;
+  /// NI injections indexed by the cycle they enter their router,
+  /// % (d + 1).
+  std::vector<std::vector<Injection>> injecting_;
+  std::uint32_t pipeline_delay_;  ///< d = noc.pipeline_stages - 1.
   /// Row-major id step to the router beyond each port; XY routing never
   /// leaves the mesh.
   std::array<std::int32_t, kNumPorts> step_;

@@ -7,12 +7,11 @@
 namespace puno::noc {
 
 NetworkInterface::NetworkInterface(sim::Kernel& kernel, const NocConfig& cfg,
-                                   NodeId id, Router& router, PacketPool& pool,
+                                   NodeId id, PacketPool& pool,
                                    sim::StatsRegistry& stats)
     : kernel_(kernel),
       cfg_(cfg),
       id_(id),
-      router_(router),
       pool_(pool),
       lanes_(cfg.num_vnets),
       local_vc_(cfg.total_vcs()),
@@ -56,7 +55,7 @@ int NetworkInterface::pick_vc(VNet vnet) const {
   return -1;
 }
 
-void NetworkInterface::tick(Cycle now) {
+void NetworkInterface::tick(Cycle now, std::vector<Injection>& injected) {
   // One flit per cycle, round-robin across vnet lanes for fairness.
   for (std::uint32_t k = 0; k < cfg_.num_vnets; ++k) {
     const std::uint32_t v = (rr_vnet_ + k) % cfg_.num_vnets;
@@ -88,7 +87,8 @@ void NetworkInterface::tick(Cycle now) {
                  .kind = trace::EventKind::kFlitInject,
                  .flags = static_cast<std::uint8_t>(
                      (flit.is_head ? 1u : 0u) | (flit.is_tail ? 2u : 0u))}));
-    router_.receive_flit(Port::kLocal, lane.vc, std::move(flit), now);
+    injected.push_back(Injection{id_, static_cast<std::uint8_t>(lane.vc),
+                                 std::move(flit)});
     flits_sent_.add();
     ++lane.sent;
     if (lane.sent == lane.inflight->num_flits) {

@@ -3,10 +3,13 @@
 //
 // The NI keeps an unbounded per-vnet injection queue (endpoint queues must
 // be able to sink/source without backpressure for the protocol-deadlock
-// argument to hold) and injects at most one flit per cycle into its router's
-// local input port, subject to VC availability and credits. One packet per
-// virtual network may be in flight from the NI at a time, so response
-// traffic is never blocked behind request traffic at the injection point.
+// argument to hold) and injects at most one flit per cycle toward its
+// router's local input port, subject to VC availability and credits. One
+// packet per virtual network may be in flight from the NI at a time, so
+// response traffic is never blocked behind request traffic at the injection
+// point. The NI does not touch the router: tick() appends each injected
+// flit to a list the mesh passes in, and the mesh writes it into the router
+// once the router's pipeline delay has passed (mesh.hpp).
 //
 // Hot-path notes: packets come from the mesh-wide PacketPool (one free-list
 // pop per send instead of a heap allocation per packet), and ejection-side
@@ -25,11 +28,18 @@
 #include "noc/active_set.hpp"
 #include "noc/flit.hpp"
 #include "noc/packet_pool.hpp"
-#include "noc/router.hpp"
 #include "sim/config.hpp"
 #include "sim/kernel.hpp"
 
 namespace puno::noc {
+
+/// One flit an NI injected toward local input VC `vc` of router `router`.
+struct Injection {
+  NodeId router;
+  std::uint8_t vc;
+  Flit flit;
+};
+static_assert(sizeof(Injection) == 24, "an injection is 8 bytes + a flit");
 
 class NetworkInterface {
  public:
@@ -37,8 +47,7 @@ class NetworkInterface {
   using DeliveryHandler = std::function<void(Packet)>;
 
   NetworkInterface(sim::Kernel& kernel, const NocConfig& cfg, NodeId id,
-                   Router& router, PacketPool& pool,
-                   sim::StatsRegistry& stats);
+                   PacketPool& pool, sim::StatsRegistry& stats);
 
   NetworkInterface(const NetworkInterface&) = delete;
   NetworkInterface& operator=(const NetworkInterface&) = delete;
@@ -57,8 +66,9 @@ class NetworkInterface {
   void send(NodeId dst, VNet vnet, std::uint32_t data_bytes,
             std::shared_ptr<const PacketPayload> payload);
 
-  /// Injection side: pushes at most one flit into the router per cycle.
-  void tick(Cycle now);
+  /// Injection side: appends at most one flit per cycle to `injected`,
+  /// bound for the router's local input port.
+  void tick(Cycle now, std::vector<Injection>& injected);
 
   /// Ejection side: the mesh's link stage delivers here every flit that
   /// leaves the router's local output port.
@@ -88,7 +98,6 @@ class NetworkInterface {
   sim::Kernel& kernel_;
   const NocConfig cfg_;
   NodeId id_;
-  Router& router_;
   PacketPool& pool_;
   DeliveryHandler deliver_;
   ActiveSet* active_set_ = nullptr;

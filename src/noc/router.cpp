@@ -14,8 +14,8 @@ Router::Router(const NocConfig& cfg, NodeId id, sim::Counter& traversals)
       slots_(inputs_.size() * cfg.vc_depth),
       outputs_(kNumPorts * cfg.total_vcs(), OutputVc{.credits = cfg.vc_depth}),
       traversals_(traversals),
-      pipeline_delay_(Cycle{cfg.pipeline_stages} - 1),
       mesh_width_(cfg.mesh_width),
+      here_(coord_of(id, cfg.mesh_width)),
       id_(id),
       depth_(static_cast<std::uint8_t>(cfg.vc_depth)),
       total_vcs_(static_cast<std::uint8_t>(cfg.total_vcs())),
@@ -34,13 +34,11 @@ Router::Router(const NocConfig& cfg, NodeId id, sim::Counter& traversals)
   }
 }
 
-void Router::receive_flit(Port p, std::uint32_t vc, Flit flit, Cycle now) {
+void Router::receive_flit(Port p, std::uint32_t vc, Flit flit) {
   const std::uint32_t idx = static_cast<std::uint32_t>(p) * total_vcs_ + vc;
   InputVc& in = inputs_[idx];
   const std::span<Flit> slots = slots_of(idx);
   assert(!in.ring.full(slots) && "credit protocol violated");
-  // The flit occupies the 4-stage pipeline before it may traverse the switch.
-  flit.ready_at = now + pipeline_delay_;
   if (in.ring.empty() && !in.active) va_mask_ |= std::uint64_t{1} << idx;
   in.ring.push_back(slots, std::move(flit));
   ++buffered_flits_;
@@ -69,7 +67,7 @@ void Router::return_credit(Port p, std::uint32_t vc) {
 
 bool Router::try_allocate_vc(std::uint32_t idx, const Packet& pkt) {
   InputVc& in = inputs_[idx];
-  in.out_port = route_xy(id_, pkt.dst, mesh_width_);
+  in.out_port = route(pkt.dst);
   const auto op = static_cast<std::uint32_t>(in.out_port);
   // VCs are partitioned per virtual network; a packet may only claim a VC
   // inside its vnet's slice, which is what breaks protocol deadlock.
@@ -90,7 +88,7 @@ bool Router::try_allocate_vc(std::uint32_t idx, const Packet& pkt) {
   return false;
 }
 
-bool Router::try_switch(std::uint32_t op, std::uint32_t idx, Cycle now,
+bool Router::try_switch(std::uint32_t op, std::uint32_t idx,
                         bool* input_port_used, std::vector<Traversal>& hops) {
   const Port ip = port_of_[idx];
   if (input_port_used[static_cast<std::size_t>(ip)]) return false;
@@ -99,7 +97,6 @@ bool Router::try_switch(std::uint32_t op, std::uint32_t idx, Cycle now,
   if (static_cast<std::uint32_t>(in.out_port) != op) return false;
   const std::span<Flit> slots = slots_of(idx);
   Flit& front = in.ring.front(slots);
-  if (front.ready_at > now) return false;
   OutputVc& ovc = output(op, in.out_vc);
   if (ovc.credits == 0) return false;
 
@@ -127,17 +124,17 @@ bool Router::try_switch(std::uint32_t op, std::uint32_t idx, Cycle now,
   return true;
 }
 
-void Router::tick(Cycle now, std::vector<Traversal>& hops) {
+void Router::tick(std::vector<Traversal>& hops) {
   if (buffered_flits_ == 0) return;
 
-  // VC allocation: any idle input VC whose front flit is a ready head, in
+  // VC allocation: any idle input VC whose front flit is a head, in
   // ascending (port, vc) order.
   std::uint64_t waiting = va_mask_;
   while (waiting != 0) {
     const auto idx = static_cast<std::uint32_t>(__builtin_ctzll(waiting));
     waiting &= waiting - 1;
     const Flit& head = inputs_[idx].ring.front(slots_of(idx));
-    if (!head.is_head || head.ready_at > now) continue;
+    if (!head.is_head) continue;
     try_allocate_vc(idx, *head.packet);
   }
 
@@ -157,7 +154,7 @@ void Router::tick(Cycle now, std::vector<Traversal>& hops) {
       while (part != 0) {
         const auto idx = static_cast<std::uint32_t>(__builtin_ctzll(part));
         part &= part - 1;
-        if (try_switch(op, idx, now, input_port_used, hops)) {
+        if (try_switch(op, idx, input_port_used, hops)) {
           won = true;
           break;
         }

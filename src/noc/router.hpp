@@ -1,9 +1,11 @@
 // Virtual-channel wormhole router with credit-based flow control.
 //
-// Microarchitecture (Table II: "4-stage router"): a flit entering an input
-// buffer at cycle T becomes eligible for switch traversal at
-// T + pipeline_stages - 1, which models the BW/RC, VA, SA, ST pipeline
-// occupancy without simulating each stage's register separately. Route
+// Microarchitecture (Table II: "4-stage router"): the BW/RC, VA, SA, ST
+// pipeline occupancy is served before a flit reaches the router. The mesh
+// holds each flit in its link stage or injection ring (mesh.hpp) and writes
+// it into its input buffer in the first cycle it may traverse the switch
+// (pipeline_stages - 1 cycles after it entered the router), so the router
+// keeps no per-flit timing and every buffered flit is eligible. Route
 // computation (XY) happens when the head flit reaches the front of its VC;
 // output-VC allocation grabs a free downstream VC in the packet's virtual
 // network; switch allocation arbitrates round-robin per output port with at
@@ -19,26 +21,29 @@
 //
 // Hot-path notes: a router's state is three flat arrays sized once from
 // NocConfig, plus a few inline fields, so a tick or a flit delivery
-// touches a few cache lines of one router (~3.5 KiB in four heap blocks at
+// touches a few cache lines of one router (~2.5 KiB in four heap blocks at
 // the default config):
 //   - inputs_: one 5-byte InputVc per input VC: its ring's head and size as
 //     bytes (FlitRing) plus the VA state (active, out_port, out_vc);
-//   - slots_: every input VC's flits, vc_depth slots per VC, in input-VC
-//     order; FlitRing indexes the VC's span of it;
+//   - slots_: every input VC's flits, vc_depth 16-byte slots per VC, in
+//     input-VC order; FlitRing indexes the VC's span of it;
 //   - outputs_: one OutputVc (credits, held) per output (port, vc).
 // An input VC's scan index, port * total_vcs + vc, indexes inputs_, its
 // span of slots_ and its bit in the scan masks. The round-robin pointers
 // and the index -> port table live inline, and the router keeps only the
-// config fields it reads. Ring and round-robin wraps are compares, so no
-// division runs per flit. Packets ride pooled PacketRef handles, and the
-// router reports its 0->1 buffered transition to an optional ActiveSet so
-// the mesh can skip quiescent routers entirely. The VA and SA scans
-// iterate candidate bitmasks instead of every (port, vc) slot: va_mask_
-// holds input VCs with buffered flits awaiting VC allocation, sa_mask_[op]
-// the allocated input VCs routed to output port op, visited in ascending
-// (VA) or round-robin-from-rr_next_ (SA) order. The (port, vc) space must
-// fit one 64-bit word, so validate() caps noc.vcs_per_vnet at 4 with the
-// fixed 3 vnets; it caps noc.vc_depth at FlitRing::kMaxDepth.
+// config fields it reads, plus its own mesh coordinate for routing. Ring
+// and round-robin wraps are compares, so no division runs per flit except
+// the destination's coordinate at VC allocation. Packets ride pooled
+// PacketRef handles, and the router reports its 0->1 buffered transition
+// to an optional ActiveSet so the mesh can skip routers with nothing to
+// switch; a router whose flits are all still in their pipeline holds none
+// and is off the schedule. The VA and SA scans iterate candidate bitmasks
+// instead of every (port, vc) slot: va_mask_ holds input VCs with buffered
+// flits awaiting VC allocation, sa_mask_[op] the allocated input VCs
+// routed to output port op, visited in ascending (VA) or
+// round-robin-from-rr_next_ (SA) order. The (port, vc) space must fit one
+// 64-bit word, so validate() caps noc.vcs_per_vnet at 4 with the fixed 3
+// vnets; it caps noc.vc_depth at FlitRing::kMaxDepth.
 #pragma once
 
 #include <array>
@@ -65,6 +70,7 @@ struct Traversal {
   std::uint8_t in_vc;
   Flit flit;
 };
+static_assert(sizeof(Traversal) == 24, "a traversal is 8 bytes + a flit");
 
 class Router {
  public:
@@ -82,23 +88,31 @@ class Router {
   /// routers in unit tests, which are ticked unconditionally.
   void set_active_set(ActiveSet* set) noexcept { active_set_ = set; }
 
-  /// Delivers a flit into input buffer (p, vc) at cycle `now`. Called by the
-  /// local NI and the mesh's link stage. The caller must have reserved a
-  /// credit; overflow is a protocol bug and asserts.
-  void receive_flit(Port p, std::uint32_t vc, Flit flit, Cycle now);
+  /// Writes a flit into input buffer (p, vc); it may switch in the next
+  /// tick. The mesh calls this once the flit's pipeline delay has passed.
+  /// The sender must have reserved a credit; overflow is a protocol bug and
+  /// asserts.
+  void receive_flit(Port p, std::uint32_t vc, Flit flit);
+
+  /// The output port XY routing takes from this router toward `dst`, from
+  /// the router's stored coordinate rather than recomputing it.
+  [[nodiscard]] Port route(NodeId dst) const noexcept {
+    return route_xy(here_, coord_of(dst, mesh_width_));
+  }
 
   /// Restores one credit for output (p, vc). Called by the link stage.
   void return_credit(Port p, std::uint32_t vc);
 
   /// One cycle of switch allocation + traversal; appends each traversal to
   /// `hops` in the order the switch granted them.
-  void tick(Cycle now, std::vector<Traversal>& hops);
+  void tick(std::vector<Traversal>& hops);
 
   /// True if no flit is buffered anywhere in this router.
   [[nodiscard]] bool idle() const noexcept { return buffered_flits_ == 0; }
 
-  /// Number of flits currently held in this router's input buffers, for the
-  /// invariant checker's flit-conservation accounting.
+  /// Number of flits in this router's input buffers. Flits the mesh still
+  /// holds in this router's pipeline are not counted here; the mesh's
+  /// buffered_flits(n) adds them.
   [[nodiscard]] std::uint64_t buffered_flits() const noexcept {
     return buffered_flits_;
   }
@@ -143,25 +157,24 @@ class Router {
 
   /// Switch-allocation attempt for scan candidate `idx` competing for
   /// output port `op`; on success performs the traversal and returns true.
-  bool try_switch(std::uint32_t op, std::uint32_t idx, Cycle now,
-                  bool* input_port_used, std::vector<Traversal>& hops);
+  bool try_switch(std::uint32_t op, std::uint32_t idx, bool* input_port_used,
+                  std::vector<Traversal>& hops);
 
   std::vector<InputVc> inputs_;    // [port * total_vcs + vc]
   std::vector<Flit> slots_;        // [(port * total_vcs + vc) * depth + i]
   std::vector<OutputVc> outputs_;  // [port * total_vcs + vc]
   /// Scan-index bit per input VC that holds flits but no output VC yet.
-  /// A set bit does not imply the head is ready — that is re-checked.
   std::uint64_t va_mask_ = 0;
   /// Scan-index bit per allocated (post-VA) input VC, keyed by the output
   /// port the packet is routed to. A set bit does not imply a flit is
-  /// buffered or ready — both are re-checked in scan order.
+  /// buffered — that is re-checked in scan order.
   std::uint64_t sa_mask_[kNumPorts] = {};
   std::uint64_t buffered_flits_ = 0;
   std::uint64_t local_traversals_ = 0;
   ActiveSet* active_set_ = nullptr;
   sim::Counter& traversals_;
-  Cycle pipeline_delay_;          ///< noc.pipeline_stages - 1.
   std::uint32_t mesh_width_;
+  Coord here_;                    ///< This router's mesh coordinate.
   NodeId id_;
   std::uint8_t depth_;            ///< noc.vc_depth.
   std::uint8_t total_vcs_;

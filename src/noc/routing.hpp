@@ -46,13 +46,14 @@ struct Coord {
 
 /// Dimension-order routing: fully resolve X before moving in Y. Deadlock-free
 /// on a mesh because the turn set excludes all cycles.
+[[nodiscard]] constexpr Port route_xy(Coord here, Coord dst) noexcept {
+  if (here.x != dst.x) return dst.x > here.x ? Port::kEast : Port::kWest;
+  if (here.y != dst.y) return dst.y > here.y ? Port::kSouth : Port::kNorth;
+  return Port::kLocal;
+}
 [[nodiscard]] constexpr Port route_xy(NodeId here, NodeId dst,
                                       std::uint32_t width) noexcept {
-  const Coord h = coord_of(here, width);
-  const Coord d = coord_of(dst, width);
-  if (h.x != d.x) return d.x > h.x ? Port::kEast : Port::kWest;
-  if (h.y != d.y) return d.y > h.y ? Port::kSouth : Port::kNorth;
-  return Port::kLocal;
+  return route_xy(coord_of(here, width), coord_of(dst, width));
 }
 
 /// Manhattan hop count between two nodes.

@@ -502,6 +502,10 @@ constexpr void for_each_key(Config& c, Visit&& visit) {
   // must not deliver its flit any earlier (src/noc/mesh.hpp).
   if (cfg.noc.link_latency == 0)
     return std::string("noc.link_latency must be >= 1 (got 0)");
+  // The mesh holds each flit pipeline_stages - 1 cycles before it may
+  // switch (src/noc/mesh.hpp); a router has at least one stage.
+  if (cfg.noc.pipeline_stages == 0)
+    return std::string("noc.pipeline_stages must be >= 1 (got 0)");
   if (cfg.dir.shards != 0 && (cfg.dir.shards > cfg.num_nodes ||
                               cfg.num_nodes % cfg.dir.shards != 0))
     return std::string("dir.shards must divide num_nodes");

@@ -200,7 +200,7 @@ void TelemetrySampler::take_sample(Cycle cycles_completed) {
       s.tile_ud_mispredicts[i] =
           cur.tile_ud_mispredicts[i] - prev_.tile_ud_mispredicts[i];
       s.tile_txn_pins[i] = l1.txn_pinned_lines();
-      s.tile_router_queued[i] = mesh.router(i).buffered_flits();
+      s.tile_router_queued[i] = mesh.buffered_flits(i);
     }
   }
 

@@ -56,6 +56,12 @@ class Tokens {
   explicit Tokens(std::string_view raw)
       : rest_(raw.substr(0, raw.find('#'))) {}
 
+  /// Fails on any token left on the line.
+  void expect_end(std::uint64_t line) {
+    const std::string_view extra = next();
+    if (!extra.empty()) fail(line, "unexpected token " + quoted(extra));
+  }
+
   /// The next token, or "" when the line has no more.
   std::string_view next() {
     std::size_t b = 0;
@@ -90,8 +96,9 @@ struct Line {
 
 // Classifies and decodes one line, quoting the offending token on a wrong
 // key, a non-numeric value, a sign, a value that does not fit its field
-// (NodeId node, StaticTxId id, 32-bit pre/post/think, 64-bit addr/pc) or a
-// node outside the machine. Block structure is the caller's to check.
+// (NodeId node, StaticTxId id, 32-bit pre/post/think, 64-bit addr/pc), a
+// node outside the machine or a token past the directive's last field.
+// Block structure is the caller's to check.
 Line parse_line(std::string_view raw, std::uint64_t line, NodeId num_nodes) {
   Tokens tokens(raw);
   Line out;
@@ -102,6 +109,7 @@ Line parse_line(std::string_view raw, std::uint64_t line, NodeId num_nodes) {
     out.kind = Line::Kind::kHeader;
     out.name = tokens.next();
     if (out.name.empty()) out.name = "trace";
+    tokens.expect_end(line);
     return out;
   }
   if (directive == "txn") {
@@ -119,6 +127,7 @@ Line parse_line(std::string_view raw, std::uint64_t line, NodeId num_nodes) {
     out.static_id = parse_number<StaticTxId>(sid, sid, line);
     out.pre = parse_kv<std::uint32_t>(pre, "pre=", line);
     out.post = parse_kv<std::uint32_t>(post, "post=", line);
+    tokens.expect_end(line);
     return out;
   }
   if (directive == "r" || directive == "w") {
@@ -133,10 +142,12 @@ Line parse_line(std::string_view raw, std::uint64_t line, NodeId num_nodes) {
     out.op.addr = parse_number<Addr>(addr, addr, line);
     out.op.pc = parse_kv<std::uint64_t>(pc, "pc=", line);
     out.op.pre_think = parse_kv<std::uint32_t>(think, "think=", line);
+    tokens.expect_end(line);
     return out;
   }
   if (directive == "end") {
     out.kind = Line::Kind::kEnd;
+    tokens.expect_end(line);
     return out;
   }
   fail(line, "unknown directive " + quoted(directive));

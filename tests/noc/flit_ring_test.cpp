@@ -11,11 +11,10 @@
 namespace puno::noc {
 namespace {
 
-Flit make_flit(PacketPool& pool, std::uint64_t id, Cycle ready = 0) {
+Flit make_flit(PacketPool& pool, std::uint64_t id) {
   Flit f;
   f.packet = pool.allocate();
   f.packet->id = id;
-  f.ready_at = ready;
   return f;
 }
 

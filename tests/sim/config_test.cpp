@@ -136,6 +136,18 @@ TEST(SystemConfig, ValidateRequiresLinkLatencyOfAtLeastOneCycle) {
   EXPECT_NE(err->find("noc.link_latency"), std::string::npos) << *err;
 }
 
+TEST(SystemConfig, ValidateRequiresAtLeastOnePipelineStage) {
+  SystemConfig one;
+  one.noc.pipeline_stages = 1;
+  EXPECT_EQ(validate(one), std::nullopt);
+
+  SystemConfig zero;
+  zero.noc.pipeline_stages = 0;
+  const auto err = validate(zero);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("noc.pipeline_stages"), std::string::npos) << *err;
+}
+
 // A VC ring's byte-wide indices address at most 255 flits. Checked through
 // validate() only: a router at such a depth would allocate its slots.
 TEST(SystemConfig, ValidateCapsVcDepthAtTheRingIndexWidth) {

@@ -162,6 +162,33 @@ TEST(TraceWorkload, ParseErrorsNameTheLineAndOffendingToken) {
   msg = message_of("trace-v1 x\ntxn 0 1 pre=3x post=0\nend\n");
   EXPECT_NE(msg.find("pre=3x"), std::string::npos) << msg;
 
+  // A token past the directive's last field, on every kind of line.
+  struct Extra {
+    const char* text;
+    const char* token;
+    const char* line;
+  };
+  for (const Extra& c : {
+           Extra{"trace-v1 x\ntxn 0 1 pre=0 post=0 extra tokens\n"
+                 "r 64 pc=1 think=0\nend\n",
+                 "extra", "line 2"},
+           Extra{"trace-v1 x\ntxn 0 1 pre=0 post=0\n"
+                 "r 64 pc=1 think=0 more\nend\n",
+                 "more", "line 3"},
+           Extra{"trace-v1 x\ntxn 0 1 pre=0 post=0\n"
+                 "r 64 pc=1 think=0\nend of block\n",
+                 "of", "line 4"},
+           Extra{"trace-v1 my name\ntxn 0 1 pre=0 post=0\n"
+                 "r 64 pc=1 think=0\nend\n",
+                 "name", "line 1"},
+       }) {
+    msg = message_of(c.text);
+    EXPECT_NE(msg.find(std::string("unexpected token '") + c.token + "'"),
+              std::string::npos)
+        << c.text << " -> " << msg;
+    EXPECT_NE(msg.find(c.line), std::string::npos) << msg;
+  }
+
   // Each number is parsed into its own field type: a sign, or a value that
   // does not fit (it once wrapped: pre=-5 ran ~2^32 think cycles and node
   // 65537 replayed as node 1), is rejected with the token quoted.
