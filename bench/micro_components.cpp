@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "coherence/cache_array.hpp"
+#include "coherence/directory.hpp"
 #include "htm/rmw_predictor.hpp"
 #include "htm/txlb.hpp"
 #include "noc/mesh.hpp"
@@ -80,6 +81,55 @@ void BM_CacheArrayLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheArrayLookup);
+
+void BM_DirectoryRequests(benchmark::State& state) {
+  // One home of a 256-node machine, with no NoC and no L1s, serving
+  // GetS -> UNBLOCK and GetX -> UNBLOCK over 30,000 blocks: as many as
+  // genome at 256 tiles spreads over all the homes, so lookups reach past
+  // the host caches as they do across a whole CMP. The blocks are the
+  // home's own, 256 x 64 bytes apart. Each iteration is one request and
+  // its UNBLOCK; requests visit the blocks in a scattered order, a sweep of
+  // GetS, then a sweep of GetX, and so on. The kernel steps a cycle per
+  // iteration to send the delayed data replies. per_request is CPU time per
+  // request.
+  constexpr std::uint64_t kBlocks = 30000;
+  constexpr std::uint64_t kStride = 7919;  // prime: visits every block
+  constexpr NodeId kHome = 5;
+  sim::Kernel kernel;
+  SystemConfig cfg;
+  cfg.num_nodes = 256;
+  cfg.noc.mesh_width = 16;
+  coherence::Directory dir(
+      kernel, cfg, kHome,
+      [](NodeId, std::shared_ptr<const coherence::Message>) {});
+  std::uint64_t i = 0;
+  coherence::Message req;
+  coherence::Message unblock;
+  unblock.type = coherence::MsgType::kUnblock;
+  unblock.success = true;
+  const auto request = [&] {
+    const std::uint64_t k = i * kStride % kBlocks;
+    const bool sweep_gets = (i / kBlocks) % 2 == 0;
+    const auto node = static_cast<NodeId>(i % 251);
+    req.type =
+        sweep_gets ? coherence::MsgType::kGetS : coherence::MsgType::kGetX;
+    req.addr = (k * cfg.num_nodes + kHome) * CacheConfig::block_bytes;
+    req.sender = req.requester = node;
+    dir.handle_message(req);
+    unblock.addr = req.addr;
+    unblock.sender = unblock.requester = node;
+    dir.handle_message(unblock);
+    kernel.step();
+    ++i;
+  };
+  while (i < 2 * kBlocks) request();  // every block has an entry
+  const std::uint64_t before = i;
+  for (auto _ : state) request();
+  state.counters["per_request"] = benchmark::Counter(
+      static_cast<double>(i - before),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DirectoryRequests);
 
 void BM_MeshSingleFlitDelivery(benchmark::State& state) {
   // Whole-network cost of moving one control packet corner to corner.

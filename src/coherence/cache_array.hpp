@@ -4,12 +4,14 @@
 // tracks tags and per-line metadata only — simulated programs have no data
 // values, so "data" never needs to be stored.
 //
-// The lines come from std::calloc, not a value-initialized vector: the zero
-// pages of a fresh mapping then fault only when a set is first used, so
-// building a CMP (256 KiB of tags per 16-tile L2 bank) touches no page and
-// its cost does not depend on what earlier runs left in the heap. That
-// needs a trivially copyable line whose all-zero bytes are its default:
-// address 0, invalid, LRU 0, and a LineState whose default is zero.
+// The lines come from std::calloc, so their all-zero bytes must be the
+// default line: address 0, LRU 0, invalid, and a LineState whose default is
+// zero. calloc keeps set-up from touching the tag pages only when glibc
+// serves the array with a fresh mmap: by default from 128 KiB up (a 16-tile
+// L2 bank's 192 KiB of tags), a threshold glibc raises once such a block is
+// freed. Smaller arrays, like the 12 KiB L1s and the 12 KiB L2 banks of a
+// 256-tile CMP, are carved from the brk heap, where calloc clears them with
+// memset, so they are resident from the moment they are built.
 #pragma once
 
 #include <bit>
@@ -27,11 +29,13 @@
 namespace puno::coherence {
 
 /// Per-line metadata kept by a CacheArray user.
+/// `valid` and `state` share the tail word, so a line with a one-byte
+/// LineState is 24 bytes.
 template <typename LineState>
 struct CacheLine {
   BlockAddr addr = 0;
-  bool valid = false;
   std::uint64_t lru = 0;  ///< Larger = more recently used.
+  bool valid = false;
   LineState state{};
 };
 

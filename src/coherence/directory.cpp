@@ -1,10 +1,22 @@
 #include "coherence/directory.hpp"
 
+#include <bit>
 #include <cassert>
 
 #include "trace/recorder.hpp"
 
 namespace puno::coherence {
+
+namespace {
+
+/// index_'s size at construction; a power of two.
+constexpr std::size_t kInitialIndexSlots = 16;
+/// 2^64 / golden ratio. One home's blocks are num_nodes x block_bytes apart,
+/// so the low address bits are the same for all of them; a multiplicative
+/// hash taking the product's top bits spreads any such stride.
+constexpr std::uint64_t kHashMultiplier = 0x9E3779B97F4A7C15ull;
+
+}  // namespace
 
 Directory::Directory(sim::Kernel& kernel, const SystemConfig& cfg, NodeId node,
                      SendFn send)
@@ -12,6 +24,7 @@ Directory::Directory(sim::Kernel& kernel, const SystemConfig& cfg, NodeId node,
       cfg_(cfg),
       node_(node),
       send_(std::move(send)),
+      index_(kInitialIndexSlots, kNoLine),
       sharer_params_(sharer_params(cfg)),
       l2_(cfg.cache.l2_size_bytes / cfg.effective_l2_banks(),
           cfg.cache.l2_assoc, cfg.cache.block_bytes),
@@ -25,15 +38,39 @@ Directory::Directory(sim::Kernel& kernel, const SystemConfig& cfg, NodeId node,
           kernel.stats().scalar("dir.txgetx_blocked_cycles")),
       mp_feedbacks_(kernel.stats().counter("dir.mp_feedbacks")) {}
 
-const Directory::Entry* Directory::peek(BlockAddr addr) const {
-  const auto it = entries_.find(addr);
-  return it == entries_.end() ? nullptr : &it->second;
+std::size_t Directory::probe(BlockAddr addr) const {
+  const std::size_t mask = index_.size() - 1;
+  const int bits = std::countr_zero(index_.size());
+  auto i = static_cast<std::size_t>((addr * kHashMultiplier) >> (64 - bits));
+  while (index_[i] != kNoLine && lines_[index_[i]].block != addr) {
+    i = (i + 1) & mask;
+  }
+  return i;
 }
 
-Directory::Entry& Directory::entry_at(BlockAddr addr) {
-  const auto [it, fresh] = entries_.try_emplace(addr);
-  if (fresh) it->second.sharers = SharerSet(sharer_params_);
-  return it->second;
+std::uint32_t Directory::find(BlockAddr addr) const {
+  return index_[probe(addr)];
+}
+
+std::uint32_t Directory::find_or_insert(BlockAddr addr) {
+  const std::size_t i = probe(addr);
+  if (index_[i] != kNoLine) return index_[i];
+  const auto line = static_cast<std::uint32_t>(lines_.size());
+  lines_.push_back(Line{addr, Entry{.sharers = SharerSet(sharer_params_)}});
+  index_[i] = line;
+  // Grow at half load, so a probe sequence stays short.
+  if (lines_.size() * 2 > index_.size()) {
+    index_.assign(index_.size() * 2, kNoLine);
+    for (std::uint32_t l = 0; l < lines_.size(); ++l) {
+      index_[probe(lines_[l].block)] = l;
+    }
+  }
+  return line;
+}
+
+const Directory::Entry* Directory::peek(BlockAddr addr) const {
+  const std::uint32_t line = find(addr);
+  return line == kNoLine ? nullptr : &lines_[line].entry;
 }
 
 Cycle Directory::data_latency(BlockAddr addr) {
@@ -72,18 +109,19 @@ void Directory::send_data(NodeId dst, BlockAddr addr, bool exclusive,
 }
 
 void Directory::handle_message(const Message& msg) {
-  auto shared = std::make_shared<Message>(msg);
   switch (msg.type) {
     case MsgType::kGetS:
     case MsgType::kGetX:
     case MsgType::kPutX: {
       requests_.add();
-      Entry& e = entry_at(msg.addr);
+      const std::uint32_t line = find_or_insert(msg.addr);
+      const Entry& e = lines_[line].entry;
       if (e.busy) {
-        e.pending.push_back(std::move(shared));
+        // Only a queued request outlives this call, so only it is copied.
+        service_of(e).queue.push_back(std::make_shared<const Message>(msg));
         return;
       }
-      service(shared);
+      service(line, msg);
       return;
     }
     case MsgType::kWbData:
@@ -91,10 +129,10 @@ void Directory::handle_message(const Message& msg) {
       fill_l2(msg.addr);
       return;
     case MsgType::kUnblock: {
-      const auto it = entries_.find(msg.addr);
-      assert(it != entries_.end() && it->second.busy &&
+      const std::uint32_t line = find(msg.addr);
+      assert(line != kNoLine && lines_[line].entry.busy &&
              "UNBLOCK for a line that is not being serviced");
-      handle_unblock(it->second, msg);
+      finish_service(line, msg);
       return;
     }
     default:
@@ -102,56 +140,65 @@ void Directory::handle_message(const Message& msg) {
   }
 }
 
-void Directory::service(const std::shared_ptr<const Message>& msg) {
-  Entry& e = entry_at(msg->addr);
+void Directory::service(std::uint32_t line, const Message& msg) {
+  Entry& e = lines_[line].entry;
   assert(!e.busy);
 
-  if (msg->type == MsgType::kPutX) {
-    handle_put_x(e, *msg);
+  if (msg.type == MsgType::kPutX) {
+    handle_put_x(e, msg);
     // A PutX never blocks the entry; requests queued behind it (it may have
     // been dequeued from the pending list) must still get serviced.
-    maybe_service_next(msg->addr);
+    maybe_service_next(line);
     return;
   }
 
   // PUNO Section III.B: the P-Buffer learns the latest {node, priority} pair
   // from every incoming transactional request.
-  if (assist_ != nullptr && msg->transactional) {
-    assist_->observe_request(msg->sender, msg->ts, msg->avg_txn_len);
+  if (assist_ != nullptr && msg.transactional) {
+    assist_->observe_request(msg.sender, msg.ts, msg.avg_txn_len);
   }
 
+  if (e.service == kNoService) {
+    if (free_services_.empty()) {
+      e.service = static_cast<std::uint32_t>(services_.size());
+      services_.emplace_back();
+    } else {
+      e.service = free_services_.back();
+      free_services_.pop_back();
+    }
+  }
+  Service& s = service_of(e);
   e.busy = true;
-  e.busy_since = kernel_.now();
-  e.busy_requester = msg->requester;
-  e.busy_tx_getx = msg->type == MsgType::kGetX && msg->transactional;
+  s.since = kernel_.now();
+  s.requester = msg.requester;
+  s.tx_getx = msg.type == MsgType::kGetX && msg.transactional;
   ++busy_entries_;
-  if (e.busy_tx_getx) tx_getx_services_.add();
+  if (s.tx_getx) tx_getx_services_.add();
 
-
-  if (msg->type == MsgType::kGetS) {
-    service_get_s(e, *msg);
+  if (msg.type == MsgType::kGetS) {
+    service_get_s(e, s, msg);
   } else {
-    service_get_x(e, *msg);
+    service_get_x(e, s, msg);
   }
 }
 
-void Directory::service_get_s(Entry& e, const Message& msg) {
+void Directory::service_get_s(Entry& e, Service& s, const Message& msg) {
   switch (e.state) {
     case DirState::kI: {
-      e.kind = ServiceKind::kGetSIdle;
+      s.kind = ServiceKind::kGetSIdle;
       // No sharers anywhere: grant exclusive (the E of MESI).
       send_data(msg.requester, msg.addr, /*exclusive=*/true, 0, /*sole=*/true,
                 /*payload=*/true, data_latency(msg.addr));
       return;
     }
     case DirState::kS: {
-      e.kind = ServiceKind::kGetSShared;
+      s.kind = ServiceKind::kGetSShared;
       send_data(msg.requester, msg.addr, /*exclusive=*/false, 0, /*sole=*/true,
                 /*payload=*/true, data_latency(msg.addr));
       return;
     }
     case DirState::kEM: {
-      e.kind = ServiceKind::kGetSOwned;
+      s.kind = ServiceKind::kGetSOwned;
       auto fwd = std::make_shared<Message>();
       fwd->type = MsgType::kFwdGetS;
       fwd->addr = msg.addr;
@@ -166,10 +213,10 @@ void Directory::service_get_s(Entry& e, const Message& msg) {
   }
 }
 
-void Directory::service_get_x(Entry& e, const Message& msg) {
+void Directory::service_get_x(Entry& e, Service& s, const Message& msg) {
   switch (e.state) {
     case DirState::kI: {
-      e.kind = ServiceKind::kGetXIdle;
+      s.kind = ServiceKind::kGetXIdle;
       send_data(msg.requester, msg.addr, /*exclusive=*/true, 0, /*sole=*/true,
                 /*payload=*/true, data_latency(msg.addr));
       return;
@@ -183,8 +230,8 @@ void Directory::service_get_x(Entry& e, const Message& msg) {
       const bool requester_is_sharer = e.sharers.contains(msg.requester);
       if (others.empty()) {
         // Upgrade with no other sharers: a pure permission grant.
-        e.kind = ServiceKind::kGetXMulticast;
-        e.inv_targets.clear();
+        s.kind = ServiceKind::kGetXMulticast;
+        s.inv_targets.clear();
         send_data(msg.requester, msg.addr, /*exclusive=*/true, 0,
                   /*sole=*/true, /*payload=*/!requester_is_sharer,
                   requester_is_sharer ? 1 : data_latency(msg.addr));
@@ -201,9 +248,9 @@ void Directory::service_get_x(Entry& e, const Message& msg) {
       }
       if (ud != kInvalidNode) {
         assert(others.contains(ud));
-        e.kind = ServiceKind::kGetXUnicast;
-        e.inv_targets.clear();
-        e.inv_targets.add(ud);
+        s.kind = ServiceKind::kGetXUnicast;
+        s.inv_targets.clear();
+        s.inv_targets.add(ud);
         unicast_forwards_.add();
         PUNO_TEV(kernel_, trace::Cat::kDir,
                  (trace::TraceEvent{
@@ -232,8 +279,8 @@ void Directory::service_get_x(Entry& e, const Message& msg) {
         return;
       }
 
-      e.kind = ServiceKind::kGetXMulticast;
-      e.inv_targets = others;
+      s.kind = ServiceKind::kGetXMulticast;
+      s.inv_targets = others;
       const std::uint32_t count = others.count();
       multicast_invs_.add(count);
       PUNO_TEV(kernel_, trace::Cat::kDir,
@@ -266,9 +313,9 @@ void Directory::service_get_x(Entry& e, const Message& msg) {
       return;
     }
     case DirState::kEM: {
-      e.kind = ServiceKind::kGetXOwned;
-      e.inv_targets.clear();
-      e.inv_targets.add(e.owner);
+      s.kind = ServiceKind::kGetXOwned;
+      s.inv_targets.clear();
+      s.inv_targets.add(e.owner);
       auto inv = std::make_shared<Message>();
       inv->type = MsgType::kInv;
       inv->addr = msg.addr;
@@ -304,28 +351,26 @@ void Directory::handle_put_x(Entry& e, const Message& msg) {
   }
 }
 
-void Directory::handle_unblock(Entry& e, const Message& msg) {
-  assert(msg.sender == e.busy_requester);
-  finish_service(e, msg);
-}
-
-void Directory::finish_service(Entry& e, const Message& unblock) {
-  const NodeId req = e.busy_requester;
-  if (e.busy_tx_getx) {
+void Directory::finish_service(std::uint32_t line, const Message& unblock) {
+  Entry& e = lines_[line].entry;
+  Service& s = service_of(e);
+  const NodeId req = s.requester;
+  assert(unblock.sender == req);
+  if (s.tx_getx) {
     tx_getx_blocked_cycles_.sample(
-        static_cast<double>(kernel_.now() - e.busy_since));
+        static_cast<double>(kernel_.now() - s.since));
   }
   PUNO_TEV(kernel_, trace::Cat::kDir,
-           (trace::TraceEvent{.cycle = e.busy_since,
+           (trace::TraceEvent{.cycle = s.since,
                               .addr = unblock.addr,
-                              .a = kernel_.now() - e.busy_since,
+                              .a = kernel_.now() - s.since,
                               .node = node_,
                               .peer = req,
                               .kind = trace::EventKind::kDirBlock,
-                              .flags = e.busy_tx_getx ? std::uint8_t{1}
-                                                      : std::uint8_t{0}}));
+                              .flags = s.tx_getx ? std::uint8_t{1}
+                                                 : std::uint8_t{0}}));
 
-  switch (e.kind) {
+  switch (s.kind) {
     case ServiceKind::kGetSIdle:
       // Exclusive (E) grant.
       e.state = DirState::kEM;
@@ -361,7 +406,7 @@ void Directory::finish_service(Entry& e, const Message& unblock) {
         // The exact survivor set is then re-encoded into the configured
         // representation.
         SharerSet kept =
-            SharerSet::intersect(e.inv_targets, unblock.surviving_sharers);
+            SharerSet::intersect(s.inv_targets, unblock.surviving_sharers);
         if (e.sharers.contains(req)) kept.add(req);
         e.sharers.assign(kept);
         assert(!e.sharers.empty());
@@ -413,25 +458,35 @@ void Directory::finish_service(Entry& e, const Message& unblock) {
   }
 
   e.busy = false;
-  e.busy_tx_getx = false;
   --busy_entries_;
-  maybe_service_next(unblock.addr);
+  maybe_service_next(line);
 }
 
-void Directory::maybe_service_next(BlockAddr addr) {
-  Entry& e = entry_at(addr);
-  if (e.busy || e.pending.empty()) return;
-  auto next = std::move(e.pending.front());
-  e.pending.pop_front();
-  kernel_.schedule(1, [this, next = std::move(next)] {
-    Entry& entry = entry_at(next->addr);
-    if (entry.busy) {
-      // A same-cycle race re-busied the line; requeue at the front.
-      entry.pending.push_front(next);
-      return;
-    }
-    service(next);
-  });
+void Directory::maybe_service_next(std::uint32_t line) {
+  Entry& e = lines_[line].entry;
+  if (e.busy || e.service == kNoService) return;
+  Service& s = service_of(e);
+  if (s.head < s.queue.size()) {
+    auto next = std::move(s.queue[s.head++]);
+    kernel_.schedule(1, [this, line, next = std::move(next)] {
+      const Entry& entry = lines_[line].entry;
+      if (entry.busy) {
+        // A same-cycle race re-busied the line; requeue at the front.
+        Service& rs = service_of(entry);
+        rs.queue.insert(rs.queue.begin() + rs.head, next);
+        return;
+      }
+      service(line, *next);
+    });
+  }
+  if (s.head == s.queue.size()) {
+    // Idle with nothing queued: the record goes back to the pool, keeping
+    // its queue's capacity for the next line that takes it.
+    s.queue.clear();
+    s.head = 0;
+    free_services_.push_back(e.service);
+    e.service = kNoService;
+  }
 }
 
 }  // namespace puno::coherence

@@ -23,14 +23,24 @@
 // The directory state itself is memory-backed (complete), as in the Origin;
 // the L2 bank is a data-only cache deciding whether a fill costs the
 // 20-cycle bank latency or the 200-cycle memory latency.
+//
+// Host layout. A home keeps an entry for every block it has ever served, so
+// the entry is what the directory's memory scales with. Entries sit in one
+// dense array of {block, Entry} in first-request order, indexed by an
+// open-addressed table of 32-bit positions (power-of-two size, linear
+// probing, doubled at half load) and never erased. An Entry holds only what
+// an idle line needs; the in-service fields and the queue of requests
+// waiting for the line live in a per-directory pool of service records,
+// which a line takes when it goes busy and returns when it is idle with
+// nothing queued. The dense array and the pool grow by relocation: an
+// Entry& or Service& is held only within one call that inserts nothing
+// into the same array, and a scheduled event names a line by its position.
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "coherence/cache_array.hpp"
 #include "coherence/hooks.hpp"
@@ -60,25 +70,22 @@ class Directory {
     kGetXOwned,
   };
 
+  /// No service record: the line is idle with nothing queued.
+  static constexpr std::uint32_t kNoService = ~std::uint32_t{0};
+
   struct Entry {
     DirState state = DirState::kI;
+    bool busy = false;
+    NodeId owner = kInvalidNode;
+    NodeId ud = kInvalidNode;  ///< PUNO Unicast-Destination pointer.
+    /// The line's record in the service pool while it is busy or has
+    /// requests queued; kNoService otherwise.
+    std::uint32_t service = kNoService;
     /// Sharer list in the configured representation (DirectoryConfig::
     /// sharer_rep) — the only representation-encoded, possibly lossy set.
     SharerSet sharers;
-    NodeId owner = kInvalidNode;
-    NodeId ud = kInvalidNode;  ///< PUNO Unicast-Destination pointer.
-
-    bool busy = false;
-    Cycle busy_since = 0;
-    bool busy_tx_getx = false;
-    ServiceKind kind = ServiceKind::kGetSIdle;
-    NodeId busy_requester = kInvalidNode;
-    /// Exact nodes the in-flight GETX invalidated (expansion of `sharers`
-    /// at service time), intersected with the UNBLOCK's survivors on a
-    /// failure to rebuild the sharer list.
-    SharerSet inv_targets;
-    std::deque<std::shared_ptr<const Message>> pending;
   };
+  static_assert(sizeof(Entry) <= 96, "an idle line's entry stays compact");
 
   Directory(sim::Kernel& kernel, const SystemConfig& cfg, NodeId node,
             SendFn send);
@@ -101,7 +108,7 @@ class Directory {
   /// Number of blocks this home node currently tracks (occupancy gauge for
   /// the telemetry sampler's directory panel).
   [[nodiscard]] std::size_t entry_count() const noexcept {
-    return entries_.size();
+    return lines_.size();
   }
   /// Per-tile telemetry counter (docs/TELEMETRY.md): UD misprediction
   /// feedbacks absorbed at this home node. Plain member outside the stats
@@ -112,36 +119,65 @@ class Directory {
   /// Visits every entry that is currently busy (debug aid).
   template <typename Fn>
   void for_each_busy(Fn&& fn) const {
-    for (const auto& [addr, e] : entries_) {
-      if (e.busy) fn(addr, e);
+    for (const Line& l : lines_) {
+      if (l.entry.busy) fn(l.block, l.entry);
     }
   }
-  /// Read-only visit of every directory entry, for the invariant checker:
-  /// fn(BlockAddr, const Entry&).
+  /// Read-only visit of every directory entry in first-request order, for
+  /// the invariant checker: fn(BlockAddr, const Entry&).
   template <typename Fn>
   void for_each_entry(Fn&& fn) const {
-    for (const auto& [addr, e] : entries_) fn(addr, e);
+    for (const Line& l : lines_) fn(l.block, l.entry);
   }
   /// Fault injection for the invariant-checker tests ONLY: hands out a
   /// mutable entry so a test can seed a corruption (stale UD pointer, bogus
   /// owner, ...) and assert the checker reports it. Returns nullptr when the
   /// line has no entry yet.
   [[nodiscard]] Entry* mutable_entry_for_test(BlockAddr addr) {
-    const auto it = entries_.find(addr);
-    return it == entries_.end() ? nullptr : &it->second;
+    const std::uint32_t line = find(addr);
+    return line == kNoLine ? nullptr : &lines_[line].entry;
   }
 
  private:
-  /// entries_ accessor that imbues a freshly created entry's sharer list
-  /// with the configured representation.
-  Entry& entry_at(BlockAddr addr);
-  void service(const std::shared_ptr<const Message>& msg);
-  void service_get_s(Entry& e, const Message& msg);
-  void service_get_x(Entry& e, const Message& msg);
+  struct Line {
+    BlockAddr block;
+    Entry entry;
+  };
+
+  /// What a busy line's service needs until its UNBLOCK, and the requests
+  /// waiting for the line (FIFO from `head`).
+  struct Service {
+    Cycle since = 0;
+    NodeId requester = kInvalidNode;
+    ServiceKind kind = ServiceKind::kGetSIdle;
+    bool tx_getx = false;
+    /// Exact nodes the in-flight GETX invalidated (expansion of `sharers`
+    /// at service time), intersected with the UNBLOCK's survivors on a
+    /// failure to rebuild the sharer list.
+    SharerSet inv_targets;
+    std::vector<std::shared_ptr<const Message>> queue;
+    std::uint32_t head = 0;
+  };
+
+  static constexpr std::uint32_t kNoLine = ~std::uint32_t{0};
+
+  /// The index_ slot holding `addr`'s position, or the free slot that
+  /// ends its probe sequence.
+  [[nodiscard]] std::size_t probe(BlockAddr addr) const;
+  /// Position of `addr` in lines_, or kNoLine.
+  [[nodiscard]] std::uint32_t find(BlockAddr addr) const;
+  /// Position of `addr` in lines_, appending an idle entry on first request.
+  std::uint32_t find_or_insert(BlockAddr addr);
+
+  [[nodiscard]] Service& service_of(const Entry& e) {
+    return services_[e.service];
+  }
+  void service(std::uint32_t line, const Message& msg);
+  void service_get_s(Entry& e, Service& s, const Message& msg);
+  void service_get_x(Entry& e, Service& s, const Message& msg);
   void handle_put_x(Entry& e, const Message& msg);
-  void handle_unblock(Entry& e, const Message& msg);
-  void finish_service(Entry& e, const Message& unblock);
-  void maybe_service_next(BlockAddr addr);
+  void finish_service(std::uint32_t line, const Message& unblock);
+  void maybe_service_next(std::uint32_t line);
 
   /// Latency to produce the line's data at this bank: L2 hit or memory.
   [[nodiscard]] Cycle data_latency(BlockAddr addr);
@@ -157,9 +193,14 @@ class Directory {
   SendFn send_;
   DirectoryAssist* assist_ = nullptr;
 
-  std::unordered_map<BlockAddr, Entry> entries_;
+  std::vector<Line> lines_;  ///< Every entry, in first-request order.
+  /// Open-addressed index over lines_: positions, kNoLine when free.
+  std::vector<std::uint32_t> index_;
+  std::vector<Service> services_;
+  std::vector<std::uint32_t> free_services_;  ///< Records no line holds.
   SharerSet::Params sharer_params_;
   struct L2Meta {};
+  static_assert(sizeof(CacheLine<L2Meta>) == 24);
   CacheArray<L2Meta> l2_;
   std::size_t busy_entries_ = 0;
 

@@ -117,6 +117,7 @@ class L1Controller {
   };
   static_assert(static_cast<int>(LineState::kS) == 0,
                 "CacheArray zero-fills lines: the default state must be 0");
+  static_assert(sizeof(CacheLine<L1Meta>) == 24);
   struct Mshr {
     BlockAddr addr = 0;
     bool is_store = false;

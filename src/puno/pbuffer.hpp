@@ -22,7 +22,8 @@
 // highest node id. Evictions are the P-Buffer-pressure signal the scale
 // study reports (puno.pbuffer_evictions). With capacity >= num_nodes no
 // eviction can ever occur, so the paper's 16-node configuration behaves
-// exactly as the unbounded seed did.
+// exactly as the unbounded seed did. Aging and eviction visit only the
+// tracked nodes, so each costs O(capacity), whatever the node count.
 //
 // Units: `ts` is a transaction timestamp (priority), not a cycle count —
 // it is derived as begin_cycle * num_nodes + node, so smaller means older
@@ -65,10 +66,10 @@ class PBuffer {
     assert(n < slots_.size());
     Slot& s = slots_[n];
     if (!s.tracked) {
-      if (tracked_ == capacity_) evict_one();
+      if (tracked_.size() == capacity_) evict_one();
       s.tracked = true;
       s.e = Entry{};
-      ++tracked_;
+      tracked_.push_back(n);
     }
     s.e.ts = ts;
     // Figure 5(b): +1 on update, +2 when reviving a fully stale entry.
@@ -77,10 +78,12 @@ class PBuffer {
         s.e.validity + inc > 3 ? 3 : s.e.validity + inc);
   }
 
-  /// Rollover-counter timeout: age every entry.
+  /// Rollover-counter timeout: age every entry. An untracked slot always
+  /// holds validity 0, so only tracked nodes need visiting.
   void on_timeout() {
-    for (Slot& s : slots_) {
-      if (s.e.validity > 0) --s.e.validity;
+    for (const NodeId n : tracked_) {
+      Entry& e = slots_[n].e;
+      if (e.validity > 0) --e.validity;
     }
   }
 
@@ -110,7 +113,7 @@ class PBuffer {
     return slots_[n].tracked;
   }
   [[nodiscard]] std::uint32_t tracked_count() const noexcept {
-    return tracked_;
+    return static_cast<std::uint32_t>(tracked_.size());
   }
   [[nodiscard]] std::uint32_t capacity() const noexcept { return capacity_; }
   /// Node-id index range (== num_nodes).
@@ -126,31 +129,32 @@ class PBuffer {
     bool tracked = false;
   };
 
+  /// Deterministic victim order: lowest validity, then youngest (largest)
+  /// timestamp — kInvalidTimestamp sorts youngest of all — then highest id.
+  [[nodiscard]] bool evicts_before(NodeId a, NodeId b) const {
+    const Entry& x = slots_[a].e;
+    const Entry& y = slots_[b].e;
+    if (x.validity != y.validity) return x.validity < y.validity;
+    if (x.ts != y.ts) return x.ts > y.ts;
+    return a > b;
+  }
+
   void evict_one() {
-    // Deterministic victim: lowest validity, then youngest (largest)
-    // timestamp — kInvalidTimestamp sorts youngest of all — then highest id.
-    NodeId victim = kInvalidNode;
-    std::uint8_t vv = 0;
-    Timestamp vts = 0;
-    for (NodeId n = 0; n < slots_.size(); ++n) {
-      const Slot& s = slots_[n];
-      if (!s.tracked) continue;
-      if (victim == kInvalidNode || s.e.validity < vv ||
-          (s.e.validity == vv && s.e.ts >= vts)) {
-        victim = n;
-        vv = s.e.validity;
-        vts = s.e.ts;
-      }
+    assert(!tracked_.empty());
+    std::size_t v = 0;
+    for (std::size_t i = 1; i < tracked_.size(); ++i) {
+      if (evicts_before(tracked_[i], tracked_[v])) v = i;
     }
-    assert(victim != kInvalidNode);
-    slots_[victim] = Slot{};
-    --tracked_;
+    slots_[tracked_[v]] = Slot{};
+    tracked_[v] = tracked_.back();
+    tracked_.pop_back();
     ++evictions_;
   }
 
   std::vector<Slot> slots_;  ///< Indexed by node id.
   std::uint32_t capacity_;
-  std::uint32_t tracked_ = 0;
+  /// Ids of the tracked nodes, at most capacity_ of them, in no order.
+  std::vector<NodeId> tracked_;
   std::uint64_t evictions_ = 0;
 };
 

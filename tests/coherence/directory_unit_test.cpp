@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <memory>
+#include <vector>
 
 namespace puno::coherence {
 namespace {
@@ -329,6 +331,168 @@ TEST_F(DirectoryUnitTest, WbDataRefillsL2) {
   dir_->handle_message(make(MsgType::kGetS, 0x140, 2));
   settle(cfg_.cache.l2_latency + 2);
   expect_sent(MsgType::kData);  // arrived within L2 latency: it was a hit
+}
+
+TEST_F(DirectoryUnitTest, EntriesAreVisitedInFirstRequestOrder) {
+  // 100 lines (the table grows past its first size) requested in a
+  // scrambled order; a second round of requests adds no entry and does not
+  // reorder them.
+  std::vector<BlockAddr> order;
+  for (std::uint64_t i = 0; i < 100; ++i) order.push_back((i * 37 % 100) * 64);
+  for (int round = 0; round < 2; ++round) {
+    const auto node = static_cast<NodeId>(1 + round);
+    for (const BlockAddr a : order) {
+      dir_->handle_message(make(MsgType::kGetX, a, node));
+      unblock(a, node, true);
+    }
+  }
+  std::vector<BlockAddr> visited;
+  dir_->for_each_entry(
+      [&](BlockAddr a, const Directory::Entry&) { visited.push_back(a); });
+  EXPECT_EQ(visited, order);
+  EXPECT_EQ(dir_->entry_count(), order.size());
+}
+
+TEST_F(DirectoryUnitTest, QueuedRequestsAreServedFifoAcrossServiceTurns) {
+  const BlockAddr line = 0x40;
+  // The requester every message of the line's last service names: Data
+  // goes to it, and forwards and invalidations carry it.
+  const auto served = [&] {
+    settle();
+    NodeId req = kInvalidNode;
+    for (const SentMsg& m : sent_) {
+      if (m.msg.addr != line) continue;
+      if (req == kInvalidNode) req = m.msg.requester;
+      EXPECT_EQ(m.msg.requester, req);
+    }
+    sent_.clear();
+    return req;
+  };
+  // Another line stays busy throughout, so the two lines' service records
+  // are taken and returned in interleaved turns.
+  dir_->handle_message(make(MsgType::kGetS, 0x80, 11));
+  dir_->handle_message(make(MsgType::kGetS, 0x80, 12));  // queued
+
+  // Turn 1: 1 busies the line; 2, 3 and 4 queue.
+  dir_->handle_message(make(MsgType::kGetS, line, 1));
+  dir_->handle_message(make(MsgType::kGetX, line, 2));
+  dir_->handle_message(make(MsgType::kGetS, line, 3));
+  dir_->handle_message(make(MsgType::kGetX, line, 4));
+  EXPECT_EQ(served(), 1);
+  unblock(line, 1, true);  // schedules 2's service one cycle on
+  // In the same cycle 5's request finds the line idle and is served first;
+  // 2's service then finds the line busy and goes back to the front.
+  dir_->handle_message(make(MsgType::kGetS, line, 5));
+  EXPECT_EQ(served(), 5);
+  unblock(line, 5, true);
+  EXPECT_EQ(served(), 2);
+  unblock(line, 2, true);
+  unblock(0x80, 11, true);  // the other line's queue moves on meanwhile
+  EXPECT_EQ(served(), 3);
+  unblock(line, 3, true);
+  unblock(0x80, 12, true);
+  EXPECT_EQ(served(), 4);
+  unblock(line, 4, true);
+  settle();
+  EXPECT_TRUE(sent_.empty());
+  EXPECT_EQ(dir_->pending_services(), 0u);
+  EXPECT_EQ(dir_->peek(line)->owner, 4);
+
+  // Turn 2: the queue empties when 7 is dequeued, 8 busies the line in
+  // that cycle and 9 queues behind it; 7 still goes first after 8.
+  dir_->handle_message(make(MsgType::kGetX, line, 6));
+  dir_->handle_message(make(MsgType::kGetS, line, 7));
+  EXPECT_EQ(served(), 6);
+  unblock(line, 6, true);
+  dir_->handle_message(make(MsgType::kGetS, line, 8));
+  dir_->handle_message(make(MsgType::kGetS, line, 9));
+  EXPECT_EQ(served(), 8);
+  unblock(line, 8, true);
+  EXPECT_EQ(served(), 7);
+  unblock(line, 7, true);
+  EXPECT_EQ(served(), 9);
+  unblock(line, 9, true);
+  settle();
+  EXPECT_TRUE(sent_.empty());
+  EXPECT_EQ(dir_->pending_services(), 0u);
+  const auto* e = dir_->peek(line);
+  EXPECT_EQ(e->state, Directory::DirState::kS);
+  EXPECT_EQ(e->sharers.mask64(),
+            node_bit(6) | node_bit(7) | node_bit(8) | node_bit(9));
+}
+
+TEST(DirectoryTable, OneHomeOfA256NodeMachineServesFortyThousandBlocks) {
+  // 40,960 interleaved blocks of one home: the table doubles 13 times from
+  // its first size. Every line is busy at once before the first UNBLOCK,
+  // so the service pool grows as large as the table.
+  sim::Kernel kernel;
+  SystemConfig cfg;
+  cfg.num_nodes = 256;
+  cfg.noc.mesh_width = 16;
+  constexpr NodeId kHome = 5;
+  std::uint64_t sent = 0;
+  Directory dir(kernel, cfg, kHome,
+                [&](NodeId, std::shared_ptr<const Message>) { ++sent; });
+  constexpr std::uint64_t kBlocks = 40960;
+  const auto block = [&](std::uint64_t k) {
+    return (k * cfg.num_nodes + kHome) * CacheConfig::block_bytes;
+  };
+  const auto first = [](std::uint64_t k) {
+    return static_cast<NodeId>(k % 256);
+  };
+  const auto second = [](std::uint64_t k) {
+    return static_cast<NodeId>((k + 7) % 256);
+  };
+  const auto send = [&](MsgType t, std::uint64_t k, NodeId from,
+                        bool success = true) {
+    Message m;
+    m.type = t;
+    m.addr = block(k);
+    m.sender = from;
+    m.requester = from;
+    m.success = success;
+    dir.handle_message(m);
+  };
+
+  for (std::uint64_t k = 0; k < kBlocks; ++k) send(MsgType::kGetS, k, first(k));
+  EXPECT_EQ(dir.entry_count(), kBlocks);
+  EXPECT_EQ(dir.pending_services(), kBlocks);
+  for (std::uint64_t k = kBlocks; k-- > 0;) send(MsgType::kUnblock, k, first(k));
+  // A third of the lines move to a new owner, a third gain a sharer.
+  for (std::uint64_t k = 0; k < kBlocks; ++k) {
+    if (k % 3 == 0) continue;
+    send(k % 3 == 1 ? MsgType::kGetX : MsgType::kGetS, k, second(k));
+    send(MsgType::kUnblock, k, second(k));
+  }
+  kernel.run_for(400);
+
+  EXPECT_EQ(dir.entry_count(), kBlocks);
+  EXPECT_EQ(dir.pending_services(), 0u);
+  for (std::uint64_t k = 0; k < kBlocks; ++k) {
+    const auto* e = dir.peek(block(k));
+    ASSERT_NE(e, nullptr) << "block " << k;
+    ASSERT_FALSE(e->busy);
+    switch (k % 3) {
+      case 0:
+        ASSERT_EQ(e->state, Directory::DirState::kEM) << "block " << k;
+        ASSERT_EQ(e->owner, first(k));
+        break;
+      case 1:
+        ASSERT_EQ(e->state, Directory::DirState::kEM) << "block " << k;
+        ASSERT_EQ(e->owner, second(k));
+        break;
+      default:
+        ASSERT_EQ(e->state, Directory::DirState::kS) << "block " << k;
+        ASSERT_EQ(e->sharers.to_vector(),
+                  (std::vector<NodeId>{std::min(first(k), second(k)),
+                                       std::max(first(k), second(k))}));
+        break;
+    }
+  }
+  EXPECT_EQ(dir.peek(block(kBlocks)), nullptr);
+  EXPECT_EQ(dir.peek(block(0) + CacheConfig::block_bytes), nullptr);
+  EXPECT_EQ(dir.entry_count(), kBlocks) << "peek must not insert";
+  EXPECT_GT(sent, kBlocks);
 }
 
 }  // namespace

@@ -2,8 +2,70 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "sim/rng.hpp"
+
 namespace puno::core {
 namespace {
+
+/// The full-scan rule: every timeout and every eviction walks all
+/// num_nodes slots. PBuffer visits only its tracked nodes and must agree
+/// with this reference on every entry after every operation.
+struct FullScanPBuffer {
+  struct Slot {
+    PBuffer::Entry e;
+    bool tracked = false;
+  };
+
+  FullScanPBuffer(std::uint32_t capacity, std::uint32_t num_nodes)
+      : slots(num_nodes), capacity(capacity) {}
+
+  void update(NodeId n, Timestamp ts) {
+    Slot& s = slots[n];
+    if (!s.tracked) {
+      if (tracked == capacity) evict_one();
+      s.tracked = true;
+      s.e = PBuffer::Entry{};
+      ++tracked;
+    }
+    s.e.ts = ts;
+    const int inc = s.e.validity == 0 ? 2 : 1;
+    s.e.validity = static_cast<std::uint8_t>(std::min(3, s.e.validity + inc));
+  }
+
+  void on_timeout() {
+    for (Slot& s : slots) {
+      if (s.e.validity > 0) --s.e.validity;
+    }
+  }
+
+  void invalidate(NodeId n) { slots[n].e.validity = 0; }
+
+  void evict_one() {
+    // Ascending scan; a later slot wins ties, so equal validity and equal
+    // timestamp leave the highest id as the victim.
+    NodeId victim = kInvalidNode;
+    for (NodeId n = 0; n < slots.size(); ++n) {
+      const Slot& s = slots[n];
+      if (!s.tracked) continue;
+      if (victim == kInvalidNode || s.e.validity < slots[victim].e.validity ||
+          (s.e.validity == slots[victim].e.validity &&
+           s.e.ts >= slots[victim].e.ts)) {
+        victim = n;
+      }
+    }
+    slots[victim] = Slot{};
+    --tracked;
+    ++evictions;
+  }
+
+  std::vector<Slot> slots;
+  std::uint32_t capacity;
+  std::uint32_t tracked = 0;
+  std::uint64_t evictions = 0;
+};
 
 TEST(PBuffer, EntriesStartInvalid) {
   PBuffer p(16);
@@ -160,6 +222,53 @@ TEST(PBuffer, InvalidatedEntryStaysTrackedAndEvictsFirst) {
   EXPECT_FALSE(p.tracked(2));
   EXPECT_TRUE(p.tracked(1));
   EXPECT_TRUE(p.tracked(3));
+}
+
+TEST(PBuffer, TrackedListMatchesFullScanReference) {
+  // Capacity below the node count, so updates of untracked nodes evict;
+  // timestamps come from a small range, so validity and timestamp ties
+  // reach the highest-id rule; evicted nodes are re-tracked later.
+  struct Shape {
+    std::uint32_t capacity;
+    std::uint32_t num_nodes;
+  };
+  for (const Shape shape : {Shape{1, 4}, Shape{2, 8}, Shape{4, 16},
+                            Shape{16, 64}, Shape{16, 256}}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      PBuffer p(shape.capacity, shape.num_nodes);
+      FullScanPBuffer ref(shape.capacity, shape.num_nodes);
+      sim::Rng rng(seed, shape.num_nodes);
+      // Nodes are drawn from a window a little wider than the capacity, so
+      // the same nodes come back after their eviction.
+      const std::uint32_t window =
+          std::min(shape.num_nodes, shape.capacity * 2 + 1);
+      for (int op = 0; op < 4000; ++op) {
+        const auto n = static_cast<NodeId>(
+            rng.next_below(rng.next_bool(0.9) ? window : shape.num_nodes));
+        const std::uint64_t kind = rng.next_below(10);
+        if (kind < 6) {
+          const Timestamp ts = rng.next_below(4) * 100;
+          p.update(n, ts);
+          ref.update(n, ts);
+        } else if (kind < 9) {
+          p.on_timeout();
+          ref.on_timeout();
+        } else {
+          p.invalidate(n);
+          ref.invalidate(n);
+        }
+        ASSERT_EQ(p.tracked_count(), ref.tracked);
+        ASSERT_EQ(p.evictions(), ref.evictions);
+        for (NodeId m = 0; m < shape.num_nodes; ++m) {
+          ASSERT_EQ(p.tracked(m), ref.slots[m].tracked)
+              << "node " << m << " after op " << op << ", seed " << seed;
+          ASSERT_EQ(p.get(m).validity, ref.slots[m].e.validity);
+          ASSERT_EQ(p.get(m).ts, ref.slots[m].e.ts);
+        }
+      }
+      EXPECT_GT(ref.evictions, 0u) << "capacity " << shape.capacity;
+    }
+  }
 }
 
 }  // namespace
