@@ -49,8 +49,10 @@ int main() {
               ud);
 
   // (b) A TxGETX from node 2 (ts 250): node 1 (ts 100) out-prioritizes it,
-  // so the directory unicasts.
-  NodeId target = dir.predict_unicast(sharers.expand_excluding(2), 2, 250, ud);
+  // so the directory unicasts among the other sharers.
+  SharerSet others = sharers;
+  others.remove(2);
+  NodeId target = dir.predict_unicast(others, 2, 250, ud);
   std::printf("\n-- (b) TxGETX from node2 (ts=250): %s --\n",
               target == kInvalidNode
                   ? "multicast (no usable older sharer)"
@@ -66,7 +68,7 @@ int main() {
   ud = dir.recompute_ud(sharers);
   std::printf("  UD pointer recomputed -> node %u\n", ud);
 
-  target = dir.predict_unicast(sharers.expand_excluding(2), 2, 250, ud);
+  target = dir.predict_unicast(others, 2, 250, ud);
   std::printf("  next TxGETX from node2: %s%s\n",
               target == kInvalidNode ? "multicast" : "unicast to node ",
               target == kInvalidNode ? "" : std::to_string(target).c_str());

@@ -56,7 +56,7 @@ std::uint32_t Directory::find_or_insert(BlockAddr addr) {
   const std::size_t i = probe(addr);
   if (index_[i] != kNoLine) return index_[i];
   const auto line = static_cast<std::uint32_t>(lines_.size());
-  lines_.push_back(Line{addr, Entry{.sharers = SharerSet(sharer_params_)}});
+  lines_.push_back(Line{addr, Entry{}});
   index_[i] = line;
   // Grow at half load, so a probe sequence stays short.
   if (lines_.size() * 2 > index_.size()) {
@@ -222,11 +222,11 @@ void Directory::service_get_x(Entry& e, Service& s, const Message& msg) {
       return;
     }
     case DirState::kS: {
-      // Exact invalidation targets, derived by expanding the (possibly
-      // lossy) sharer representation. Over-approximate representations add
-      // spurious targets here; non-holders ack them like the stale-sharer
-      // acks the protocol already tolerates.
-      const SharerSet others = e.sharers.expand_excluding(msg.requester);
+      // Invalidation targets: every listed sharer but the requester. A
+      // lossy encoding's spurious members are targets too; non-holders ack
+      // them like the stale-sharer acks the protocol already tolerates.
+      SharerSet others = e.sharers;
+      others.remove(msg.requester);
       const bool requester_is_sharer = e.sharers.contains(msg.requester);
       if (others.empty()) {
         // Upgrade with no other sharers: a pure permission grant.
@@ -379,14 +379,14 @@ void Directory::finish_service(std::uint32_t line, const Message& unblock) {
       break;
     case ServiceKind::kGetSShared:
       e.state = DirState::kS;
-      e.sharers.add(req);
+      sharer_params_.add(e.sharers, req);
       break;
     case ServiceKind::kGetSOwned:
       if (unblock.success) {
         e.state = DirState::kS;
         e.sharers.clear();
-        e.sharers.add(e.owner);
-        e.sharers.add(req);
+        sharer_params_.add(e.sharers, e.owner);
+        sharer_params_.add(e.sharers, req);
         e.owner = kInvalidNode;
       }
       break;
@@ -403,12 +403,13 @@ void Directory::finish_service(std::uint32_t line, const Message& unblock) {
       } else {
         // Keep exactly the sharers that nacked (and the requester's own
         // copy if it was upgrading): the aborted sharers were invalidated.
-        // The exact survivor set is then re-encoded into the configured
-        // representation.
+        // The list is rebuilt from those survivors in the configured
+        // encoding.
         SharerSet kept =
             SharerSet::intersect(s.inv_targets, unblock.surviving_sharers);
         if (e.sharers.contains(req)) kept.add(req);
-        e.sharers.assign(kept);
+        e.sharers.clear();
+        kept.for_each([&](NodeId n) { sharer_params_.add(e.sharers, n); });
         assert(!e.sharers.empty());
       }
       break;

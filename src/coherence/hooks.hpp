@@ -92,10 +92,10 @@ class DirectoryAssist {
   virtual void observe_request(NodeId src, Timestamp ts, Cycle avg_txn_len) = 0;
 
   /// Unicast-destination prediction for a transactional GETX from
-  /// `requester` (timestamp `req_ts`) to a line shared by `sharers`
-  /// (requester excluded; an exact expansion of the directory entry's
-  /// possibly-lossy sharer list). `ud_hint` is the entry's UD pointer.
-  /// Returns the sharer to unicast to, or kInvalidNode to multicast.
+  /// `requester` (timestamp `req_ts`) to a line shared by `sharers` (the
+  /// directory entry's possibly lossy sharer list, requester removed).
+  /// `ud_hint` is the entry's UD pointer. Returns the sharer to unicast
+  /// to, or kInvalidNode to multicast.
   [[nodiscard]] virtual NodeId predict_unicast(const SharerSet& sharers,
                                                NodeId requester,
                                                Timestamp req_ts,
@@ -104,8 +104,8 @@ class DirectoryAssist {
   /// Recomputes a directory entry's UD pointer: the member of `sharers`
   /// with the highest P-Buffer priority. Called off the critical path, after
   /// a service completes. `sharers` may be the entry's own (lossy) sharer
-  /// list; represented-but-not-actual members are acceptable UD targets —
-  /// the misprediction feedback path corrects them.
+  /// list; listed nodes that hold no copy are acceptable UD targets — the
+  /// misprediction feedback path corrects them.
   [[nodiscard]] virtual NodeId recompute_ud(const SharerSet& sharers) = 0;
 
   /// Misprediction feedback from an UNBLOCK (MP-bit set): invalidate the

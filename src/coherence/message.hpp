@@ -84,8 +84,8 @@ struct Message final : noc::PacketPayload {
   bool exclusive = false;  ///< kData grants E/M instead of S.
   bool success = false;    ///< kUnblock: the request completed (vs. nacked).
   /// kUnblock after a failed GETX: sharers that nacked and therefore keep
-  /// their copy. Exact (full-bit-vector) regardless of the directory's
-  /// configured sharer representation — the wire carries real node ids.
+  /// their copy. Exact, whatever the directory's sharer encoding — the wire
+  /// carries real node ids.
   SharerSet surviving_sharers;
   /// kAck: the responder aborted its transaction to honour the invalidation.
   /// Physically one bit; used for false-abort accounting (Figures 2 and 3).

@@ -13,7 +13,7 @@
 // in simulated cycles (the 2-cycle prediction latency models the P-Buffer
 // lookup + compare, off the directory's critical path). `Timestamp`
 // arguments are transaction priorities (smaller = older = wins), not
-// cycles. `sharer_mask` is a bit per node, bit i = node i shares the block.
+// cycles. `sharers` is a directory entry's sharer list (coherence::SharerSet).
 //
 // Ownership: one PunoDirectory per node, owned by arch::Cmp and attached
 // to the node's Directory via set_assist() as a non-owning pointer — the

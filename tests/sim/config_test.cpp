@@ -165,6 +165,40 @@ TEST(SystemConfig, ValidateCapsVcDepthAtTheRingIndexWidth) {
   }
 }
 
+// Each of these crashed a run: a zero associativity or RMW table size is a
+// divisor (SIGFPE), and an empty or zero rollover-period range lets the
+// P-Buffer's rollover reschedule itself until memory runs out.
+TEST(SystemConfig, ValidateRejectsZeroDivisorsAndAnEmptyTimeoutRange) {
+  ASSERT_EQ(validate(SystemConfig{}), std::nullopt);
+  struct Case {
+    const char* key;
+    void (*set)(SystemConfig&);
+  };
+  const Case cases[] = {
+      {"cache.l1_assoc", [](SystemConfig& c) { c.cache.l1_assoc = 0; }},
+      {"cache.l2_assoc", [](SystemConfig& c) { c.cache.l2_assoc = 0; }},
+      {"htm.rmw_entries", [](SystemConfig& c) { c.htm.rmw_entries = 0; }},
+      {"puno.min_timeout", [](SystemConfig& c) { c.puno.min_timeout = 0; }},
+      {"puno.max_timeout",
+       [](SystemConfig& c) { c.puno.max_timeout = c.puno.min_timeout - 1; }},
+  };
+  for (const Case& c : cases) {
+    SystemConfig cfg;
+    c.set(cfg);
+    const auto err = validate(cfg);
+    ASSERT_TRUE(err.has_value()) << c.key;
+    EXPECT_NE(err->find(c.key), std::string::npos) << *err;
+  }
+  // The range's edges: one associativity way, a one-cycle period.
+  SystemConfig edge;
+  edge.cache.l1_assoc = 1;
+  edge.cache.l2_assoc = 1;
+  edge.htm.rmw_entries = 1;
+  edge.puno.min_timeout = 1;
+  edge.puno.max_timeout = 1;
+  EXPECT_EQ(validate(edge), std::nullopt);
+}
+
 TEST(SystemConfig, EffectiveKnobDefaultsScaleWithNodeCount) {
   SystemConfig cfg;
   cfg.num_nodes = 256;
