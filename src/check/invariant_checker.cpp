@@ -193,9 +193,9 @@ void InvariantChecker::check_dir_l1(Cycle now) {
         case L1Controller::LineState::kS:
           // Sharer lists are stale-inclusive (silent S evictions), so the
           // list may name non-sharers but must never miss a real one.
-          // An over-approximating representation (coarse regions,
-          // limited-pointer broadcast) still satisfies this by
-          // construction: contains() never misses a real sharer.
+          // An over-approximating encoding (coarse regions, limited-
+          // pointer broadcast) still satisfies this by construction: it
+          // only ever records more nodes than the real sharers.
           if (e->state == Directory::DirState::kS &&
               !e->sharers.contains(node)) {
             report(InvariantId::kDirL1, now, node, addr,

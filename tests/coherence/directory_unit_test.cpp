@@ -20,7 +20,10 @@ struct SentMsg {
 
 class DirectoryUnitTest : public ::testing::Test {
  protected:
-  DirectoryUnitTest() {
+  DirectoryUnitTest() { make_directory(); }
+
+  /// (Re)builds the directory under test from cfg_.
+  void make_directory() {
     dir_ = std::make_unique<Directory>(
         kernel_, cfg_, kHome,
         [this](NodeId dst, std::shared_ptr<const Message> m) {
@@ -201,6 +204,24 @@ TEST_F(DirectoryUnitTest, FailedGetXRestoresSurvivingSharers) {
   const auto* e = dir_->peek(0x80);
   EXPECT_EQ(e->state, Directory::DirState::kS);
   EXPECT_EQ(e->sharers.mask64(), node_bit(3));
+}
+
+// A coarse list records a sharer's whole region, and a failed GETX rebuilds
+// it from the survivors in the same encoding.
+TEST_F(DirectoryUnitTest, FailedGetXRebuildsACoarseListByRegion) {
+  cfg_.dir.sharer_rep = SharerRep::kCoarse;
+  cfg_.dir.coarse_region = 4;
+  make_directory();
+  make_shared_line(0x80, {1, 9});
+  ASSERT_EQ(dir_->peek(0x80)->sharers.to_vector(),
+            (std::vector<NodeId>{0, 1, 2, 3, 8, 9, 10, 11}));
+  dir_->handle_message(make(MsgType::kGetX, 0x80, 5));
+  settle();
+  sent_.clear();
+  // Only node 9 nacked: its region stays listed, region 0..3 goes.
+  unblock(0x80, 5, /*success=*/false, node_bit(9));
+  EXPECT_EQ(dir_->peek(0x80)->sharers.to_vector(),
+            (std::vector<NodeId>{8, 9, 10, 11}));
 }
 
 TEST_F(DirectoryUnitTest, UpgradeByExistingSharerKeepsOwnCopyOnFailure) {
