@@ -307,7 +307,8 @@ void InvariantChecker::check_txn_pin(Cycle now) {
 
 // NOC-CONSERVATION: every flit the NIs injected is either ejected, buffered
 // in some router, or riding a link in the mesh's link stage — always; and
-// once the mesh drains, protocol messages in equals messages out.
+// once the mesh drains, protocol messages in equals messages out and the
+// packet arena holds no live slot.
 void InvariantChecker::check_noc_conservation(Cycle now) {
   if (mesh_ == nullptr) return;
   const std::uint64_t sent = flits_sent_->value();
@@ -321,12 +322,21 @@ void InvariantChecker::check_noc_conservation(Cycle now) {
        << mesh_->buffered_router_flits() << " buffered = " << accounted;
     report(InvariantId::kNocConservation, now, kInvalidNode, 0, os.str());
   }
-  if (mesh_->idle() &&
-      mesh_->messages_injected() != mesh_->messages_delivered()) {
+  const bool idle = mesh_->idle();
+  if (idle && mesh_->messages_injected() != mesh_->messages_delivered()) {
     std::ostringstream os;
     os << "mesh idle with " << mesh_->messages_injected()
        << " messages injected but only " << mesh_->messages_delivered()
        << " delivered";
+    report(InvariantId::kNocConservation, now, kInvalidNode, 0, os.str());
+  }
+  // The destination NI frees a packet's arena slot when it delivers the
+  // tail flit, so a drained mesh holds none: a live slot is a lost tail or
+  // a missed free, and a doubled free wraps the count.
+  if (idle && mesh_->packet_pool().live() != 0) {
+    std::ostringstream os;
+    os << "mesh idle with " << mesh_->packet_pool().live()
+       << " packet(s) still live in the packet arena";
     report(InvariantId::kNocConservation, now, kInvalidNode, 0, os.str());
   }
   // Active-set coverage: a component holding work the tick loop must drain

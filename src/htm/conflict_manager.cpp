@@ -1,6 +1,7 @@
 #include "htm/conflict_manager.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "htm/txn_context.hpp"
 #include "sim/kernel.hpp"
@@ -27,7 +28,8 @@ Cycle ConflictManager::avg_c2c_latency() const noexcept {
 }
 
 bool ConflictManager::rmw_predicts_exclusive(std::uint64_t pc) const {
-  return txn_->rmw_.predict_exclusive(pc);
+  assert(txn_->rmw_.has_value() && "only a manager that reads_rmw_predictor");
+  return txn_->rmw_->predict_exclusive(pc);
 }
 
 std::size_t ConflictManager::read_set_size() const noexcept {
@@ -115,6 +117,9 @@ class RmwPredManager final : public ConflictManager {
   }
   [[nodiscard]] bool load_exclusive(std::uint64_t pc) override {
     return rmw_predicts_exclusive(pc);
+  }
+  [[nodiscard]] bool reads_rmw_predictor() const noexcept override {
+    return true;
   }
 };
 

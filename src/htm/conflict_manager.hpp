@@ -112,6 +112,12 @@ class ConflictManager {
     return false;
   }
 
+  /// Whether load_exclusive reads the RMW predictor. The owning TxnContext
+  /// allocates and trains a predictor only when it does.
+  [[nodiscard]] virtual bool reads_rmw_predictor() const noexcept {
+    return false;
+  }
+
   /// Architectural set-capacity admission, consulted before `block` is
   /// recorded into the read/write set. Returning false aborts the attempt
   /// through the overflow path (trace event + kOverflow cause).

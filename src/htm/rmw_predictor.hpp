@@ -14,8 +14,9 @@
 // program counter in our workloads); nothing in this class is measured in
 // cycles — prediction is purely history-based.
 //
-// Ownership: one RmwPredictor is owned by value by each node's TxnContext
-// (allocated only under Scheme::kRmwPred). The table owns its slots; no
+// Ownership: one RmwPredictor is owned by value by each node's TxnContext,
+// allocated (and trained) only when the scheme's ConflictManager reads it
+// (reads_rmw_predictor: Scheme::kRmwPred). The table owns its slots; no
 // pointer into it escapes — predictions are returned by value at issue
 // time and training mutates slots in place.
 #pragma once

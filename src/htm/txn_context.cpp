@@ -16,7 +16,6 @@ TxnContext::TxnContext(sim::Kernel& kernel, const SystemConfig& cfg,
       avg_c2c_latency_(avg_c2c_latency),
       rng_(cfg.seed, 0x700 + node),
       txlb_(cfg.puno.txlb_entries),
-      rmw_(cfg.htm.rmw_entries),
       commits_(kernel.stats().counter("htm.commits")),
       aborts_(kernel.stats().counter("htm.aborts")),
       aborts_by_write_(kernel.stats().counter("htm.aborts_by_getx")),
@@ -35,6 +34,7 @@ TxnContext::TxnContext(sim::Kernel& kernel, const SystemConfig& cfg,
       backoff_cycles_(kernel.stats().histogram("htm.backoff_cycles", 256)),
       mgr_(make_conflict_manager(kernel, cfg, node)) {
   mgr_->bind(*this);
+  if (mgr_->reads_rmw_predictor()) rmw_.emplace(cfg.htm.rmw_entries);
 }
 
 void TxnContext::remember_waiter(NodeId requester, BlockAddr addr) {
@@ -103,9 +103,9 @@ void TxnContext::commit() {
   mgr_->on_commit();
 
   // Negative RMW training: loads whose block was never stored in this
-  // transaction were plain reads.
+  // transaction were plain reads. (txn_loads_ is empty without rmw_.)
   for (const auto& [block, pc] : txn_loads_) {
-    if (!txn_stored_.contains(block)) rmw_.train(pc, false);
+    if (!txn_stored_.contains(block)) rmw_->train(pc, false);
   }
 
   in_txn_ = false;
@@ -158,13 +158,15 @@ void TxnContext::on_access(Addr addr, bool write, std::uint64_t pc) {
   if (write) {
     write_set_.insert(block);
     read_set_.insert(block);  // a writer is implicitly a reader
-    txn_stored_.insert(block);
-    if (const auto it = txn_loads_.find(block); it != txn_loads_.end()) {
-      rmw_.train(it->second, true);  // load at it->second was an RMW read
+    if (rmw_) {
+      txn_stored_.insert(block);
+      if (const auto it = txn_loads_.find(block); it != txn_loads_.end()) {
+        rmw_->train(it->second, true);  // load at it->second was an RMW read
+      }
     }
   } else {
     read_set_.insert(block);
-    txn_loads_.try_emplace(block, pc);
+    if (rmw_) txn_loads_.try_emplace(block, pc);
   }
 }
 

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -102,8 +103,8 @@ class TxnContext final : public coherence::TxnHooks {
   /// for the Backoff scheme [17], zero otherwise).
   [[nodiscard]] Cycle restart_backoff();
 
-  /// Records a completed transactional access into the read/write set and
-  /// trains the RMW predictor.
+  /// Records a completed transactional access into the read/write set and,
+  /// if the scheme reads it, trains the RMW predictor.
   void on_access(Addr addr, bool write, std::uint64_t pc);
 
   /// RMW predictor consultation: should the load at `pc` fetch exclusive?
@@ -131,8 +132,10 @@ class TxnContext final : public coherence::TxnHooks {
 
   // --- Introspection ---
   [[nodiscard]] const TxLB& txlb() const noexcept { return txlb_; }
-  [[nodiscard]] const RmwPredictor& rmw_predictor() const noexcept {
-    return rmw_;
+  /// The RMW predictor, or null under a scheme whose ConflictManager does
+  /// not read it (every scheme but kRmwPred).
+  [[nodiscard]] const RmwPredictor* rmw_predictor() const noexcept {
+    return rmw_ ? &*rmw_ : nullptr;
   }
   [[nodiscard]] std::size_t read_set_size() const noexcept {
     return read_set_.size();
@@ -181,12 +184,14 @@ class TxnContext final : public coherence::TxnHooks {
 
   std::unordered_set<BlockAddr> read_set_;
   std::unordered_set<BlockAddr> write_set_;
-  /// block -> PC of the first load, for RMW-predictor training.
+  /// block -> PC of the first load, for RMW-predictor training; kept only
+  /// while rmw_ exists, like txn_stored_.
   std::unordered_map<BlockAddr, std::uint64_t> txn_loads_;
   std::unordered_set<BlockAddr> txn_stored_;
 
   TxLB txlb_;
-  RmwPredictor rmw_;
+  /// Allocated and trained only if the ConflictManager reads it.
+  std::optional<RmwPredictor> rmw_;
   HintSender send_hint_;
   std::vector<std::pair<NodeId, BlockAddr>> waiters_;
 

@@ -5,15 +5,16 @@
 // sized once at construction (inputs x vc_depth) and passes each call the
 // VC's span of it; the ring itself is just a head and a size, one byte
 // each, which is why validate() caps vc_depth at kMaxDepth. Wraps are
-// compares against the span's size, not a modulo. The mesh writes a flit
-// into its ring only once the flit may switch, so the front flit is always
-// eligible and the ring stores no timing.
+// compares against the span's size, not a modulo. Flits are plain values
+// (flit.hpp), so a pop only moves the indices and the next push overwrites
+// the stale slot. The mesh writes a flit into its ring only once the flit
+// may switch, so the front flit is always eligible and the ring stores no
+// timing.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <span>
-#include <utility>
 
 #include "noc/flit.hpp"
 
@@ -33,28 +34,26 @@ class FlitRing {
   void push_back(std::span<Flit> slots, Flit f) {
     assert(size_ < slots.size() &&
            "VC ring overflow (credit protocol violated)");
-    slots[wrap(head_ + size_, slots)] = std::move(f);
+    slots[wrap(head_ + size_, slots)] = f;
     ++size_;
   }
 
-  [[nodiscard]] Flit& front(std::span<Flit> slots) const noexcept {
+  [[nodiscard]] const Flit& front(std::span<const Flit> slots) const noexcept {
     assert(size_ > 0);
     return slots[head_];
   }
 
-  void pop_front(std::span<Flit> slots) noexcept {
+  void pop_front(std::span<const Flit> slots) noexcept {
     assert(size_ > 0);
-    slots[head_] = Flit{};  // release the packet handle promptly
     head_ = static_cast<std::uint8_t>(wrap(head_ + 1u, slots));
     --size_;
   }
 
   /// Drops the youngest flit (fault injection for the invariant-checker
   /// tests; head/VA state stays sane).
-  void pop_back(std::span<Flit> slots) noexcept {
+  void pop_back() noexcept {
     assert(size_ > 0);
     --size_;
-    slots[wrap(head_ + size_, slots)] = Flit{};
   }
 
  private:

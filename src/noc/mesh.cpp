@@ -22,6 +22,7 @@ Mesh::Mesh(sim::Kernel& kernel, const NocConfig& cfg)
     : kernel_(kernel),
       cfg_(cfg),
       traversals_(&kernel.stats().counter("noc.router_traversals")),
+      coords_(coord_table(cfg.mesh_width, cfg.mesh_width * cfg.rows())),
       stage_(cfg.link_latency + std::max(cfg.pipeline_stages - 1, 1u)),
       injecting_(cfg.pipeline_stages),
       pipeline_delay_(cfg.pipeline_stages - 1),
@@ -37,7 +38,8 @@ Mesh::Mesh(sim::Kernel& kernel, const NocConfig& cfg)
   routers_.reserve(n);
   nis_.reserve(n);
   for (NodeId i = 0; i < n; ++i) {
-    routers_.push_back(std::make_unique<Router>(cfg_, i, *traversals_));
+    routers_.push_back(
+        std::make_unique<Router>(cfg_, i, coords_, *traversals_));
     routers_.back()->set_active_set(&router_active_);
   }
   for (NodeId i = 0; i < n; ++i) {
@@ -88,16 +90,20 @@ void Mesh::send(NodeId src, NodeId dst, VNet vnet, std::uint32_t data_bytes,
 }
 
 void Mesh::tick(Cycle now) {
+  // Tick now - 2's credits (mesh.hpp: the ring has at least two slots).
+  return_credits(stage_[(now + stage_.size() - 2) % stage_.size()]);
   std::vector<Injection>& injected =
       injecting_[(now + pipeline_delay_) % injecting_.size()];
-  std::vector<Traversal>& hops = stage_[now % stage_.size()].hops;
+  const std::size_t s = now % stage_.size();
+  std::vector<Traversal>& hops = stage_[s].hops;
+  std::vector<Traversal>& ejects = stage_[s].ejects;
   if (cfg_.always_tick) {
     // Reference schedule: full id-ordered sweep, every cycle. The active
     // sets are still pruned so their contents match the active-set mode
     // bit for bit (the invariant checker asserts coverage in both modes).
     for (auto& ni : nis_) ni->tick(now, injected);
     enter_routers(now);
-    for (auto& r : routers_) r->tick(hops);
+    for (auto& r : routers_) r->tick(hops, ejects);
     ni_active_.for_each_prune(
         [this](NodeId id) { return !nis_[id]->idle(); });
     router_active_.for_each_prune(
@@ -112,16 +118,12 @@ void Mesh::tick(Cycle now) {
       return !nis_[id]->idle();
     });
     enter_routers(now);
-    router_active_.for_each_prune([this, &hops](NodeId id) {
-      routers_[id]->tick(hops);
+    router_active_.for_each_prune([this, &hops, &ejects](NodeId id) {
+      routers_[id]->tick(hops, ejects);
       return !routers_[id]->idle();
     });
   }
-  if (hops.empty()) return;
-  // Credits are read only inside router and NI ticks, so returning a whole
-  // slot's credits before any of its flits cannot be observed.
-  const std::size_t s = now % stage_.size();
-  kernel_.schedule(1, [this, s] { return_credits(s); });
+  if (hops.empty() && ejects.empty()) return;
   kernel_.schedule(cfg_.link_latency, [this, s] { land(s); });
 }
 
@@ -129,39 +131,39 @@ void Mesh::enter_routers(Cycle now) {
   // The slot this tick reuses was switched link_latency + max(d, 1) cycles
   // ago; its router-bound flits have served their pipeline.
   StageSlot& slot = stage_[now % stage_.size()];
-  assert((slot.landed || slot.hops.empty()) &&
+  assert((slot.landed || (slot.hops.empty() && slot.ejects.empty())) &&
          "link stage slot reused before its flits landed");
-  for (Traversal& t : slot.hops) {
-    if (t.out_port == Port::kLocal) continue;  // ejected when it landed
+  for (const Traversal& t : slot.hops) {
     routers_[neighbour_id(t.router, t.out_port)]->receive_flit(
-        opposite(t.out_port), t.out_vc, std::move(t.flit));
+        opposite(t.out_port), t.out_vc, t.flit);
   }
   slot.hops.clear();
+  slot.ejects.clear();
   slot.landed = false;
   std::vector<Injection>& injected = injecting_[now % injecting_.size()];
-  for (Injection& i : injected) {
-    routers_[i.router]->receive_flit(Port::kLocal, i.vc, std::move(i.flit));
+  for (const Injection& i : injected) {
+    routers_[i.router]->receive_flit(Port::kLocal, i.vc, i.flit);
   }
   injected.clear();
 }
 
-void Mesh::return_credits(std::size_t s) {
-  for (const Traversal& t : stage_[s].hops) {
+void Mesh::return_credits(const StageSlot& slot) {
+  const auto credit = [this](const Traversal& t) {
     if (t.in_port == Port::kLocal) {
       nis_[t.router]->return_credit(t.in_vc);
     } else {
       routers_[neighbour_id(t.router, t.in_port)]->return_credit(
           opposite(t.in_port), t.in_vc);
     }
-  }
+  };
+  for (const Traversal& t : slot.hops) credit(t);
+  for (const Traversal& t : slot.ejects) credit(t);
 }
 
 void Mesh::land(std::size_t s) {
   StageSlot& slot = stage_[s];
-  for (Traversal& t : slot.hops) {
-    if (t.out_port == Port::kLocal) {
-      nis_[t.router]->eject_flit(t.out_vc, std::move(t.flit));
-    }
+  for (const Traversal& t : slot.ejects) {
+    nis_[t.router]->eject_flit(t.out_vc, t.flit);
   }
   slot.landed = true;
 }
@@ -171,7 +173,7 @@ void Mesh::for_each_held(Fn&& fn) const {
   for (const StageSlot& slot : stage_) {
     if (!slot.landed) continue;
     for (const Traversal& t : slot.hops) {
-      if (t.out_port != Port::kLocal) fn(neighbour_id(t.router, t.out_port));
+      fn(neighbour_id(t.router, t.out_port));
     }
   }
   for (const auto& injected : injecting_) {
@@ -182,7 +184,7 @@ void Mesh::for_each_held(Fn&& fn) const {
 std::uint64_t Mesh::inflight_link_flits() const noexcept {
   std::uint64_t total = 0;
   for (const StageSlot& slot : stage_) {
-    if (!slot.landed) total += slot.hops.size();
+    if (!slot.landed) total += slot.hops.size() + slot.ejects.size();
   }
   return total;
 }
@@ -215,15 +217,11 @@ bool Mesh::corrupt_drop_flit_for_test() {
   for (auto& r : routers_) {
     if (r->corrupt_drop_flit_for_test()) return true;
   }
-  // A landed slot's credits have returned; erasing a held flit leaves the
-  // flit simply gone, as a flow-control bug would.
+  // Erasing a held flit leaves it simply gone, as a flow-control bug
+  // would; its credit goes with it if the slot's credits have not returned.
   for (StageSlot& slot : stage_) {
-    if (!slot.landed) continue;
-    const auto held = std::find_if(
-        slot.hops.begin(), slot.hops.end(),
-        [](const Traversal& t) { return t.out_port != Port::kLocal; });
-    if (held != slot.hops.end()) {
-      slot.hops.erase(held);
+    if (slot.landed && !slot.hops.empty()) {
+      slot.hops.erase(slot.hops.begin());
       return true;
     }
   }

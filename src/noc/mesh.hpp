@@ -23,12 +23,17 @@
 // timing, topology and the router pipeline delay d = pipeline_stages - 1.
 // A flit enters a router's input buffer only in the first tick in which it
 // may switch, so a router never holds a flit it cannot act on:
-//   - A cycle's switch traversals go into slot now % (link_latency +
-//     max(d, 1)) of a ring of traversal lists. Two kernel events replay a
-//     non-empty slot in traversal order: at now + 1 each credit returns
-//     upstream; at now + link_latency the slot lands, and each flit bound
-//     for an NI is ejected. The credits must land no later than the flits,
-//     so validate() requires link_latency >= 1.
+//   - A cycle's switch traversals go into slot S % (link_latency +
+//     max(d, 1)) of a ring of stage slots, in two lists in traversal
+//     order: router-bound hops and ejections. A non-empty slot costs one
+//     kernel event, at S + link_latency, which lands it and ejects each
+//     ejection into its NI; landing stays an event because the protocol
+//     sees where a delivery falls in the cycle's event order.
+//   - The slot's credits return upstream at the start of tick S + 2,
+//     before the NI pass: only router and NI ticks read credits, so that
+//     is when an event at S + 1 made them visible. validate()'s
+//     link_latency >= 1 gives the ring two slots or more; with two, tick
+//     S + 2 reuses the slot, so the credits go first.
 //   - A landed slot's router-bound flits stay where they are: they are in
 //     the downstream router's pipeline. At the start of tick
 //     S + link_latency + max(d, 1), before the router pass, they are
@@ -141,23 +146,31 @@ class Mesh final : public sim::Tickable {
     return ni_active_.contains(n);
   }
 
+  /// The packet arena: live() counts packets accepted by send() whose tail
+  /// flit has not yet been delivered. A drained mesh holds none.
+  [[nodiscard]] const PacketPool& packet_pool() const noexcept {
+    return pool_;
+  }
+
   /// Fault injection for the invariant-checker tests ONLY: drops one flit
   /// from some router buffer, or else one held in a router's pipeline.
   /// Returns false if no router held a flit.
   bool corrupt_drop_flit_for_test();
 
  private:
-  /// One link-stage slot: the traversals of one cycle. `landed` is set once
-  /// they have crossed their links; the router-bound ones are then held in
-  /// the downstream router's pipeline until the slot is next reused.
+  /// One link-stage slot: the traversals of one cycle, router-bound
+  /// (`hops`) and out of a local port (`ejects`). `landed` is set once they
+  /// have crossed their links; the router-bound ones are then held in the
+  /// downstream router's pipeline until the slot is next reused.
   struct StageSlot {
     std::vector<Traversal> hops;
+    std::vector<Traversal> ejects;
     bool landed = false;
   };
 
-  /// Link-stage replays of slot `s`: credits upstream, then (link_latency
-  /// cycles after the traversals) the ejections into NIs.
-  void return_credits(std::size_t s);
+  /// Returns one credit upstream for each of the slot's traversals.
+  void return_credits(const StageSlot& slot);
+  /// The landing event of slot `s`: ejects its flits into their NIs.
   void land(std::size_t s);
   /// Writes the flits whose pipeline delay ends in tick `now` into their
   /// routers: the landed stage slot `now` reuses, then this tick's
@@ -174,10 +187,11 @@ class Mesh final : public sim::Tickable {
   sim::Kernel& kernel_;
   const NocConfig cfg_;
   sim::Counter* traversals_;
-  /// Shared packet arena. Declared before every holder of a PacketRef (the
-  /// stage, the injection ring, routers, NIs), so it is destroyed after all
-  /// of them.
+  /// Packet arena of every NI: the source NI takes a packet's slot, the
+  /// destination NI frees it once the tail flit has delivered the packet.
   PacketPool pool_;
+  /// Every node's coordinate, which the routers route from.
+  std::vector<Coord> coords_;
   /// The link stage: traversal lists indexed by
   /// cycle % (link_latency + max(d, 1)).
   std::vector<StageSlot> stage_;

@@ -26,7 +26,9 @@ NetworkInterface::NetworkInterface(sim::Kernel& kernel, const NocConfig& cfg,
 
 bool NetworkInterface::idle() const {
   for (const VnetLane& lane : lanes_) {
-    if (!lane.queue.empty() || lane.inflight) return false;
+    if (!lane.queue.empty() || lane.inflight != PacketPool::kNone) {
+      return false;
+    }
   }
   return true;
 }
@@ -34,15 +36,16 @@ bool NetworkInterface::idle() const {
 void NetworkInterface::send(NodeId dst, VNet vnet, std::uint32_t data_bytes,
                             std::shared_ptr<const PacketPayload> payload) {
   assert(dst != id_ && "NoC messages to self must be short-circuited above");
-  PacketRef pkt = pool_.allocate();
-  pkt->id = (static_cast<std::uint64_t>(id_) << 48) | next_packet_seq_++;
-  pkt->src = id_;
-  pkt->dst = dst;
-  pkt->vnet = vnet;
-  pkt->num_flits = 1 + (data_bytes + cfg_.flit_bytes - 1) / cfg_.flit_bytes;
-  pkt->injected_at = kernel_.now();
-  pkt->payload = std::move(payload);
-  lanes_[static_cast<std::size_t>(vnet)].queue.push_back(std::move(pkt));
+  const PacketPool::Id slot = pool_.allocate();
+  Packet& pkt = pool_[slot];
+  pkt.id = (static_cast<std::uint64_t>(id_) << 48) | next_packet_seq_++;
+  pkt.src = id_;
+  pkt.dst = dst;
+  pkt.vnet = vnet;
+  pkt.num_flits = 1 + (data_bytes + cfg_.flit_bytes - 1) / cfg_.flit_bytes;
+  pkt.injected_at = kernel_.now();
+  pkt.payload = std::move(payload);
+  lanes_[static_cast<std::size_t>(vnet)].queue.push_back(slot);
   if (active_set_ != nullptr) active_set_->add(id_);
 }
 
@@ -60,11 +63,11 @@ void NetworkInterface::tick(Cycle now, std::vector<Injection>& injected) {
   for (std::uint32_t k = 0; k < cfg_.num_vnets; ++k) {
     const std::uint32_t v = (rr_vnet_ + k) % cfg_.num_vnets;
     VnetLane& lane = lanes_[v];
-    if (!lane.inflight) {
+    if (lane.inflight == PacketPool::kNone) {
       if (lane.queue.empty()) continue;
       const int vc = pick_vc(static_cast<VNet>(v));
       if (vc < 0) continue;  // no credited VC this cycle
-      lane.inflight = std::move(lane.queue.front());
+      lane.inflight = lane.queue.front();
       lane.queue.pop_front();
       lane.vc = static_cast<std::uint32_t>(vc);
       lane.sent = 0;
@@ -72,28 +75,30 @@ void NetworkInterface::tick(Cycle now, std::vector<Injection>& injected) {
     VcCredit& credit = local_vc_[lane.vc];
     if (credit.credits == 0) continue;
 
-    Flit flit;
-    flit.packet = lane.inflight;
-    flit.is_head = lane.sent == 0;
-    flit.is_tail = lane.sent + 1 == lane.inflight->num_flits;
+    const Packet& pkt = pool_[lane.inflight];
+    const Flit flit{.packet = lane.inflight,
+                    .dst = pkt.dst,
+                    .vnet = pkt.vnet,
+                    .is_head = lane.sent == 0,
+                    .is_tail = lane.sent + 1 == pkt.num_flits};
     --credit.credits;
     PUNO_TEV(kernel_, trace::Cat::kNoc,
              (trace::TraceEvent{
                  .cycle = now,
-                 .a = lane.inflight->id,
-                 .b = static_cast<std::uint64_t>(lane.inflight->vnet),
+                 .a = pkt.id,
+                 .b = static_cast<std::uint64_t>(pkt.vnet),
                  .node = id_,
-                 .peer = lane.inflight->dst,
+                 .peer = pkt.dst,
                  .kind = trace::EventKind::kFlitInject,
                  .flags = static_cast<std::uint8_t>(
                      (flit.is_head ? 1u : 0u) | (flit.is_tail ? 2u : 0u))}));
-    injected.push_back(Injection{id_, static_cast<std::uint8_t>(lane.vc),
-                                 std::move(flit)});
+    injected.push_back(
+        Injection{id_, static_cast<std::uint8_t>(lane.vc), flit});
     flits_sent_.add();
     ++lane.sent;
-    if (lane.sent == lane.inflight->num_flits) {
+    if (flit.is_tail) {
       packets_sent_.add();
-      lane.inflight.reset();
+      lane.inflight = PacketPool::kNone;
     }
     rr_vnet_ = (v + 1) % cfg_.num_vnets;
     return;  // injected our one flit for this cycle
@@ -102,14 +107,13 @@ void NetworkInterface::tick(Cycle now, std::vector<Injection>& injected) {
 
 void NetworkInterface::eject_flit(std::uint32_t vc, Flit flit) {
   flits_ejected_.add();
-  const PacketRef& pkt = flit.packet;
   PUNO_TEV(kernel_, trace::Cat::kNoc,
            (trace::TraceEvent{
                .cycle = kernel_.now(),
-               .a = pkt->id,
-               .b = static_cast<std::uint64_t>(pkt->vnet),
+               .a = pool_[flit.packet].id,
+               .b = static_cast<std::uint64_t>(flit.vnet),
                .node = id_,
-               .peer = pkt->src,
+               .peer = pool_[flit.packet].src,
                .kind = trace::EventKind::kFlitEject,
                .flags = static_cast<std::uint8_t>(
                    (flit.is_head ? 1u : 0u) | (flit.is_tail ? 2u : 0u))}));
@@ -118,13 +122,16 @@ void NetworkInterface::eject_flit(std::uint32_t vc, Flit flit) {
   // tail flit is by construction the num_flits'th flit of its packet.
   const std::uint32_t have = ++eject_have_[vc];
   if (!flit.is_tail) return;
-  assert(have == pkt->num_flits && "per-VC packet stream not contiguous");
+  Packet& pkt = pool_[flit.packet];
+  assert(have == pkt.num_flits && "per-VC packet stream not contiguous");
   (void)have;
   eject_have_[vc] = 0;
   packets_received_.add();
-  packet_latency_.sample(
-      static_cast<double>(kernel_.now() - pkt->injected_at));
-  if (deliver_) deliver_(*pkt);
+  packet_latency_.sample(static_cast<double>(kernel_.now() - pkt.injected_at));
+  // The handler may send, which may grow the arena: hand it the packet by
+  // value and free the slot only once it returns.
+  if (deliver_) deliver_(std::move(pkt));
+  pool_.release(flit.packet);
 }
 
 void NetworkInterface::return_credit(std::uint32_t vc) {

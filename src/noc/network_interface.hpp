@@ -11,13 +11,14 @@
 // flit to a list the mesh passes in, and the mesh writes it into the router
 // once the router's pipeline delay has passed (mesh.hpp).
 //
-// Hot-path notes: packets come from the mesh-wide PacketPool (one free-list
-// pop per send instead of a heap allocation per packet), and ejection-side
-// reassembly is a per-VC flit counter instead of a hash map — wormhole
-// routing holds an output VC until the tail flit passes, so the flits of a
-// packet arrive contiguously on their VC and the tail is always the
-// completing flit. send() reports to an optional ActiveSet so the mesh can
-// skip NIs with nothing to inject.
+// Hot-path notes: packets live in the mesh-wide PacketPool arena (one
+// free-list pop per send instead of a heap allocation per packet); a lane
+// queues slot ids, and the ejection side reads the packet only at the tail
+// flit, which delivers it and frees the slot. Reassembly is a per-VC flit
+// counter instead of a hash map — wormhole routing holds an output VC
+// until the tail flit passes, so the flits of a packet arrive contiguously
+// on their VC and the tail is always the completing flit. send() reports
+// to an optional ActiveSet so the mesh can skip NIs with nothing to inject.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,7 @@ struct Injection {
   std::uint8_t vc;
   Flit flit;
 };
-static_assert(sizeof(Injection) == 24, "an injection is 8 bytes + a flit");
+static_assert(sizeof(Injection) == 12, "an injection is 4 bytes + a flit");
 
 class NetworkInterface {
  public:
@@ -71,7 +72,8 @@ class NetworkInterface {
   void tick(Cycle now, std::vector<Injection>& injected);
 
   /// Ejection side: the mesh's link stage delivers here every flit that
-  /// leaves the router's local output port.
+  /// leaves the router's local output port. The tail flit delivers the
+  /// packet and frees its arena slot.
   void eject_flit(std::uint32_t vc, Flit flit);
 
   /// Credit for the router's local input port, returned by the link stage.
@@ -84,10 +86,11 @@ class NetworkInterface {
   struct VcCredit {
     std::uint32_t credits = 0;
   };
-  /// Per-vnet injection state: queued packets plus the one being serialized.
+  /// Per-vnet injection state: queued packets plus the one being
+  /// serialized, by arena slot.
   struct VnetLane {
-    std::deque<PacketRef> queue;
-    PacketRef inflight;
+    std::deque<PacketPool::Id> queue;
+    PacketPool::Id inflight = PacketPool::kNone;
     std::uint32_t vc = 0;
     std::uint32_t sent = 0;
   };

@@ -9,13 +9,14 @@ namespace {
 constexpr std::uint32_t kEjectionCredits = 1u << 30;
 }  // namespace
 
-Router::Router(const NocConfig& cfg, NodeId id, sim::Counter& traversals)
+Router::Router(const NocConfig& cfg, NodeId id, std::span<const Coord> coords,
+               sim::Counter& traversals)
     : inputs_(kNumPorts * cfg.total_vcs()),
       slots_(inputs_.size() * cfg.vc_depth),
       outputs_(kNumPorts * cfg.total_vcs(), OutputVc{.credits = cfg.vc_depth}),
       traversals_(traversals),
-      mesh_width_(cfg.mesh_width),
-      here_(coord_of(id, cfg.mesh_width)),
+      coords_(coords.data()),
+      here_(coords[id]),
       id_(id),
       depth_(static_cast<std::uint8_t>(cfg.vc_depth)),
       total_vcs_(static_cast<std::uint8_t>(cfg.total_vcs())),
@@ -40,7 +41,7 @@ void Router::receive_flit(Port p, std::uint32_t vc, Flit flit) {
   const std::span<Flit> slots = slots_of(idx);
   assert(!in.ring.full(slots) && "credit protocol violated");
   if (in.ring.empty() && !in.active) va_mask_ |= std::uint64_t{1} << idx;
-  in.ring.push_back(slots, std::move(flit));
+  in.ring.push_back(slots, flit);
   ++buffered_flits_;
   if (buffered_flits_ == 1 && active_set_ != nullptr) active_set_->add(id_);
 }
@@ -49,7 +50,7 @@ bool Router::corrupt_drop_flit_for_test() {
   for (std::uint32_t idx = 0; idx < num_scan_; ++idx) {
     InputVc& in = inputs_[idx];
     if (in.ring.empty()) continue;
-    in.ring.pop_back(slots_of(idx));  // drop the youngest flit
+    in.ring.pop_back();  // drop the youngest flit
     if (in.ring.empty() && !in.active) {
       va_mask_ &= ~(std::uint64_t{1} << idx);
     }
@@ -65,14 +66,14 @@ void Router::return_credit(Port p, std::uint32_t vc) {
   ++ovc.credits;
 }
 
-bool Router::try_allocate_vc(std::uint32_t idx, const Packet& pkt) {
+bool Router::try_allocate_vc(std::uint32_t idx, const Flit& head) {
   InputVc& in = inputs_[idx];
-  in.out_port = route(pkt.dst);
+  in.out_port = route(head.dst);
   const auto op = static_cast<std::uint32_t>(in.out_port);
   // VCs are partitioned per virtual network; a packet may only claim a VC
   // inside its vnet's slice, which is what breaks protocol deadlock.
   const std::uint32_t base =
-      static_cast<std::uint32_t>(pkt.vnet) * vcs_per_vnet_;
+      static_cast<std::uint32_t>(head.vnet) * vcs_per_vnet_;
   for (std::uint32_t cand = base; cand < base + vcs_per_vnet_; ++cand) {
     OutputVc& ovc = output(op, cand);
     if (!ovc.held) {
@@ -89,23 +90,22 @@ bool Router::try_allocate_vc(std::uint32_t idx, const Packet& pkt) {
 }
 
 bool Router::try_switch(std::uint32_t op, std::uint32_t idx,
-                        bool* input_port_used, std::vector<Traversal>& hops) {
+                        bool* input_port_used, std::vector<Traversal>& out) {
   const Port ip = port_of_[idx];
   if (input_port_used[static_cast<std::size_t>(ip)]) return false;
   InputVc& in = inputs_[idx];
   if (!in.active || in.ring.empty()) return false;
   if (static_cast<std::uint32_t>(in.out_port) != op) return false;
   const std::span<Flit> slots = slots_of(idx);
-  Flit& front = in.ring.front(slots);
   OutputVc& ovc = output(op, in.out_vc);
   if (ovc.credits == 0) return false;
 
   // Winner: traverse the switch.
-  const bool tail = front.is_tail;
+  const Flit front = in.ring.front(slots);
   const auto in_vc = static_cast<std::uint8_t>(
       idx - static_cast<std::uint32_t>(ip) * total_vcs_);
-  hops.push_back(Traversal{id_, static_cast<Port>(op), in.out_vc, ip, in_vc,
-                           std::move(front)});
+  out.push_back(
+      Traversal{id_, static_cast<Port>(op), in.out_vc, ip, in_vc, front});
   in.ring.pop_front(slots);
   --buffered_flits_;
   --ovc.credits;
@@ -114,7 +114,7 @@ bool Router::try_switch(std::uint32_t op, std::uint32_t idx,
   traversals_.add();
   ++local_traversals_;
 
-  if (tail) {
+  if (front.is_tail) {
     ovc.held = false;
     in.active = false;
     const std::uint64_t bit = std::uint64_t{1} << idx;
@@ -124,7 +124,8 @@ bool Router::try_switch(std::uint32_t op, std::uint32_t idx,
   return true;
 }
 
-void Router::tick(std::vector<Traversal>& hops) {
+void Router::tick(std::vector<Traversal>& hops,
+                  std::vector<Traversal>& ejects) {
   if (buffered_flits_ == 0) return;
 
   // VC allocation: any idle input VC whose front flit is a head, in
@@ -135,7 +136,7 @@ void Router::tick(std::vector<Traversal>& hops) {
     waiting &= waiting - 1;
     const Flit& head = inputs_[idx].ring.front(slots_of(idx));
     if (!head.is_head) continue;
-    try_allocate_vc(idx, *head.packet);
+    try_allocate_vc(idx, head);
   }
 
   // Switch allocation + traversal: one flit per output port and per input
@@ -146,6 +147,8 @@ void Router::tick(std::vector<Traversal>& hops) {
   for (std::uint32_t op = 0; op < kNumPorts; ++op) {
     const std::uint64_t m = sa_mask_[op];
     if (m == 0) continue;
+    std::vector<Traversal>& out =
+        op == static_cast<std::uint32_t>(Port::kLocal) ? ejects : hops;
     const std::uint32_t rr = rr_next_[op];
     // Bits at idx >= rr first, then idx < rr: round-robin wrap order.
     std::uint64_t part = m & (~std::uint64_t{0} << rr);
@@ -154,7 +157,7 @@ void Router::tick(std::vector<Traversal>& hops) {
       while (part != 0) {
         const auto idx = static_cast<std::uint32_t>(__builtin_ctzll(part));
         part &= part - 1;
-        if (try_switch(op, idx, input_port_used, hops)) {
+        if (try_switch(op, idx, input_port_used, out)) {
           won = true;
           break;
         }

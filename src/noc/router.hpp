@@ -12,32 +12,34 @@
 // most one flit per input port and per output port per cycle; switch
 // traversal forwards the flit and frees a buffer slot upstream.
 //
-// The router owns no links. tick() appends every switch traversal to a
-// list the mesh passes in; the mesh's link stage (mesh.hpp) carries the
-// flit to the downstream router or NI and the credit back upstream.
+// The router owns no links. tick() appends every switch traversal to one
+// of two lists the mesh passes in, by whether the flit leaves for a
+// neighbour router or for the tile's NI; the mesh's link stage (mesh.hpp)
+// carries the flit on and the credit back upstream.
 // Every successful switch traversal increments the mesh-wide
 // "flit router traversals" counter — the exact network-traffic metric of
 // the paper's Figure 11.
 //
 // Hot-path notes: a router's state is three flat arrays sized once from
 // NocConfig, plus a few inline fields, so a tick or a flit delivery
-// touches a few cache lines of one router (~2.5 KiB in four heap blocks at
+// touches a few cache lines of one router (~1.6 KiB in four heap blocks at
 // the default config):
 //   - inputs_: one 5-byte InputVc per input VC: its ring's head and size as
 //     bytes (FlitRing) plus the VA state (active, out_port, out_vc);
-//   - slots_: every input VC's flits, vc_depth 16-byte slots per VC, in
+//   - slots_: every input VC's flits, vc_depth 8-byte slots per VC, in
 //     input-VC order; FlitRing indexes the VC's span of it;
 //   - outputs_: one OutputVc (credits, held) per output (port, vc).
 // An input VC's scan index, port * total_vcs + vc, indexes inputs_, its
 // span of slots_ and its bit in the scan masks. The round-robin pointers
 // and the index -> port table live inline, and the router keeps only the
-// config fields it reads, plus its own mesh coordinate for routing. Ring
-// and round-robin wraps are compares, so no division runs per flit except
-// the destination's coordinate at VC allocation. Packets ride pooled
-// PacketRef handles, and the router reports its 0->1 buffered transition
-// to an optional ActiveSet so the mesh can skip routers with nothing to
-// switch; a router whose flits are all still in their pipeline holds none
-// and is off the schedule. The VA and SA scans iterate candidate bitmasks
+// config fields it reads, plus its own mesh coordinate and the mesh's
+// coordinate table for routing. Ring and round-robin wraps are compares,
+// and a flit is a plain 8-byte value that carries its packet's destination
+// and vnet (flit.hpp), so VC allocation loads no packet and no division
+// runs per flit. The router reports its 0->1 buffered transition to an
+// optional ActiveSet so the mesh can skip routers with nothing to switch;
+// a router whose flits are all still in their pipeline holds none and is
+// off the schedule. The VA and SA scans iterate candidate bitmasks
 // instead of every (port, vc) slot: va_mask_ holds input VCs with buffered
 // flits awaiting VC allocation, sa_mask_[op] the allocated input VCs
 // routed to output port op, visited in ascending (VA) or
@@ -70,13 +72,16 @@ struct Traversal {
   std::uint8_t in_vc;
   Flit flit;
 };
-static_assert(sizeof(Traversal) == 24, "a traversal is 8 bytes + a flit");
+static_assert(sizeof(Traversal) == 16, "a traversal is 8 bytes + a flit");
 
 class Router {
  public:
   /// Every output starts with vc_depth credits per VC, except the local
-  /// (ejection) port, whose NI reassembly buffer is unbounded.
-  Router(const NocConfig& cfg, NodeId id, sim::Counter& traversals);
+  /// (ejection) port, whose NI reassembly buffer is unbounded. `coords` is
+  /// the mesh's coordinate table (coord_table), which must outlive the
+  /// router.
+  Router(const NocConfig& cfg, NodeId id, std::span<const Coord> coords,
+         sim::Counter& traversals);
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
@@ -95,17 +100,18 @@ class Router {
   void receive_flit(Port p, std::uint32_t vc, Flit flit);
 
   /// The output port XY routing takes from this router toward `dst`, from
-  /// the router's stored coordinate rather than recomputing it.
+  /// the coordinate table rather than recomputing either coordinate.
   [[nodiscard]] Port route(NodeId dst) const noexcept {
-    return route_xy(here_, coord_of(dst, mesh_width_));
+    return route_xy(here_, coords_[dst]);
   }
 
   /// Restores one credit for output (p, vc). Called by the link stage.
   void return_credit(Port p, std::uint32_t vc);
 
   /// One cycle of switch allocation + traversal; appends each traversal to
-  /// `hops` in the order the switch granted them.
-  void tick(std::vector<Traversal>& hops);
+  /// `ejects` if it left through the local port, else to `hops`, in the
+  /// order the switch granted them.
+  void tick(std::vector<Traversal>& hops, std::vector<Traversal>& ejects);
 
   /// True if no flit is buffered anywhere in this router.
   [[nodiscard]] bool idle() const noexcept { return buffered_flits_ == 0; }
@@ -152,13 +158,15 @@ class Router {
     return outputs_[port * total_vcs_ + vc];
   }
 
-  /// Tries VC allocation for the head flit at the front of input VC `idx`.
-  bool try_allocate_vc(std::uint32_t idx, const Packet& pkt);
+  /// Tries VC allocation for `head`, the flit at the front of input VC
+  /// `idx`.
+  bool try_allocate_vc(std::uint32_t idx, const Flit& head);
 
   /// Switch-allocation attempt for scan candidate `idx` competing for
-  /// output port `op`; on success performs the traversal and returns true.
+  /// output port `op`; on success performs the traversal into `out` and
+  /// returns true.
   bool try_switch(std::uint32_t op, std::uint32_t idx, bool* input_port_used,
-                  std::vector<Traversal>& hops);
+                  std::vector<Traversal>& out);
 
   std::vector<InputVc> inputs_;    // [port * total_vcs + vc]
   std::vector<Flit> slots_;        // [(port * total_vcs + vc) * depth + i]
@@ -173,7 +181,7 @@ class Router {
   std::uint64_t local_traversals_ = 0;
   ActiveSet* active_set_ = nullptr;
   sim::Counter& traversals_;
-  std::uint32_t mesh_width_;
+  const Coord* coords_;           ///< The mesh's coordinate table.
   Coord here_;                    ///< This router's mesh coordinate.
   NodeId id_;
   std::uint8_t depth_;            ///< noc.vc_depth.

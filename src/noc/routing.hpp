@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <vector>
 
 #include "sim/types.hpp"
 
@@ -42,6 +43,18 @@ struct Coord {
 
 [[nodiscard]] constexpr NodeId node_of(Coord c, std::uint32_t width) noexcept {
   return static_cast<NodeId>(c.y * static_cast<std::int32_t>(width) + c.x);
+}
+
+/// coord_of for every node of a mesh `width` wide, indexed by node id. The
+/// mesh builds it once and its routers route from it, so routing a head
+/// flit divides nothing.
+[[nodiscard]] inline std::vector<Coord> coord_table(std::uint32_t width,
+                                                    std::uint32_t nodes) {
+  std::vector<Coord> table(nodes);
+  for (std::uint32_t n = 0; n < nodes; ++n) {
+    table[n] = coord_of(static_cast<NodeId>(n), width);
+  }
+  return table;
 }
 
 /// Dimension-order routing: fully resolve X before moving in Y. Deadlock-free

@@ -499,8 +499,9 @@ constexpr void for_each_key(Config& c, Visit&& visit) {
     return "noc.vc_depth must be in [1, 255] (got " +
            std::to_string(cfg.noc.vc_depth) +
            "): a VC ring indexes its flits with bytes";
-  // The mesh's link stage returns a traversal's credit the next cycle and
-  // must not deliver its flit any earlier (src/noc/mesh.hpp).
+  // The mesh's link stage returns a slot's credits two ticks after its
+  // traversals, from the slot itself; link_latency >= 1 gives the ring the
+  // two slots that keep it intact until then (src/noc/mesh.hpp).
   if (cfg.noc.link_latency == 0)
     return std::string("noc.link_latency must be >= 1 (got 0)");
   // The mesh holds each flit pipeline_stages - 1 cycles before it may

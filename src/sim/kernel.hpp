@@ -11,8 +11,9 @@
 // cycles land in a per-cycle bucket of a circular array (append = O(1), no
 // comparisons), and only far-future events (notification backoff expiry,
 // rollover timeouts) fall back to a binary heap. Nearly every event in a
-// simulation is a small constant delay — the NoC link stage's replays,
-// cache and directory latencies — so the hot path never touches the heap.
+// simulation is a small constant delay — the NoC link stage's landings (one
+// per busy cycle; its credits return inside the mesh tick), cache and
+// directory latencies — so the hot path never touches the heap.
 // Event callables are sim::EventFn (smallfn.hpp), which stores typical
 // captures inline instead of heap-allocating like std::function. Both
 // structures preserve the exact (due-cycle, scheduling-order) event

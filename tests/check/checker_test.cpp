@@ -185,6 +185,32 @@ TEST_F(CheckerFixture, DroppedFlitBreaksConservation) {
   EXPECT_NE(v.detail.find("injected"), std::string::npos);
 }
 
+TEST_F(CheckerFixture, DroppedSingleFlitPacketLeavesALiveArenaSlot) {
+  // A request is one flit, so dropping it drops the packet's tail: the
+  // destination NI never delivers it or frees its arena slot, and the
+  // drained mesh still holds a live packet.
+  auto done = async_load(0, 0x9000 + 0x40, /*transactional=*/false);
+  bool dropped = false;
+  for (int i = 0; i < 200 && !dropped; ++i) {
+    run(1);
+    dropped = mesh_->corrupt_drop_flit_for_test();
+  }
+  ASSERT_TRUE(dropped) << "no flit ever occupied a router buffer";
+  kernel_.run_until([&] { return mesh_->idle(); }, 1000);
+  ASSERT_TRUE(mesh_->idle());
+  EXPECT_FALSE(*done) << "the lost request cannot complete";
+  check();
+  bool arena = false;
+  for (const auto& v : checker_->violations()) {
+    if (v.id == InvariantId::kNocConservation &&
+        v.detail.find("1 packet(s) still live in the packet arena") !=
+            std::string::npos) {
+      arena = true;
+    }
+  }
+  EXPECT_TRUE(arena) << "the drain check must report the live arena slot";
+}
+
 TEST_F(CheckerFixture, DisabledInvariantStaysSilent) {
   CheckerConfig ccfg;
   ccfg.dir_state = false;

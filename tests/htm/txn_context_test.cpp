@@ -246,6 +246,27 @@ TEST_F(TxnContextTest, RmwPredictorOnlyActiveUnderRmwScheme) {
   EXPECT_FALSE(rmw.should_load_exclusive(99));
 }
 
+TEST_F(TxnContextTest, OnlyTheRmwSchemeTrainsThePredictor) {
+  for (const Scheme scheme :
+       {Scheme::kBaseline, Scheme::kPuno, Scheme::kRmwPred}) {
+    cfg_.scheme = scheme;
+    auto t = make();
+    t.begin(0);
+    t.on_access(0x40, false, 77);
+    t.on_access(0x40, true, 78);  // pc 77 was the read half of an RMW
+    t.commit();
+    const RmwPredictor* rmw = t.rmw_predictor();
+    if (scheme == Scheme::kRmwPred) {
+      ASSERT_NE(rmw, nullptr);
+      EXPECT_TRUE(rmw->predict_exclusive(77)) << "trained on commit";
+      EXPECT_FALSE(rmw->predict_exclusive(78));
+    } else {
+      EXPECT_EQ(rmw, nullptr) << "no predictor to train under scheme "
+                              << static_cast<int>(scheme);
+    }
+  }
+}
+
 TEST_F(TxnContextTest, GoodAndDiscardedCyclesAccumulate) {
   auto t = make();
   t.begin(0);

@@ -11,11 +11,9 @@
 namespace puno::noc {
 namespace {
 
-Flit make_flit(PacketPool& pool, std::uint64_t id) {
-  Flit f;
-  f.packet = pool.allocate();
-  f.packet->id = id;
-  return f;
+/// A flit told apart from the others by the slot id it carries.
+Flit make_flit(std::uint64_t id) {
+  return Flit{.packet = static_cast<std::uint32_t>(id)};
 }
 
 TEST(FlitRingTest, StartsEmptyWithSetCapacity) {
@@ -27,40 +25,38 @@ TEST(FlitRingTest, StartsEmptyWithSetCapacity) {
 }
 
 TEST(FlitRingTest, FifoOrderAcrossWraparound) {
-  PacketPool pool;
   std::vector<Flit> slots(4);
   FlitRing ring;
   // Fill, drain two, refill: head wraps past the end of the storage.
   for (std::uint64_t i = 0; i < 4; ++i) {
-    ring.push_back(slots, make_flit(pool, i));
+    ring.push_back(slots, make_flit(i));
   }
   EXPECT_TRUE(ring.full(slots));
-  EXPECT_EQ(ring.front(slots).packet->id, 0u);
+  EXPECT_EQ(ring.front(slots).packet, 0u);
   ring.pop_front(slots);
   ring.pop_front(slots);
-  ring.push_back(slots, make_flit(pool, 4));
-  ring.push_back(slots, make_flit(pool, 5));
+  ring.push_back(slots, make_flit(4));
+  ring.push_back(slots, make_flit(5));
   EXPECT_TRUE(ring.full(slots));
   for (std::uint64_t want = 2; want <= 5; ++want) {
     ASSERT_FALSE(ring.empty());
-    EXPECT_EQ(ring.front(slots).packet->id, want);
+    EXPECT_EQ(ring.front(slots).packet, want);
     ring.pop_front(slots);
   }
   EXPECT_TRUE(ring.empty());
 }
 
 TEST(FlitRingTest, ManyLapsKeepFifoOrder) {
-  PacketPool pool;
   std::vector<Flit> slots(3);
   FlitRing ring;
   std::uint64_t next_push = 0;
   std::uint64_t next_pop = 0;
   for (int lap = 0; lap < 100; ++lap) {
     while (!ring.full(slots)) {
-      ring.push_back(slots, make_flit(pool, next_push++));
+      ring.push_back(slots, make_flit(next_push++));
     }
     while (!ring.empty()) {
-      EXPECT_EQ(ring.front(slots).packet->id, next_pop++);
+      EXPECT_EQ(ring.front(slots).packet, next_pop++);
       ring.pop_front(slots);
     }
   }
@@ -70,48 +66,55 @@ TEST(FlitRingTest, ManyLapsKeepFifoOrder) {
 // The deepest ring byte-wide indices address, with the head offset first
 // so the fill wraps.
 TEST(FlitRingTest, SpillsBeyondInlineCapacity) {
-  PacketPool pool;
   std::vector<Flit> slots(FlitRing::kMaxDepth);
   FlitRing ring;
-  ring.push_back(slots, make_flit(pool, 0));
+  ring.push_back(slots, make_flit(0));
   ring.pop_front(slots);
   for (std::uint64_t i = 0; i < FlitRing::kMaxDepth; ++i) {
-    ring.push_back(slots, make_flit(pool, i));
+    ring.push_back(slots, make_flit(i));
   }
   EXPECT_TRUE(ring.full(slots));
   EXPECT_EQ(ring.size(), FlitRing::kMaxDepth);
   for (std::uint64_t i = 0; i < FlitRing::kMaxDepth; ++i) {
-    EXPECT_EQ(ring.front(slots).packet->id, i);
+    EXPECT_EQ(ring.front(slots).packet, i);
     ring.pop_front(slots);
   }
   EXPECT_TRUE(ring.empty());
 }
 
 TEST(FlitRingTest, PopBackDropsYoungest) {
-  PacketPool pool;
   std::vector<Flit> slots(4);
   FlitRing ring;
   for (std::uint64_t i = 0; i < 3; ++i) {
-    ring.push_back(slots, make_flit(pool, i));
+    ring.push_back(slots, make_flit(i));
   }
-  ring.pop_back(slots);
+  ring.pop_back();
   EXPECT_EQ(ring.size(), 2u);
-  EXPECT_EQ(ring.front(slots).packet->id, 0u);
+  EXPECT_EQ(ring.front(slots).packet, 0u);
   ring.pop_front(slots);
-  EXPECT_EQ(ring.front(slots).packet->id, 1u);
+  EXPECT_EQ(ring.front(slots).packet, 1u);
 }
 
+// A flit names its packet by value: a pop hands its ring slot to the next
+// push and leaves the packet to the arena, which only release() frees.
 TEST(FlitRingTest, PopReleasesThePacketHandle) {
   PacketPool pool;
-  std::vector<Flit> slots(4);
+  std::vector<Flit> slots(1);
   FlitRing ring;
-  ring.push_back(slots, make_flit(pool, 7));
-  EXPECT_EQ(pool.live(), 1u);
+  const PacketPool::Id a = pool.allocate();
+  ring.push_back(slots, Flit{.packet = a});
   ring.pop_front(slots);
-  EXPECT_EQ(pool.live(), 0u) << "pop_front must release the slot's PacketRef";
-  ring.push_back(slots, make_flit(pool, 8));
-  ring.pop_back(slots);
-  EXPECT_EQ(pool.live(), 0u) << "pop_back must release the slot's PacketRef";
+  EXPECT_FALSE(ring.full(slots)) << "pop_front must free the ring slot";
+  EXPECT_EQ(pool.live(), 1u) << "a pop must not free the packet";
+  const PacketPool::Id b = pool.allocate();
+  ring.push_back(slots, Flit{.packet = b});
+  EXPECT_EQ(ring.front(slots).packet, b);
+  ring.pop_back();
+  EXPECT_TRUE(ring.empty()) << "pop_back must free the ring slot";
+  EXPECT_EQ(pool.live(), 2u) << "a pop must not free the packet";
+  pool.release(a);
+  pool.release(b);
+  EXPECT_EQ(pool.live(), 0u);
 }
 
 }  // namespace

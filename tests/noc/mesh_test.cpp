@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
@@ -184,6 +185,71 @@ TEST(Mesh, RandomTrafficStressAllDelivered) {
   EXPECT_TRUE(mesh.idle());
   for (const auto& [v, count] : outstanding) {
     EXPECT_EQ(count, 0) << "packet " << v << " delivered wrong # of times";
+  }
+}
+
+// The arena owns each packet from send() until its tail flit is delivered:
+// once mixed 1- and 5-flit traffic drains, no slot is live, and the arena
+// grew no larger than the peak number of packets in flight.
+TEST(Mesh, PacketArenaDrainsAndGrowsOnlyToPeakInFlight) {
+  sim::Kernel kernel;
+  NocConfig cfg;
+  Mesh mesh(kernel, cfg);
+  kernel.add_tickable(mesh);
+  sim::Rng rng(7, 0);
+  int delivered = 0;
+  for (NodeId d = 0; d < 16; ++d) {
+    mesh.set_handler(d, [&](Packet) { ++delivered; });
+  }
+  constexpr int kPackets = 2000;
+  std::size_t peak = 0;
+  for (int sent = 0; sent < kPackets; ++sent) {
+    const auto src = static_cast<NodeId>(rng.next_below(16));
+    auto dst = static_cast<NodeId>(rng.next_below(16));
+    if (dst == src) dst = static_cast<NodeId>((dst + 1) % 16);
+    const auto vnet = static_cast<VNet>(rng.next_below(3));
+    mesh.send(src, dst, vnet, rng.next_bool(0.4) ? 64 : 0, nullptr);
+    peak = std::max(peak, mesh.packet_pool().live());
+    kernel.step();
+  }
+  kernel.run_until([&] { return delivered == kPackets && mesh.idle(); },
+                   100000);
+  EXPECT_EQ(delivered, kPackets);
+  EXPECT_TRUE(mesh.idle());
+  EXPECT_EQ(mesh.packet_pool().live(), 0u);
+  EXPECT_GT(peak, 1u);
+  EXPECT_LE(mesh.packet_pool().capacity(), peak);
+}
+
+// At a two-slot link stage (link_latency 1, pipeline_stages 1 or 2) the
+// tick that returns a slot's credits also reuses the slot. With vc_depth 1
+// every flit of a 5-flit packet waits at each hop for the credit its
+// predecessor frees, so the cycle each flit ejects pins that ordering. The
+// cycles were recorded with credits returned by a kernel event.
+TEST(Mesh, TwoSlotStageStreamsAPacketAtTheRecordedCycles) {
+  for (const std::uint32_t stages : {1u, 2u}) {
+    sim::Kernel kernel;
+    NocConfig cfg;
+    cfg.link_latency = 1;
+    cfg.pipeline_stages = stages;
+    cfg.vc_depth = 1;
+    Mesh mesh(kernel, cfg);
+    kernel.add_tickable(mesh);
+    const sim::Counter& ejected = kernel.stats().counter("noc.flits_ejected");
+    mesh.send(0, 3, VNet::kResponse, 64, std::make_shared<TestPayload>(1));
+    std::vector<Cycle> at;
+    while (at.size() < 5 && kernel.now() < 200) {
+      const Cycle now = kernel.now();
+      const std::uint64_t before = ejected.value();
+      kernel.step();
+      for (std::uint64_t i = before; i < ejected.value(); ++i) {
+        at.push_back(now);
+      }
+    }
+    const std::vector<Cycle> want =
+        stages == 1 ? std::vector<Cycle>{7, 11, 15, 19, 23}
+                    : std::vector<Cycle>{8, 12, 16, 20, 24};
+    EXPECT_EQ(at, want) << stages << " stage(s)";
   }
 }
 

@@ -27,26 +27,32 @@ class RouterTest : public ::testing::Test {
   // Node 5 of a 4x4 mesh (coord 1,1). Every output starts with vc_depth
   // credits (the local one with more), and nothing returns them unless a
   // test does.
-  RouterTest() : router_(cfg_, /*id=*/5, traversals_) {}
+  RouterTest()
+      : coords_(coord_table(cfg_.mesh_width, cfg_.mesh_width * cfg_.rows())),
+        router_(cfg_, /*id=*/5, coords_, traversals_) {}
 
-  PacketRef make_packet(NodeId dst, std::uint32_t flits,
-                        VNet vnet = VNet::kRequest) {
-    PacketRef pkt = pool_.allocate();
-    pkt->id = next_id_++;
-    pkt->src = 0;
-    pkt->dst = dst;
-    pkt->vnet = vnet;
-    pkt->num_flits = flits;
-    return pkt;
+  /// Allocates a packet in the test's arena; returns its slot id.
+  PacketPool::Id make_packet(NodeId dst, std::uint32_t flits,
+                             VNet vnet = VNet::kRequest) {
+    const PacketPool::Id slot = pool_.allocate();
+    Packet& pkt = pool_[slot];
+    pkt.id = next_id_++;
+    pkt.src = 0;
+    pkt.dst = dst;
+    pkt.vnet = vnet;
+    pkt.num_flits = flits;
+    return slot;
   }
 
-  void inject(Port p, std::uint32_t vc, const PacketRef& pkt) {
-    for (std::uint32_t i = 0; i < pkt->num_flits; ++i) {
-      Flit f;
-      f.packet = pkt;
-      f.is_head = i == 0;
-      f.is_tail = i + 1 == pkt->num_flits;
-      router_.receive_flit(p, vc, std::move(f));
+  void inject(Port p, std::uint32_t vc, PacketPool::Id slot) {
+    const Packet& pkt = pool_[slot];
+    for (std::uint32_t i = 0; i < pkt.num_flits; ++i) {
+      router_.receive_flit(p, vc,
+                           Flit{.packet = slot,
+                                .dst = pkt.dst,
+                                .vnet = pkt.vnet,
+                                .is_head = i == 0,
+                                .is_tail = i + 1 == pkt.num_flits});
     }
   }
 
@@ -55,20 +61,24 @@ class RouterTest : public ::testing::Test {
   void run(Cycle cycles) {
     for (Cycle c = 0; c < cycles; ++c, ++now_) {
       std::vector<Traversal> hops;
-      router_.tick(hops);
-      for (const Traversal& t : hops) {
-        EXPECT_EQ(t.router, router_.id());
-        out_[static_cast<int>(t.out_port)].push_back(
-            CapturedFlit{t.out_vc, t.flit.packet->id, t.flit.is_head,
-                         t.flit.is_tail, now_});
-        credits_returned_[static_cast<int>(t.in_port)].push_back(t.in_vc);
+      std::vector<Traversal> ejects;
+      router_.tick(hops, ejects);
+      for (const auto* list : {&hops, &ejects}) {
+        for (const Traversal& t : *list) {
+          EXPECT_EQ(t.router, router_.id());
+          EXPECT_EQ(t.out_port == Port::kLocal, list == &ejects);
+          out_[static_cast<int>(t.out_port)].push_back(
+              CapturedFlit{t.out_vc, pool_[t.flit.packet].id, t.flit.is_head,
+                           t.flit.is_tail, now_});
+          credits_returned_[static_cast<int>(t.in_port)].push_back(t.in_vc);
+        }
       }
     }
   }
 
-  // The pool outlives the router, whose buffers hold PacketRefs.
   PacketPool pool_;
   NocConfig cfg_;
+  std::vector<Coord> coords_;
   sim::Counter traversals_;
   Router router_;
   Cycle now_ = 0;
@@ -118,8 +128,9 @@ TEST_F(RouterTest, RouteMatchesRouteXyOnNonSquareMesh) {
   cfg.mesh_width = 5;
   cfg.mesh_height = 3;
   const auto n = static_cast<NodeId>(cfg.mesh_width * cfg.rows());
+  const std::vector<Coord> coords = coord_table(cfg.mesh_width, n);
   for (NodeId here = 0; here < n; ++here) {
-    const Router r(cfg, here, traversals_);
+    const Router r(cfg, here, coords, traversals_);
     for (NodeId dst = 0; dst < n; ++dst) {
       EXPECT_EQ(r.route(dst), route_xy(here, dst, cfg.mesh_width))
           << here << " -> " << dst;
@@ -135,7 +146,7 @@ TEST_F(RouterTest, WormholeKeepsPacketContiguousPerVc) {
   ASSERT_EQ(flits.size(), 3u);
   EXPECT_TRUE(flits[0].is_head);
   EXPECT_TRUE(flits[2].is_tail);
-  EXPECT_EQ(flits[0].packet_id, a->id);
+  EXPECT_EQ(flits[0].packet_id, pool_[a].id);
   // All on the same output VC.
   EXPECT_EQ(flits[0].vc, flits[1].vc);
   EXPECT_EQ(flits[1].vc, flits[2].vc);
@@ -208,8 +219,8 @@ TEST_F(RouterTest, VnetVcPartitioningIsRespected) {
   const auto& flits = out_[static_cast<int>(Port::kEast)];
   ASSERT_EQ(flits.size(), 2u);
   for (const auto& f : flits) {
-    if (f.packet_id == req->id) EXPECT_LT(f.vc, 2u);
-    if (f.packet_id == rsp->id) EXPECT_GE(f.vc, 4u);
+    if (f.packet_id == pool_[req].id) EXPECT_LT(f.vc, 2u);
+    if (f.packet_id == pool_[rsp].id) EXPECT_GE(f.vc, 4u);
   }
 }
 
