@@ -133,7 +133,7 @@ BENCHMARK(BM_DirectoryRequests);
 
 void BM_MeshSingleFlitDelivery(benchmark::State& state) {
   // Whole-network cost of moving one control packet corner to corner.
-  struct Payload final : noc::PacketPayload {};
+  struct Payload {};
   sim::Kernel kernel;
   NocConfig cfg;
   noc::Mesh mesh(kernel, cfg);
@@ -158,7 +158,7 @@ void BM_MeshSaturated(benchmark::State& state) {
   // (packets_per_cycle reads 0.2), and memory and time per cycle stay the
   // same whatever iteration count google-benchmark picks.
   constexpr std::uint64_t kWindow = 32;
-  struct Payload final : noc::PacketPayload {};
+  struct Payload {};
   sim::Kernel kernel;
   NocConfig cfg;
   noc::Mesh mesh(kernel, cfg);
@@ -189,7 +189,7 @@ void BM_Mesh16x16UniformRandom(benchmark::State& state) {
   // cycle, 40% of them 64-byte data packets (5 flits): ~80 router
   // traversals per cycle, about what mesh256 runs. One iteration is one
   // simulated cycle; per_traversal is CPU time per router traversal.
-  struct Payload final : noc::PacketPayload {};
+  struct Payload {};
   sim::Kernel kernel;
   NocConfig cfg;
   cfg.mesh_width = 16;

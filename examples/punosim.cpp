@@ -394,20 +394,14 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(check->instants),
           static_cast<unsigned long long>(check->metadata));
       // The counter cross-check needs the full abort/conflict event stream:
-      // no ring drops, a filter covering txn+conflict, and emission sites
-      // actually compiled in.
+      // no ring drops and a filter covering txn+conflict.
       const std::uint32_t need = static_cast<std::uint32_t>(trace::Cat::kTxn) |
                                  static_cast<std::uint32_t>(trace::Cat::kConflict);
-      (void)need;  // unused in PUNO_TRACING_DISABLED builds
-#ifdef PUNO_TRACING_DISABLED
-      const char* skip_reason = "PUNO_TRACING_DISABLED build";
-#else
       const char* skip_reason =
           recorder->dropped() > 0 ? "ring dropped events"
           : (recorder->category_mask() & need) != need
               ? "filter excludes txn/conflict"
               : nullptr;
-#endif
       if (skip_reason == nullptr) {
         if (attribution.false_abort_events != r.false_abort_events ||
             attribution.falsely_aborted_txns != r.falsely_aborted_txns) {

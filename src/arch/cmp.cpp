@@ -63,8 +63,7 @@ Cmp::Cmp(const SystemConfig& cfg, workloads::Workload& workload) : cfg_(cfg) {
     txns_[i]->attach_l1(l1s_[i].get());
     if (cfg_.puno.enable_commit_hint) {
       txns_[i]->set_hint_sender([send, i](NodeId dst, BlockAddr addr) {
-        auto hint = Message::make(MsgType::kRetryHint, addr, i, dst);
-        send(dst, std::move(hint));
+        send(dst, coherence::make_message(MsgType::kRetryHint, addr, i, dst));
       });
     }
     dirs_.push_back(
@@ -75,6 +74,7 @@ Cmp::Cmp(const SystemConfig& cfg, workloads::Workload& workload) : cfg_(cfg) {
       dirs_[i]->set_assist(assists_.back().get());
     }
     mesh_->set_handler(i, [this, i](noc::Packet p) {
+      // Every payload on a CMP's mesh is a Message sent above.
       const auto* msg = static_cast<const Message*>(p.payload.get());
       assert(msg != nullptr);
       if (for_directory(msg->type)) {

@@ -1,5 +1,12 @@
 // Whole-CMP assembly: 16 tiles of {core, L1, L2 bank + directory, PUNO
 // assist, router/NI}, glued to the mesh (Figure 9).
+//
+// The one tile assembly: experiments run it, and the protocol tests build
+// it on an empty workload, whose cores never start, and drive its L1s by
+// hand. It is also the only message<->packet glue: a tile's send function
+// puts a coherence::Message on the mesh with its virtual network and wire
+// size, and the tile's delivery handler hands a delivered message to the
+// directory or the L1.
 #pragma once
 
 #include <functional>

@@ -12,7 +12,9 @@ Core::Core(sim::Kernel& kernel, const SystemConfig& cfg, NodeId node,
       node_(node),
       txn_(txn),
       l1_(l1),
-      workload_(workload) {}
+      workload_(workload) {
+  l1_.set_completion([this](bool success) { finish_op(success); });
+}
 
 void Core::start() {
   kernel_.schedule(1, [this] { fetch_next(); });
@@ -52,22 +54,23 @@ void Core::issue_op() {
     return;
   }
   const workloads::TxOp& op = desc_->ops[op_idx_];
-  auto on_done = [this, is_store = op.is_store, addr = op.addr,
-                  pc = op.pc](bool success) {
-    if (!success || txn_.aborted()) {
-      restart();
-      return;
-    }
-    txn_.on_access(addr, is_store, pc);
-    ++op_idx_;
-    step();
-  };
   if (op.is_store) {
-    l1_.store(op.addr, /*transactional=*/true, std::move(on_done));
+    l1_.store(op.addr, /*transactional=*/true);
   } else {
     const bool excl = txn_.should_load_exclusive(op.pc);
-    l1_.load(op.addr, /*transactional=*/true, excl, std::move(on_done));
+    l1_.load(op.addr, /*transactional=*/true, excl);
   }
+}
+
+void Core::finish_op(bool success) {
+  if (!success || txn_.aborted()) {
+    restart();
+    return;
+  }
+  const workloads::TxOp& op = desc_->ops[op_idx_];
+  txn_.on_access(op.addr, op.is_store, op.pc);
+  ++op_idx_;
+  step();
 }
 
 void Core::commit_txn() {

@@ -44,6 +44,8 @@ class Core {
   void begin_attempt();   ///< TX_BEGIN and start issuing ops.
   void step();            ///< Issue the next op or commit.
   void issue_op();
+  /// The L1's completion hook for the op at op_idx_.
+  void finish_op(bool success);
   void commit_txn();
   void restart();         ///< Abort path: recovery + backoff, then retry.
 

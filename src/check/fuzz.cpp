@@ -6,6 +6,7 @@
 
 #include "arch/cmp.hpp"
 #include "check/invariant_checker.hpp"
+#include "metrics/experiment.hpp"
 #include "metrics/stats_io.hpp"
 #include "sim/rng.hpp"
 #include "traffic/kernels.hpp"
@@ -136,13 +137,21 @@ SystemConfig make_fuzz_traffic_config(std::uint64_t seed, Scheme scheme) {
   return cfg;
 }
 
-RunOutcome run_one(const SystemConfig& cfg, workloads::Workload& workload,
+RunOutcome run_one(const SystemConfig& cfg,
+                   std::unique_ptr<workloads::Workload> workload,
                    const CheckerConfig& checker_cfg, Cycle max_cycles) {
-  arch::Cmp cmp(cfg, workload);
+  metrics::ExperimentParams params;
+  params.workload = workload->name();
+  params.scheme = cfg.scheme;
+  params.seed = cfg.seed;
+  params.max_cycles = max_cycles;
+  params.base_config = cfg;
+  metrics::Experiment exp(params, std::move(workload));
+  arch::Cmp& cmp = exp.cmp();
   const auto checker = InvariantChecker::attach(cmp, checker_cfg);
 
   RunOutcome out;
-  out.completed = cmp.run(max_cycles);
+  out.completed = exp.run().completed;
   // A final sweep regardless of stride alignment, so the settled end state
   // is always verified.
   checker->check_now(cmp.kernel().now());
@@ -164,8 +173,10 @@ RunOutcome run_one(const SystemConfig& cfg, workloads::Workload& workload,
 RunOutcome run_one(const SystemConfig& cfg,
                    const workloads::SyntheticSpec& spec,
                    const CheckerConfig& checker_cfg, Cycle max_cycles) {
-  workloads::SyntheticWorkload workload(spec, cfg.num_nodes, cfg.seed);
-  return run_one(cfg, workload, checker_cfg, max_cycles);
+  return run_one(cfg,
+                 std::make_unique<workloads::SyntheticWorkload>(
+                     spec, cfg.num_nodes, cfg.seed),
+                 checker_cfg, max_cycles);
 }
 
 std::string repro_line(std::uint64_t seed, Scheme scheme, bool traffic) {
@@ -190,8 +201,8 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
     const auto run_case = [&](const SystemConfig& cfg,
                               const CheckerConfig& checker, Cycle cap) {
       if (!opts.traffic) return run_one(cfg, spec, checker, cap);
-      const auto workload = traffic::registry::make(kernel_name, cfg);
-      return run_one(cfg, *workload, checker, cap);
+      return run_one(cfg, traffic::registry::make(kernel_name, cfg), checker,
+                     cap);
     };
 
     bool have_baseline = false;

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -94,10 +95,11 @@ struct FuzzReport {
 [[nodiscard]] SystemConfig make_fuzz_traffic_config(std::uint64_t seed,
                                                     Scheme scheme);
 
-/// Runs one simulation of `workload` with the invariant checker attached
-/// (open-loop traffic workloads are attached to the kernel automatically).
+/// Runs one simulation of `workload` through metrics::Experiment with the
+/// invariant checker attached, then sweeps the checker once more at the
+/// final cycle.
 [[nodiscard]] RunOutcome run_one(const SystemConfig& cfg,
-                                 workloads::Workload& workload,
+                                 std::unique_ptr<workloads::Workload> workload,
                                  const CheckerConfig& checker,
                                  Cycle max_cycles);
 

@@ -41,48 +41,29 @@ std::string format_violation(const Violation& v) {
   return os.str();
 }
 
-InvariantChecker::InvariantChecker(CheckerConfig cfg) : cfg_(cfg) {
+InvariantChecker::InvariantChecker(arch::Cmp& cmp, CheckerConfig cfg)
+    : cfg_(cfg),
+      mesh_(&cmp.mesh()),
+      flits_sent_(&cmp.kernel().stats().counter("noc.flits_sent")),
+      flits_ejected_(&cmp.kernel().stats().counter("noc.flits_ejected")) {
   if (cfg_.stride == 0) cfg_.stride = 1;
-}
-
-void InvariantChecker::watch_directory(const Directory& dir) {
-  dirs_.push_back(&dir);
-}
-
-void InvariantChecker::watch_l1(const L1Controller& l1) {
-  l1s_.push_back(&l1);
-}
-
-void InvariantChecker::watch_txn(const htm::TxnContext& txn) {
-  txns_.push_back(&txn);
-}
-
-void InvariantChecker::watch_mesh(const noc::Mesh& mesh,
-                                  sim::StatsRegistry& stats) {
-  mesh_ = &mesh;
-  flits_sent_ = &stats.counter("noc.flits_sent");
-  flits_ejected_ = &stats.counter("noc.flits_ejected");
-}
-
-void InvariantChecker::install(sim::Kernel& kernel) {
-  kernel.add_post_cycle_hook(
-      [this](Cycle now) {
-        if (now % cfg_.stride == 0) check_now(now);
-      },
-      "check.invariants");
+  const auto n = static_cast<NodeId>(cmp.config().num_nodes);
+  for (NodeId i = 0; i < n; ++i) {
+    dirs_.push_back(&cmp.directory(i));
+    l1s_.push_back(&cmp.l1(i));
+    txns_.push_back(&cmp.txn(i));
+  }
 }
 
 std::unique_ptr<InvariantChecker> InvariantChecker::attach(arch::Cmp& cmp,
                                                            CheckerConfig cfg) {
-  auto checker = std::make_unique<InvariantChecker>(cfg);
-  const auto n = static_cast<NodeId>(cmp.config().num_nodes);
-  for (NodeId i = 0; i < n; ++i) {
-    checker->watch_directory(cmp.directory(i));
-    checker->watch_l1(cmp.l1(i));
-    checker->watch_txn(cmp.txn(i));
-  }
-  checker->watch_mesh(cmp.mesh(), cmp.kernel().stats());
-  checker->install(cmp.kernel());
+  auto checker = std::make_unique<InvariantChecker>(cmp, cfg);
+  InvariantChecker* c = checker.get();
+  cmp.kernel().add_post_cycle_hook(
+      [c](Cycle now) {
+        if (now % c->cfg_.stride == 0) c->check_now(now);
+      },
+      "check.invariants");
   return checker;
 }
 
@@ -279,29 +260,24 @@ void InvariantChecker::check_ud_pointer(Cycle now) {
 // or abort, both of which clear the sets synchronously, so a live
 // transaction with an uncached set block is a pinning bug.
 void InvariantChecker::check_txn_pin(Cycle now) {
-  for (std::size_t n = 0; n < txns_.size() && n < l1s_.size(); ++n) {
+  for (std::size_t n = 0; n < txns_.size(); ++n) {
     const htm::TxnContext* txn = txns_[n];
     if (!txn->in_txn() || txn->aborted()) continue;
     const auto node = static_cast<NodeId>(n);
     const L1Controller* l1 = l1s_[n];
-    for (BlockAddr addr : txn->read_set()) {
-      if (!l1->line_state(addr).has_value()) {
-        report(InvariantId::kTxnPin, now, node, addr,
-               "read-set block not resident in the L1");
-      }
-    }
-    for (BlockAddr addr : txn->write_set()) {
+    txn->for_each_block([&](BlockAddr addr, bool written) {
       const auto st = l1->line_state(addr);
       if (!st.has_value()) {
         report(InvariantId::kTxnPin, now, node, addr,
-               "write-set block not resident in the L1");
-      } else if (*st != L1Controller::LineState::kM) {
+               written ? "write-set block not resident in the L1"
+                       : "read-set block not resident in the L1");
+      } else if (written && *st != L1Controller::LineState::kM) {
         std::ostringstream os;
         os << "write-set block resident in " << l1_state_name(*st)
            << ", not M";
         report(InvariantId::kTxnPin, now, node, addr, os.str());
       }
-    }
+    });
   }
 }
 
@@ -310,7 +286,6 @@ void InvariantChecker::check_txn_pin(Cycle now) {
 // once the mesh drains, protocol messages in equals messages out and the
 // packet arena holds no live slot.
 void InvariantChecker::check_noc_conservation(Cycle now) {
-  if (mesh_ == nullptr) return;
   const std::uint64_t sent = flits_sent_->value();
   const std::uint64_t accounted = flits_ejected_->value() +
                                   mesh_->inflight_link_flits() +

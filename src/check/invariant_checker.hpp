@@ -7,8 +7,11 @@
 // observer by construction: it cannot perturb simulated timing, and a run
 // with the checker attached is cycle-identical to one without.
 //
-// Always available, off by default: production experiments never pay for it;
-// tests and the fuzz driver attach it with InvariantChecker::attach(cmp).
+// Always available, off by default: production experiments never pay for it.
+// A checker is built from an arch::Cmp and reads every layer of it:
+// InvariantChecker::attach(cmp) also installs the post-cycle hook (the fuzz
+// driver, run_one and the integration tests), while a checker constructed
+// directly has no hook, for tests that call check_now() themselves.
 #pragma once
 
 #include <cstdint>
@@ -30,27 +33,16 @@ namespace puno::check {
 
 class InvariantChecker {
  public:
-  explicit InvariantChecker(CheckerConfig cfg = {});
+  /// Watches every layer of `cmp` (directories, L1s, transaction contexts
+  /// and the mesh) without a hook: nothing runs until check_now().
+  explicit InvariantChecker(arch::Cmp& cmp, CheckerConfig cfg = {});
 
   InvariantChecker(const InvariantChecker&) = delete;
   InvariantChecker& operator=(const InvariantChecker&) = delete;
 
-  // --- Wiring (once, before the simulation runs) ---
-
-  /// Watches one home directory. Call once per node, in node order.
-  void watch_directory(const coherence::Directory& dir);
-  /// Watches node `n`'s L1. Call once per node, in node order.
-  void watch_l1(const coherence::L1Controller& l1);
-  /// Watches node `n`'s transaction context.
-  void watch_txn(const htm::TxnContext& txn);
-  /// Watches the mesh; `stats` supplies the flit injection/ejection counters.
-  void watch_mesh(const noc::Mesh& mesh, sim::StatsRegistry& stats);
-
-  /// Registers the post-cycle hook. The checker must outlive the kernel run.
-  void install(sim::Kernel& kernel);
-
-  /// Builds a checker already wired to every layer of `cmp` and installed in
-  /// its kernel. The returned checker must outlive cmp.run().
+  /// Builds a checker on `cmp` and installs it as a post-cycle hook in its
+  /// kernel, sweeping every cfg.stride cycles. The returned checker must
+  /// outlive cmp.run().
   [[nodiscard]] static std::unique_ptr<InvariantChecker> attach(
       arch::Cmp& cmp, CheckerConfig cfg = {});
 

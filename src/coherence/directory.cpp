@@ -94,11 +94,7 @@ void Directory::fill_l2(BlockAddr addr) {
 void Directory::send_data(NodeId dst, BlockAddr addr, bool exclusive,
                           std::uint32_t expected_responses, bool sole,
                           bool payload, Cycle delay) {
-  auto data = std::make_shared<Message>();
-  data->type = MsgType::kData;
-  data->addr = addr;
-  data->sender = node_;
-  data->requester = dst;
+  auto data = make_message(MsgType::kData, addr, node_, dst);
   data->exclusive = exclusive;
   data->expected_responses = expected_responses;
   data->sole = sole;
@@ -199,13 +195,7 @@ void Directory::service_get_s(Entry& e, Service& s, const Message& msg) {
     }
     case DirState::kEM: {
       s.kind = ServiceKind::kGetSOwned;
-      auto fwd = std::make_shared<Message>();
-      fwd->type = MsgType::kFwdGetS;
-      fwd->addr = msg.addr;
-      fwd->sender = node_;
-      fwd->requester = msg.requester;
-      fwd->transactional = msg.transactional;
-      fwd->ts = msg.ts;
+      auto fwd = forward_of(msg, MsgType::kFwdGetS, node_);
       fwd->sole = true;
       send_(e.owner, std::move(fwd));
       return;
@@ -262,13 +252,7 @@ void Directory::service_get_x(Entry& e, Service& s, const Message& msg) {
                      .node = node_,
                      .peer = ud,
                      .kind = trace::EventKind::kGetxUnicast}));
-        auto inv = std::make_shared<Message>();
-        inv->type = MsgType::kInv;
-        inv->addr = msg.addr;
-        inv->sender = node_;
-        inv->requester = msg.requester;
-        inv->transactional = msg.transactional;
-        inv->ts = msg.ts;
+        auto inv = forward_of(msg, MsgType::kInv, node_);
         inv->u_bit = true;  // Figure 7: the GETX/INV unicast bit.
         inv->sole = true;
         kernel_.schedule(extra, [this, ud, inv = std::move(inv)] {
@@ -296,13 +280,7 @@ void Directory::service_get_x(Entry& e, Service& s, const Message& msg) {
                                                ? std::uint8_t{1}
                                                : std::uint8_t{0}}));
       others.for_each([&](NodeId n) {
-        auto inv = std::make_shared<Message>();
-        inv->type = MsgType::kInv;
-        inv->addr = msg.addr;
-        inv->sender = node_;
-        inv->requester = msg.requester;
-        inv->transactional = msg.transactional;
-        inv->ts = msg.ts;
+        auto inv = forward_of(msg, MsgType::kInv, node_);
         kernel_.schedule(extra, [this, n, inv = std::move(inv)] {
           send_(n, inv);
         });
@@ -316,13 +294,7 @@ void Directory::service_get_x(Entry& e, Service& s, const Message& msg) {
       s.kind = ServiceKind::kGetXOwned;
       s.inv_targets.clear();
       s.inv_targets.add(e.owner);
-      auto inv = std::make_shared<Message>();
-      inv->type = MsgType::kInv;
-      inv->addr = msg.addr;
-      inv->sender = node_;
-      inv->requester = msg.requester;
-      inv->transactional = msg.transactional;
-      inv->ts = msg.ts;
+      auto inv = forward_of(msg, MsgType::kInv, node_);
       inv->sole = true;  // Owner's Data/Nack fully resolves the request.
       send_(e.owner, std::move(inv));
       return;
@@ -340,14 +312,14 @@ void Directory::handle_put_x(Entry& e, const Message& msg) {
     // bug the invariant checker's UD invariant exists to catch).
     e.ud = kInvalidNode;
     fill_l2(msg.addr);  // dirty (or clean-E) data returns home
-    send_(msg.sender, Message::make(MsgType::kWbAck, msg.addr, node_,
-                                    msg.sender));
+    send_(msg.sender,
+          make_message(MsgType::kWbAck, msg.addr, node_, msg.sender));
   } else {
     // The writeback crossed a forward: the (ex-)owner already serviced the
     // forward out of its writeback buffer, so the PutX is stale.
     wb_stales_.add();
-    send_(msg.sender, Message::make(MsgType::kWbStale, msg.addr, node_,
-                                    msg.sender));
+    send_(msg.sender,
+          make_message(MsgType::kWbStale, msg.addr, node_, msg.sender));
   }
 }
 

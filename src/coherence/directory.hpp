@@ -123,13 +123,6 @@ class Directory {
   [[nodiscard]] std::uint64_t tile_mp_feedbacks() const noexcept {
     return tile_mp_feedbacks_;
   }
-  /// Visits every entry that is currently busy (debug aid).
-  template <typename Fn>
-  void for_each_busy(Fn&& fn) const {
-    for (const Line& l : lines_) {
-      if (l.entry.busy) fn(l.block, l.entry);
-    }
-  }
   /// Read-only visit of every directory entry in first-request order, for
   /// the invariant checker: fn(BlockAddr, const Entry&).
   template <typename Fn>

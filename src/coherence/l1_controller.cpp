@@ -37,17 +37,12 @@ std::optional<L1Controller::LineState> L1Controller::line_state(
   return line->state.state;
 }
 
-std::shared_ptr<Message> L1Controller::make_msg(MsgType t, BlockAddr addr) {
-  auto m = std::make_shared<Message>();
-  m->type = t;
-  m->addr = addr;
-  m->sender = node_;
-  m->requester = node_;
-  return m;
+void L1Controller::send_reply(std::shared_ptr<const Message> reply) {
+  const NodeId dst = reply->requester;
+  send_(dst, std::move(reply));
 }
 
-void L1Controller::load(Addr addr, bool transactional, bool exclusive_hint,
-                        OpCallback cb) {
+void L1Controller::load(Addr addr, bool transactional, bool exclusive_hint) {
   loads_.add();
   const BlockAddr block = cfg_.block_of(addr);
   if (auto* line = cache_.find(block)) {
@@ -58,24 +53,23 @@ void L1Controller::load(Addr addr, bool transactional, bool exclusive_hint,
     // the load slip past conflict detection (the cache port orders incoming
     // probes ahead of in-flight hits).
     kernel_.schedule(cfg_.cache.l1_latency,
-                     [this, block, transactional, exclusive_hint,
-                      cb = std::move(cb)]() mutable {
+                     [this, block, transactional, exclusive_hint] {
                        if (cache_.find(block) != nullptr) {
-                         cb(true);
+                         complete_(true);
                          return;
                        }
                        misses_.add();
                        start_miss(block, /*is_store=*/false, exclusive_hint,
-                                  transactional, std::move(cb));
+                                  transactional);
                      });
     return;
   }
   misses_.add();
   start_miss(block, /*is_store=*/false, /*exclusive=*/exclusive_hint,
-             transactional, std::move(cb));
+             transactional);
 }
 
-void L1Controller::store(Addr addr, bool transactional, OpCallback cb) {
+void L1Controller::store(Addr addr, bool transactional) {
   stores_.add();
   const BlockAddr block = cfg_.block_of(addr);
   if (auto* line = cache_.find(block)) {
@@ -84,37 +78,33 @@ void L1Controller::store(Addr addr, bool transactional, OpCallback cb) {
       hits_.add();
       // Same re-validation as loads: the line may be invalidated (or
       // downgraded to S by a forwarded read) while the hit is in flight.
-      kernel_.schedule(
-          cfg_.cache.l1_latency,
-          [this, block, transactional, cb = std::move(cb)]() mutable {
-            auto* l = cache_.find(block);
-            if (l != nullptr && l->state.state != LineState::kS) {
-              l->state.state = LineState::kM;  // E upgrades to M silently
-              cb(true);
-              return;
-            }
-            misses_.add();
-            start_miss(block, /*is_store=*/true, /*exclusive=*/true,
-                       transactional, std::move(cb));
-          });
+      kernel_.schedule(cfg_.cache.l1_latency, [this, block, transactional] {
+        auto* l = cache_.find(block);
+        if (l != nullptr && l->state.state != LineState::kS) {
+          l->state.state = LineState::kM;  // E upgrades to M silently
+          complete_(true);
+          return;
+        }
+        misses_.add();
+        start_miss(block, /*is_store=*/true, /*exclusive=*/true,
+                   transactional);
+      });
       return;
     }
     // S needs exclusive permission: upgrade GETX.
   }
   misses_.add();
-  start_miss(block, /*is_store=*/true, /*exclusive=*/true, transactional,
-             std::move(cb));
+  start_miss(block, /*is_store=*/true, /*exclusive=*/true, transactional);
 }
 
 void L1Controller::start_miss(Addr addr, bool is_store, bool exclusive,
-                              bool transactional, OpCallback cb) {
+                              bool transactional) {
   assert(!mshr_.has_value() && "core must issue one operation at a time");
   if (wb_buffer_.contains(addr)) {
     // The block's writeback is still in flight; defer until it resolves so
     // the directory never sees a request racing our own PutX.
     assert(!deferred_.has_value());
-    deferred_ = DeferredOp{is_store, transactional, exclusive, std::move(cb),
-                           addr};
+    deferred_ = DeferredOp{is_store, transactional, exclusive, addr};
     return;
   }
   Mshr m;
@@ -122,7 +112,6 @@ void L1Controller::start_miss(Addr addr, bool is_store, bool exclusive,
   m.is_store = is_store;
   m.exclusive = exclusive || is_store;
   m.transactional = transactional;
-  m.cb = std::move(cb);
   m.first_issue = kernel_.now();
   mshr_ = std::move(m);
   issue_request();
@@ -143,7 +132,8 @@ void L1Controller::issue_request() {
   m.mp_node = kInvalidNode;
   m.in_backoff = false;
 
-  auto req = make_msg(m.exclusive ? MsgType::kGetX : MsgType::kGetS, m.addr);
+  auto req = make_message(m.exclusive ? MsgType::kGetX : MsgType::kGetS,
+                          m.addr, node_, node_);
   req->transactional = m.transactional;
   req->ts = hooks_.current_ts();
   req->avg_txn_len = hooks_.avg_txn_len();
@@ -260,7 +250,7 @@ void L1Controller::complete_success() {
     install(m.addr, target);
   }
 
-  auto unblock = make_msg(MsgType::kUnblock, m.addr);
+  auto unblock = make_message(MsgType::kUnblock, m.addr, node_, node_);
   unblock->success = true;
   send_(home(m.addr), std::move(unblock));
 
@@ -281,7 +271,7 @@ void L1Controller::complete_failure() {
   Mshr& m = *mshr_;
   if (m.transactional && m.exclusive) tx_getx_nacked_.add();
 
-  auto unblock = make_msg(MsgType::kUnblock, m.addr);
+  auto unblock = make_message(MsgType::kUnblock, m.addr, node_, node_);
   unblock->success = false;
   unblock->surviving_sharers = m.nackers;
   if (m.mp_seen) {
@@ -350,9 +340,8 @@ void L1Controller::handle_retry_hint(const Message& msg) {
 }
 
 void L1Controller::finalize(bool success) {
-  OpCallback cb = std::move(mshr_->cb);
   mshr_.reset();
-  cb(success);
+  complete_(success);
 }
 
 void L1Controller::on_local_abort() {
@@ -362,26 +351,21 @@ void L1Controller::on_local_abort() {
 void L1Controller::handle_inv(const Message& msg) {
   // Writeback races: we are no longer the real holder, but the directory's
   // forward crossed our PutX. Serve it from the writeback buffer.
-  if (const auto wb = wb_buffer_.find(msg.addr); wb != wb_buffer_.end()) {
+  if (wb_buffer_.contains(msg.addr)) {
     assert(!hooks_.is_txn_line(msg.addr));
     if (msg.sole && !msg.u_bit) {
       // Ownership transfer: supply the line from the buffer.
-      auto data = std::make_shared<Message>();
-      data->type = MsgType::kData;
-      data->addr = msg.addr;
-      data->sender = node_;
-      data->requester = msg.requester;
+      auto data = reply_to(msg, MsgType::kData, node_);
       data->exclusive = true;
       data->sole = true;
-      send_(msg.requester, std::move(data));
+      send_reply(std::move(data));
     } else {
       if (msg.u_bit) ++tile_nacks_sent_;
-      auto resp = make_msg(msg.u_bit ? MsgType::kNack : MsgType::kAck,
-                           msg.addr);
-      resp->requester = msg.requester;
+      auto resp =
+          reply_to(msg, msg.u_bit ? MsgType::kNack : MsgType::kAck, node_);
       resp->sole = msg.sole;
       resp->mp_bit = msg.u_bit;  // not a nacker transaction: misprediction
-      send_(msg.requester, std::move(resp));
+      send_reply(std::move(resp));
     }
     return;
   }
@@ -396,22 +380,20 @@ void L1Controller::handle_inv(const Message& msg) {
     // with the MP-bit, Section III.C).
     assert(verdict.decision == ConflictDecision::kNack);
     ++tile_nacks_sent_;
-    auto nack = make_msg(MsgType::kNack, msg.addr);
-    nack->requester = msg.requester;
+    auto nack = reply_to(msg, MsgType::kNack, node_);
     nack->sole = true;
     nack->notification = verdict.notification;
     nack->mp_bit = verdict.mispredicted;
-    send_(msg.requester, std::move(nack));
+    send_reply(std::move(nack));
     return;
   }
 
   if (verdict.decision == ConflictDecision::kNack) {
     ++tile_nacks_sent_;
-    auto nack = make_msg(MsgType::kNack, msg.addr);
-    nack->requester = msg.requester;
+    auto nack = reply_to(msg, MsgType::kNack, node_);
     nack->sole = msg.sole;
     nack->notification = verdict.notification;
-    send_(msg.requester, std::move(nack));
+    send_reply(std::move(nack));
     return;
   }
 
@@ -422,41 +404,26 @@ void L1Controller::handle_inv(const Message& msg) {
 
   if (line != nullptr) cache_.invalidate(*line);
 
-  if (owner_transfer) {
-    auto data = std::make_shared<Message>();
-    data->type = MsgType::kData;
-    data->addr = msg.addr;
-    data->sender = node_;
-    data->requester = msg.requester;
-    data->exclusive = true;
-    data->sole = true;
-    data->responder_aborted = aborted;
-    kernel_.schedule(delay, [this, dst = msg.requester,
-                             data = std::move(data)] { send_(dst, data); });
-  } else {
-    // Sharer invalidation (or stale-sharer ack for a silently evicted line).
-    auto ack = make_msg(MsgType::kAck, msg.addr);
-    ack->requester = msg.requester;
-    ack->sole = msg.sole;
-    ack->responder_aborted = aborted;
-    kernel_.schedule(delay, [this, dst = msg.requester,
-                             ack = std::move(ack)] { send_(dst, ack); });
-  }
+  // An owner hands the line over with its data; a sharer invalidation (or
+  // a stale-sharer ack for a silently evicted line) gets an Ack.
+  auto reply =
+      reply_to(msg, owner_transfer ? MsgType::kData : MsgType::kAck, node_);
+  reply->exclusive = owner_transfer;
+  reply->sole = msg.sole;
+  reply->responder_aborted = aborted;
+  kernel_.schedule(delay, [this, reply = std::move(reply)]() mutable {
+    send_reply(std::move(reply));
+  });
 }
 
 void L1Controller::handle_fwd_gets(const Message& msg) {
-  if (const auto wb = wb_buffer_.find(msg.addr); wb != wb_buffer_.end()) {
+  if (wb_buffer_.contains(msg.addr)) {
     assert(!hooks_.is_txn_line(msg.addr));
-    auto data = std::make_shared<Message>();
-    data->type = MsgType::kData;
-    data->addr = msg.addr;
-    data->sender = node_;
-    data->requester = msg.requester;
-    data->exclusive = false;
+    auto data = reply_to(msg, MsgType::kData, node_);
     data->sole = true;
-    send_(msg.requester, std::move(data));
-    auto wbd = make_msg(MsgType::kWbData, msg.addr);
-    send_(home(msg.addr), std::move(wbd));
+    send_reply(std::move(data));
+    send_(home(msg.addr),
+          make_message(MsgType::kWbData, msg.addr, node_, node_));
     return;
   }
 
@@ -469,11 +436,10 @@ void L1Controller::handle_fwd_gets(const Message& msg) {
 
   if (verdict.decision == ConflictDecision::kNack) {
     ++tile_nacks_sent_;
-    auto nack = make_msg(MsgType::kNack, msg.addr);
-    nack->requester = msg.requester;
+    auto nack = reply_to(msg, MsgType::kNack, node_);
     nack->sole = true;
     nack->notification = verdict.notification;
-    send_(msg.requester, std::move(nack));
+    send_reply(std::move(nack));
     return;
   }
 
@@ -482,30 +448,23 @@ void L1Controller::handle_fwd_gets(const Message& msg) {
 
   line->state.state = LineState::kS;  // downgrade; requester gets a copy
 
-  auto data = std::make_shared<Message>();
-  data->type = MsgType::kData;
-  data->addr = msg.addr;
-  data->sender = node_;
-  data->requester = msg.requester;
-  data->exclusive = false;
+  auto data = reply_to(msg, MsgType::kData, node_);
   data->sole = true;
   data->responder_aborted = aborted;
-  auto wbd = make_msg(MsgType::kWbData, msg.addr);
-  kernel_.schedule(delay, [this, dst = msg.requester, data = std::move(data),
-                           h = home(msg.addr), wbd = std::move(wbd)] {
-    send_(dst, data);
-    send_(h, wbd);
+  kernel_.schedule(delay, [this, data = std::move(data)]() mutable {
+    const BlockAddr block = data->addr;
+    send_reply(std::move(data));
+    send_(home(block), make_message(MsgType::kWbData, block, node_, node_));
   });
 }
 
 void L1Controller::handle_wb_reply(const Message& msg) {
   wb_buffer_.erase(msg.addr);
   if (deferred_.has_value() && cfg_.block_of(deferred_->addr) == msg.addr) {
-    DeferredOp op = std::move(*deferred_);
+    const DeferredOp op = *deferred_;
     deferred_.reset();
     start_miss(cfg_.block_of(op.addr), op.is_store,
-               op.exclusive_hint || op.is_store, op.transactional,
-               std::move(op.cb));
+               op.exclusive_hint || op.is_store, op.transactional);
   }
 }
 
@@ -536,10 +495,9 @@ void L1Controller::evict(CacheLine<L1Meta>& line) {
     // a later invalidation gets a plain ack.
     return;
   }
-  const bool dirty = line.state.state == LineState::kM;
-  wb_buffer_[line.addr] = WbEntry{dirty};
-  auto putx = make_msg(MsgType::kPutX, line.addr);
-  putx->has_payload = dirty;
+  wb_buffer_.insert(line.addr);
+  auto putx = make_message(MsgType::kPutX, line.addr, node_, node_);
+  putx->has_payload = line.state.state == LineState::kM;
   send_(home(line.addr), std::move(putx));
 }
 

@@ -17,15 +17,18 @@
 // false aborting.
 //
 // The core issues at most one memory operation at a time, so the controller
-// holds at most one miss (MSHR); writebacks of dirty victims ride a separate
-// writeback buffer that also answers forwards that cross a PutX in flight.
+// holds at most one miss (MSHR) and reports every completion through one
+// hook, which the core sets once; writebacks of dirty victims ride a
+// separate writeback buffer that also answers forwards that cross a PutX in
+// flight. Every reply to a forward is built by coherence::reply_to() and
+// goes to the forward's requester.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "coherence/cache_array.hpp"
 #include "coherence/hooks.hpp"
@@ -39,9 +42,9 @@ class L1Controller {
  public:
   using SendFn =
       std::function<void(NodeId dst, std::shared_ptr<const Message>)>;
-  /// Completion callback: true = the operation performed; false = it was
+  /// Completion hook: true = the operation performed; false = it was
   /// cancelled because the surrounding transaction aborted.
-  using OpCallback = std::function<void(bool)>;
+  using CompletionFn = std::function<void(bool)>;
 
   enum class LineState : std::uint8_t { kS, kE, kM };
 
@@ -51,11 +54,16 @@ class L1Controller {
   L1Controller(const L1Controller&) = delete;
   L1Controller& operator=(const L1Controller&) = delete;
 
-  /// Core-facing memory operations. `exclusive_hint` asks for a GETX even on
-  /// a load (the RMW predictor's "request exclusive permission upon the
-  /// read"). At most one operation may be outstanding.
-  void load(Addr addr, bool transactional, bool exclusive_hint, OpCallback cb);
-  void store(Addr addr, bool transactional, OpCallback cb);
+  /// Sets the hook every operation completes through (the core's, set
+  /// once at construction).
+  void set_completion(CompletionFn fn) { complete_ = std::move(fn); }
+
+  /// Core-facing memory operations, completed through the completion hook.
+  /// `exclusive_hint` asks for a GETX even on a load (the RMW predictor's
+  /// "request exclusive permission upon the read"). At most one operation
+  /// may be outstanding.
+  void load(Addr addr, bool transactional, bool exclusive_hint);
+  void store(Addr addr, bool transactional);
 
   /// Protocol messages addressed to this node's L1.
   void handle_message(const Message& msg);
@@ -123,7 +131,6 @@ class L1Controller {
     bool is_store = false;
     bool exclusive = false;  ///< Request is a GETX (store or RMW-hint load).
     bool transactional = false;
-    OpCallback cb;
     std::uint32_t retries = 0;
     bool cancel = false;
     // Response collection state for the current issue:
@@ -146,19 +153,15 @@ class L1Controller {
     std::uint64_t backoff_epoch = 0;
     Cycle first_issue = 0;
   };
-  struct WbEntry {
-    bool dirty = false;
-  };
   struct DeferredOp {
     bool is_store = false;
     bool transactional = false;
     bool exclusive_hint = false;
-    OpCallback cb;
     Addr addr = 0;
   };
 
-  void start_miss(Addr addr, bool is_store, bool exclusive, bool transactional,
-                  OpCallback cb);
+  void start_miss(Addr addr, bool is_store, bool exclusive,
+                  bool transactional);
   void issue_request();
   void check_completion();
   void complete_success();
@@ -179,17 +182,20 @@ class L1Controller {
   [[nodiscard]] NodeId home(BlockAddr addr) const {
     return cfg_.home_of(addr);
   }
-  [[nodiscard]] std::shared_ptr<Message> make_msg(MsgType t, BlockAddr addr);
+  /// Sends a reply built by reply_to() to the forward's requester.
+  void send_reply(std::shared_ptr<const Message> reply);
 
   sim::Kernel& kernel_;
   const SystemConfig& cfg_;
   NodeId node_;
   TxnHooks& hooks_;
   SendFn send_;
+  CompletionFn complete_;
 
   CacheArray<L1Meta> cache_;
   std::optional<Mshr> mshr_;
-  std::unordered_map<BlockAddr, WbEntry> wb_buffer_;
+  /// Blocks whose PutX is in flight.
+  std::unordered_set<BlockAddr> wb_buffer_;
   std::optional<DeferredOp> deferred_;  ///< Op waiting for a writeback ack.
 
   sim::Counter& loads_;

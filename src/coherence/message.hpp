@@ -9,13 +9,28 @@
 //     and an MP-bit (misprediction feedback),
 //   * UNBLOCK gains an MP-bit and MP-node field.
 // None of these extensions adds flits: control messages stay single-flit.
+//
+// A Message is plain data. Every message sent is built by make_message(),
+// and two protocol rules are written once here, beside it:
+//   * forward_of(): a home's forward (FwdGetS, or an Inv to the owner, to
+//     each multicast sharer or to the predicted unicast destination) copies
+//     the request's block, requester, `transactional` bit and `ts`, which
+//     the receiver's conflict check reads (Section II.B);
+//   * reply_to(): a reply to a forward (Data, Ack or Nack, the writeback
+//     buffer's answers included) goes to the forward's requester and names
+//     its block.
+// The NoC carries a message as an untyped payload; arch::Cmp alone turns a
+// message into a packet (vnet_of, wire size) and a delivered packet back
+// into a message for the tile's directory or L1.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 
 #include "coherence/sharer_set.hpp"
-#include "noc/flit.hpp"
+#include "noc/packet.hpp"
 #include "sim/types.hpp"
 
 namespace puno::coherence {
@@ -68,7 +83,7 @@ enum class MsgType : std::uint8_t {
   return t == MsgType::kData || t == MsgType::kWbData || t == MsgType::kPutX;
 }
 
-struct Message final : noc::PacketPayload {
+struct Message {
   MsgType type = MsgType::kGetS;
   BlockAddr addr = 0;
   NodeId sender = kInvalidNode;     ///< Node emitting this message.
@@ -110,17 +125,47 @@ struct Message final : noc::PacketPayload {
   /// Requests: requester's current average transaction length (drives the
   /// adaptive timeout of the P-Buffer validity mechanism, Section III.B).
   Cycle avg_txn_len = 0;
-
-  [[nodiscard]] static std::shared_ptr<const Message> make(
-      MsgType type, BlockAddr addr, NodeId sender, NodeId requester) {
-    auto m = std::make_shared<Message>();
-    m->type = type;
-    m->addr = addr;
-    m->sender = sender;
-    m->requester = requester;
-    return m;
-  }
 };
+static_assert(!std::is_polymorphic_v<Message>, "a message is plain data");
+static_assert(sizeof(Message) == 96, "a message's host size is pinned");
+
+/// Builds a message; every message sent is built here. Every field but the
+/// four routing ones starts at its default.
+[[nodiscard]] inline std::shared_ptr<Message> make_message(MsgType type,
+                                                           BlockAddr addr,
+                                                           NodeId sender,
+                                                           NodeId requester) {
+  auto m = std::make_shared<Message>();
+  m->type = type;
+  m->addr = addr;
+  m->sender = sender;
+  m->requester = requester;
+  return m;
+}
+
+/// The forward rule: home `home`'s `type` forward (FwdGetS or Inv) of
+/// request `req` carries the request's block, requester, transactional bit
+/// and timestamp.
+[[nodiscard]] inline std::shared_ptr<Message> forward_of(const Message& req,
+                                                         MsgType type,
+                                                         NodeId home) {
+  assert(type == MsgType::kFwdGetS || type == MsgType::kInv);
+  auto m = make_message(type, req.addr, home, req.requester);
+  m->transactional = req.transactional;
+  m->ts = req.ts;
+  return m;
+}
+
+/// The reply rule: `responder`'s `type` reply (Data, Ack or Nack) to
+/// forward `fwd` names the forward's block and goes to the forward's
+/// requester, which the reply carries as its own `requester`.
+[[nodiscard]] inline std::shared_ptr<Message> reply_to(const Message& fwd,
+                                                       MsgType type,
+                                                       NodeId responder) {
+  assert(type == MsgType::kData || type == MsgType::kAck ||
+         type == MsgType::kNack);
+  return make_message(type, fwd.addr, responder, fwd.requester);
+}
 
 /// Virtual-network assignment by message class (request / forward / response)
 [[nodiscard]] constexpr noc::VNet vnet_of(MsgType t) noexcept {

@@ -33,19 +33,19 @@ bool ConflictManager::rmw_predicts_exclusive(std::uint64_t pc) const {
 }
 
 std::size_t ConflictManager::read_set_size() const noexcept {
-  return txn_->read_set_.size();
+  return txn_->read_set_size();
 }
 
 std::size_t ConflictManager::write_set_size() const noexcept {
-  return txn_->write_set_.size();
+  return txn_->write_set_size();
 }
 
 bool ConflictManager::in_read_set(BlockAddr block) const {
-  return txn_->read_set_.contains(block);
+  return txn_->blocks_.contains(block);
 }
 
 bool ConflictManager::in_write_set(BlockAddr block) const {
-  return txn_->write_set_.contains(block);
+  return txn_->in_write_set(block);
 }
 
 void ConflictManager::sample_backoff(Cycle wait) {

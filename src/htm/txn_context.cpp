@@ -103,17 +103,17 @@ void TxnContext::commit() {
   mgr_->on_commit();
 
   // Negative RMW training: loads whose block was never stored in this
-  // transaction were plain reads. (txn_loads_ is empty without rmw_.)
-  for (const auto& [block, pc] : txn_loads_) {
-    if (!txn_stored_.contains(block)) rmw_->train(pc, false);
+  // transaction were plain reads. Training down only decrements existing
+  // slots, so the map's order cannot matter.
+  if (rmw_) {
+    for (const auto& [block, rec] : blocks_) {
+      if (rec.loaded && !rec.written) rmw_->train(rec.load_pc, false);
+    }
   }
 
   in_txn_ = false;
   ts_ = kInvalidTimestamp;
-  read_set_.clear();
-  write_set_.clear();
-  txn_loads_.clear();
-  txn_stored_.clear();
+  clear_blocks();
   flush_waiters();  // commit-hint extension: the nacked requesters may retry
 }
 
@@ -136,10 +136,7 @@ void TxnContext::abort(AbortCause cause) {
   // from the hardware buffer; architecturally the sets drop instantly. The
   // recovery latency is charged where it is observed (response delay at the
   // L1, restart delay at the core).
-  read_set_.clear();
-  write_set_.clear();
-  txn_loads_.clear();
-  txn_stored_.clear();
+  clear_blocks();
   if (l1_ != nullptr) l1_->on_local_abort();
   flush_waiters();  // the conflicting claim is gone; waiters may retry
 }
@@ -155,19 +152,21 @@ void TxnContext::on_access(Addr addr, bool write, std::uint64_t pc) {
     on_overflow_eviction(block);
     return;
   }
+  BlockRecord& rec = blocks_[block];  // a writer is implicitly a reader
   if (write) {
-    write_set_.insert(block);
-    read_set_.insert(block);  // a writer is implicitly a reader
-    if (rmw_) {
-      txn_stored_.insert(block);
-      if (const auto it = txn_loads_.find(block); it != txn_loads_.end()) {
-        rmw_->train(it->second, true);  // load at it->second was an RMW read
-      }
-    }
-  } else {
-    read_set_.insert(block);
-    if (rmw_) txn_loads_.try_emplace(block, pc);
+    if (!rec.written) ++written_blocks_;
+    rec.written = true;
+    // The load at rec.load_pc was the read half of an RMW.
+    if (rmw_ && rec.loaded) rmw_->train(rec.load_pc, true);
+  } else if (!rec.loaded) {
+    rec.loaded = true;
+    rec.load_pc = pc;
   }
+}
+
+void TxnContext::clear_blocks() {
+  blocks_.clear();
+  written_blocks_ = 0;
 }
 
 bool TxnContext::should_load_exclusive(std::uint64_t pc) const {
@@ -179,10 +178,8 @@ coherence::ConflictVerdict TxnContext::on_remote_request(BlockAddr addr,
                                                          Timestamp ts,
                                                          NodeId requester,
                                                          bool u_bit) {
-  const bool conflict =
-      in_txn_ && !aborted_ &&
-      (write ? (read_set_.contains(addr) || write_set_.contains(addr))
-             : write_set_.contains(addr));
+  const bool conflict = in_txn_ && !aborted_ &&
+                        (write ? blocks_.contains(addr) : in_write_set(addr));
 
   if (!conflict) {
     if (u_bit) {
@@ -262,8 +259,7 @@ Cycle TxnContext::estimate_remaining() const {
 }
 
 bool TxnContext::is_txn_line(BlockAddr addr) const {
-  return in_txn_ && !aborted_ &&
-         (read_set_.contains(addr) || write_set_.contains(addr));
+  return in_txn_ && !aborted_ && blocks_.contains(addr);
 }
 
 void TxnContext::on_overflow_eviction(BlockAddr addr) {

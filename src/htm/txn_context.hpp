@@ -3,7 +3,10 @@
 // Models a log-based, eager-versioning / eager-conflict-detection HTM in the
 // LogTM family with FASTM-style fast abort recovery (Section IV.A):
 //
-//   * read/write sets at cache-block granularity;
+//   * read/write sets at cache-block granularity, kept as one record per
+//     block the transaction touched (a writer is implicitly a reader, so
+//     the read set is every recorded block and the write set the written
+//     ones);
 //   * the time-based conflict-resolution policy [Rajwar & Goodman]: each
 //     transaction carries a timestamp, older (smaller) wins, and the
 //     timestamp is retained across aborts so every transaction eventually
@@ -25,7 +28,6 @@
 #include <functional>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "coherence/hooks.hpp"
@@ -138,17 +140,21 @@ class TxnContext final : public coherence::TxnHooks {
     return rmw_ ? &*rmw_ : nullptr;
   }
   [[nodiscard]] std::size_t read_set_size() const noexcept {
-    return read_set_.size();
+    return blocks_.size();
   }
   [[nodiscard]] std::size_t write_set_size() const noexcept {
-    return write_set_.size();
+    return written_blocks_;
   }
-  [[nodiscard]] const std::unordered_set<BlockAddr>& read_set() const noexcept {
-    return read_set_;
+  /// True if `block` is in the write set.
+  [[nodiscard]] bool in_write_set(BlockAddr block) const {
+    const auto it = blocks_.find(block);
+    return it != blocks_.end() && it->second.written;
   }
-  [[nodiscard]] const std::unordered_set<BlockAddr>& write_set()
-      const noexcept {
-    return write_set_;
+  /// Visits every read-set block (the write set's included), in no fixed
+  /// order: fn(BlockAddr, bool written).
+  template <typename Fn>
+  void for_each_block(Fn&& fn) const {
+    for (const auto& [block, rec] : blocks_) fn(block, rec.written);
   }
 
  private:
@@ -157,6 +163,8 @@ class TxnContext final : public coherence::TxnHooks {
   friend class ConflictManager;
 
   void abort(AbortCause cause);
+  /// Empties the read/write sets (commit and abort).
+  void clear_blocks();
   /// Remembers a requester this transaction just nacked (commit-hint
   /// extension), bounded by commit_hint_entries.
   void remember_waiter(NodeId requester, BlockAddr addr);
@@ -182,12 +190,16 @@ class TxnContext final : public coherence::TxnHooks {
   std::uint64_t tile_aborts_ = 0;        ///< Run-total aborts (this tile).
   std::uint64_t tile_false_aborts_ = 0;  ///< Run-total false-abort events.
 
-  std::unordered_set<BlockAddr> read_set_;
-  std::unordered_set<BlockAddr> write_set_;
-  /// block -> PC of the first load, for RMW-predictor training; kept only
-  /// while rmw_ exists, like txn_stored_.
-  std::unordered_map<BlockAddr, std::uint64_t> txn_loads_;
-  std::unordered_set<BlockAddr> txn_stored_;
+  /// What the running transaction did to one block.
+  struct BlockRecord {
+    bool written = false;
+    bool loaded = false;  ///< A load completed; `load_pc` is the first's.
+    std::uint64_t load_pc = 0;  ///< RMW-predictor training key.
+  };
+  /// Every block the running transaction touched; cleared by commit and
+  /// abort.
+  std::unordered_map<BlockAddr, BlockRecord> blocks_;
+  std::size_t written_blocks_ = 0;  ///< Records with `written` set.
 
   TxLB txlb_;
   /// Allocated and trained only if the ConflictManager reads it.

@@ -20,10 +20,7 @@ class ActiveSet {
  public:
   explicit ActiveSet(std::uint32_t n = 0) { resize(n); }
 
-  void resize(std::uint32_t n) {
-    size_ = n;
-    words_.assign((n + 63) / 64, 0);
-  }
+  void resize(std::uint32_t n) { words_.assign((n + 63) / 64, 0); }
 
   void add(NodeId id) noexcept {
     words_[id >> 6] |= std::uint64_t{1} << (id & 63);
@@ -72,7 +69,6 @@ class ActiveSet {
     return __builtin_ctzll(v);
   }
 
-  std::uint32_t size_ = 0;
   std::vector<std::uint64_t> words_;
 };
 

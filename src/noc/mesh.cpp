@@ -66,7 +66,7 @@ void Mesh::set_handler(NodeId node, MessageHandler h) {
 }
 
 void Mesh::send(NodeId src, NodeId dst, VNet vnet, std::uint32_t data_bytes,
-                std::shared_ptr<const PacketPayload> payload) {
+                std::shared_ptr<const void> payload) {
   assert(src < num_nodes() && dst < num_nodes());
   ++messages_injected_;
   if (src == dst) {
@@ -80,6 +80,7 @@ void Mesh::send(NodeId src, NodeId dst, VNet vnet, std::uint32_t data_bytes,
         p.src = src;
         p.dst = dst;
         p.vnet = vnet;
+        p.injected_at = kernel_.now() - 1;
         p.payload = payload;
         handlers_[dst](std::move(p));
       }

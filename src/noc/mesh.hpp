@@ -1,8 +1,9 @@
 // The 2D-mesh on-chip network: routers + NIs joined by the mesh's link
 // stage.
 //
-// Upper protocol layers use Mesh as a message transport: send() a payload to
-// a node, receive delivered payloads through a per-node handler. Messages
+// Upper protocol layers use Mesh as a message transport: send() an untyped
+// payload to a node, receive it through that node's handler, which knows
+// what the payload holds (arch::Cmp's hold coherence messages). Messages
 // whose source and destination coincide (e.g. an L1 talking to the L2 bank
 // on its own tile) bypass the network with one cycle of latency and generate
 // no router traversals, as on a real tiled CMP.
@@ -83,7 +84,7 @@ class Mesh final : public sim::Tickable {
   /// Sends `payload` from `src` to `dst`. Control messages use
   /// data_bytes = 0 (single flit); cache-line transfers use the block size.
   void send(NodeId src, NodeId dst, VNet vnet, std::uint32_t data_bytes,
-            std::shared_ptr<const PacketPayload> payload);
+            std::shared_ptr<const void> payload);
 
   void tick(Cycle now) override;
 
@@ -114,10 +115,6 @@ class Mesh final : public sim::Tickable {
 
   /// Flits in the link stage: switched, not yet in the next router or NI.
   [[nodiscard]] std::uint64_t inflight_link_flits() const noexcept;
-  /// Same-tile messages awaiting their 1-cycle bypass delivery.
-  [[nodiscard]] std::uint64_t inflight_local_messages() const noexcept {
-    return inflight_local_;
-  }
   /// Flits buffered in routers, summed over the whole mesh: in input
   /// buffers or held in a router's pipeline.
   [[nodiscard]] std::uint64_t buffered_router_flits() const;

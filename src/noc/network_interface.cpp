@@ -34,7 +34,7 @@ bool NetworkInterface::idle() const {
 }
 
 void NetworkInterface::send(NodeId dst, VNet vnet, std::uint32_t data_bytes,
-                            std::shared_ptr<const PacketPayload> payload) {
+                            std::shared_ptr<const void> payload) {
   assert(dst != id_ && "NoC messages to self must be short-circuited above");
   const PacketPool::Id slot = pool_.allocate();
   Packet& pkt = pool_[slot];

@@ -1,5 +1,7 @@
-// Network interface (NI): packetizes protocol messages into flits on the
-// injection side and reassembles flits into packets on the ejection side.
+// Network interface (NI): packetizes payloads into flits on the injection
+// side and reassembles flits into packets on the ejection side. A payload is
+// an untyped shared pointer the NI never reads; the delivery handler knows
+// what it holds.
 //
 // The NI keeps an unbounded per-vnet injection queue (endpoint queues must
 // be able to sink/source without backpressure for the protocol-deadlock
@@ -65,7 +67,7 @@ class NetworkInterface {
   /// messages, which fit in the head flit — Section III.E notes the PUNO
   /// message extensions never add flits).
   void send(NodeId dst, VNet vnet, std::uint32_t data_bytes,
-            std::shared_ptr<const PacketPayload> payload);
+            std::shared_ptr<const void> payload);
 
   /// Injection side: appends at most one flit per cycle to `injected`,
   /// bound for the router's local input port.

@@ -1,10 +1,11 @@
 // Packet representation for the on-chip network.
 //
-// The NoC is payload-agnostic: upper protocol layers derive their message
-// types from PacketPayload and the network moves them as wormhole-routed
-// flit trains. A control message fits in one flit; a 64-byte data-carrying
-// message needs 1 head + 4 body flits at the 16-byte channel width of
-// Table II.
+// The NoC is payload-agnostic: a packet carries its sender's payload as an
+// untyped shared pointer, and the node handler it is delivered to knows
+// what the pointer holds (arch::Cmp's handlers read a coherence::Message).
+// The network moves packets as wormhole-routed flit trains. A control
+// message fits in one flit; a 64-byte data-carrying message needs 1 head +
+// 4 body flits at the 16-byte channel width of Table II.
 #pragma once
 
 #include <cstdint>
@@ -13,12 +14,6 @@
 #include "sim/types.hpp"
 
 namespace puno::noc {
-
-/// Base class for anything carried through the network.
-class PacketPayload {
- public:
-  virtual ~PacketPayload() = default;
-};
 
 /// Virtual network a packet travels on. Separating request, forward and
 /// response traffic onto disjoint VC sets breaks protocol-level deadlock
@@ -32,7 +27,7 @@ struct Packet {
   VNet vnet = VNet::kRequest;
   std::uint32_t num_flits = 1;     ///< Head + body flits.
   Cycle injected_at = 0;
-  std::shared_ptr<const PacketPayload> payload;
+  std::shared_ptr<const void> payload;
 };
 
 }  // namespace puno::noc

@@ -63,8 +63,7 @@ TrafficGenerator::TrafficGenerator(sim::Kernel& kernel, Mesh& mesh,
   const std::uint32_t n = cfg.mesh_width * cfg.mesh_width;
   for (NodeId d = 0; d < n; ++d) {
     mesh_.set_handler(d, [this](Packet p) {
-      const auto* payload = static_cast<const Payload*>(p.payload.get());
-      const double lat = static_cast<double>(kernel_.now() - payload->sent_at);
+      const double lat = static_cast<double>(kernel_.now() - p.injected_at);
       ++delivered_;
       latency_sum_ += lat;
       latency_max_ = std::max(latency_max_, lat);
@@ -72,15 +71,14 @@ TrafficGenerator::TrafficGenerator(sim::Kernel& kernel, Mesh& mesh,
   }
 }
 
-void TrafficGenerator::tick(Cycle now) {
+void TrafficGenerator::tick(Cycle /*now*/) {
   const std::uint32_t n = cfg_.mesh_width * cfg_.mesh_width;
   for (NodeId src = 0; src < n; ++src) {
     if (!rng_.next_bool(rate_)) continue;
     const NodeId dst = pattern_destination(pattern_, src, cfg_.mesh_width,
                                            rng_);
     const auto vnet = static_cast<VNet>(rng_.next_below(cfg_.num_vnets));
-    mesh_.send(src, dst, vnet, payload_bytes_,
-               std::make_shared<Payload>(now));
+    mesh_.send(src, dst, vnet, payload_bytes_, nullptr);
     ++injected_;
   }
 }

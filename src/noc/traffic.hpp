@@ -4,11 +4,11 @@
 // drives it with the classic synthetic patterns instead (uniform random,
 // hotspot, transpose, bit-complement, nearest-neighbour), measuring
 // throughput and latency versus offered load — the standard way to
-// characterize a router microarchitecture in isolation.
+// characterize a router microarchitecture in isolation. A packet's latency
+// is read from its own injection cycle, so the generator sends no payload.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "noc/mesh.hpp"
@@ -53,11 +53,6 @@ class TrafficGenerator final : public sim::Tickable {
   [[nodiscard]] Results results(Cycle elapsed) const;
 
  private:
-  struct Payload final : PacketPayload {
-    explicit Payload(Cycle t) : sent_at(t) {}
-    Cycle sent_at;
-  };
-
   sim::Kernel& kernel_;
   Mesh& mesh_;
   NocConfig cfg_;

@@ -112,12 +112,10 @@ class Kernel {
   /// Advances one cycle: run all tickables, then all events due this cycle,
   /// then the post-cycle hooks.
   void step() {
-#ifndef PUNO_PROFILING_DISABLED
     if (profiler_ != nullptr) {
       step_profiled();
       return;
     }
-#endif
     for (Tickable* t : tickables_) t->tick(now_);
     drain_due_events();
     for (const auto& hook : post_cycle_hooks_) hook(now_);
@@ -161,8 +159,7 @@ class Kernel {
   /// Optional host-time profiler. Null (the default) means step() runs the
   /// unprofiled path; with a sink attached every tick, event batch and hook
   /// is bracketed with host_ticks(). Like the tracer, the kernel does not
-  /// own the sink. Under PUNO_PROFILING_DISABLED the attachment is accepted
-  /// but never consulted, so profiling code compiles out of step().
+  /// own the sink.
   void set_profiler(ProfileSink* p) {
     profiler_ = p;
     if (profiler_ == nullptr) return;
@@ -232,7 +229,6 @@ class Kernel {
     return ran;
   }
 
-#ifndef PUNO_PROFILING_DISABLED
   /// step() with each phase bracketed by host_ticks(). A separate method so
   /// the common unprofiled path stays branch-light and the timing calls sit
   /// outside it entirely.
@@ -255,7 +251,6 @@ class Kernel {
     ++now_;
     post_drain_ = false;
   }
-#endif
 
   Cycle now_ = 0;
   std::uint64_t next_seq_ = 0;

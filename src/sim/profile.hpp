@@ -8,8 +8,7 @@
 // what the kernel needs to see, so puno_sim stays dependency-free.
 //
 // Zero-overhead contract (mirrors tracing, docs/TELEMETRY.md): with no sink
-// attached the kernel pays one predictable null-pointer test per cycle, and
-// a build with -DPUNO_PROFILING_DISABLED=ON compiles the test out entirely.
+// attached the kernel pays one predictable null-pointer test per cycle.
 // Profiling reads only the host clock and writes only into the sink, so the
 // simulated run is bit-identical with or without it.
 #pragma once

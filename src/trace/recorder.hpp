@@ -7,9 +7,8 @@
 //
 // Attachment model: the Kernel holds a nullable `trace::TraceRecorder*`
 // (see sim/kernel.hpp). Components emit through the PUNO_TEV macro below,
-// which compiles to a null-check when tracing is enabled and to nothing at
-// all when the library is built with -DPUNO_TRACING_DISABLED=ON (the
-// compile-time no-op path of the zero-overhead contract, docs/TRACING.md).
+// which costs one null check when no recorder is attached (the
+// zero-overhead contract, docs/TRACING.md).
 #pragma once
 
 #include <cstddef>
@@ -121,9 +120,7 @@ struct TraceRequest {
 ///            (trace::TraceEvent{.cycle = kernel_.now(), ...}));
 ///
 /// Expands to a pointer load + mask test guarding the event construction
-/// (runtime-disabled cost: one predictable branch), or to nothing when the
-/// tree is compiled with -DPUNO_TRACING_DISABLED=ON.
-#ifndef PUNO_TRACING_DISABLED
+/// (runtime-disabled cost: one predictable branch).
 #define PUNO_TEV(kernel, cat, ...)                                          \
   do {                                                                      \
     if (::puno::trace::TraceRecorder* puno_tev_r_ = (kernel).tracer();      \
@@ -131,12 +128,3 @@ struct TraceRequest {
       puno_tev_r_->record(__VA_ARGS__);                                     \
     }                                                                       \
   } while (false)
-#else
-// Compiled-out form: sizeof keeps every operand semantically "used" (so
-// parameters that only feed trace events don't trip -Wunused-parameter)
-// while remaining a strictly unevaluated context — no code is generated.
-#define PUNO_TEV(kernel, cat, ...)                                          \
-  do {                                                                      \
-    (void)sizeof((void)(kernel), (void)(cat), (__VA_ARGS__));               \
-  } while (false)
-#endif

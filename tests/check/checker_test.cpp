@@ -21,11 +21,7 @@ class CheckerFixture : public puno::testing::ProtocolFixture {
   }
 
   void wire_checker(CheckerConfig ccfg) {
-    checker_ = std::make_unique<InvariantChecker>(ccfg);
-    for (const auto& d : dirs_) checker_->watch_directory(*d);
-    for (const auto& l1 : l1s_) checker_->watch_l1(*l1);
-    for (const auto& t : txns_) checker_->watch_txn(*t);
-    checker_->watch_mesh(*mesh_, kernel_.stats());
+    checker_ = std::make_unique<InvariantChecker>(cmp_, ccfg);
   }
 
   void check() { checker_->check_now(kernel_.now()); }
@@ -69,8 +65,7 @@ TEST_F(CheckerFixture, CleanProtocolActivityReportsNothing) {
 TEST_F(CheckerFixture, InstalledHookSweepsAtTheConfiguredStride) {
   CheckerConfig ccfg;
   ccfg.stride = 4;
-  wire_checker(ccfg);
-  checker_->install(kernel_);
+  checker_ = InvariantChecker::attach(cmp_, ccfg);
   run(16);
   // Cycles 0,4,8,12 (the hook fires before now advances past 15).
   EXPECT_EQ(checker_->sweeps(), 4u);

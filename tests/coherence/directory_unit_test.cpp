@@ -442,6 +442,80 @@ TEST_F(DirectoryUnitTest, QueuedRequestsAreServedFifoAcrossServiceTurns) {
             node_bit(6) | node_bit(7) | node_bit(8) | node_bit(9));
 }
 
+/// An assist that predicts one fixed sharer for every transactional GETX.
+class FixedUnicastAssist final : public DirectoryAssist {
+ public:
+  explicit FixedUnicastAssist(NodeId target) : target_(target) {}
+  void observe_request(NodeId, Timestamp, Cycle) override {}
+  [[nodiscard]] NodeId predict_unicast(const SharerSet&, NodeId, Timestamp,
+                                       NodeId) override {
+    return target_;
+  }
+  [[nodiscard]] NodeId recompute_ud(const SharerSet&) override {
+    return kInvalidNode;
+  }
+  void on_misprediction(NodeId) override {}
+  [[nodiscard]] Cycle prediction_latency() const override { return 2; }
+
+ private:
+  NodeId target_;
+};
+
+TEST_F(DirectoryUnitTest, EveryForwardCarriesTheRequestsConflictFields) {
+  static constexpr Timestamp kTs = 77;
+  // The forward rule: whoever the home forwards to sees the request's
+  // block, requester, transactional bit and timestamp, from the home.
+  const auto expect_forward = [](const SentMsg& f, NodeId dst,
+                                 BlockAddr addr, NodeId requester) {
+    EXPECT_EQ(f.dst, dst);
+    EXPECT_EQ(f.msg.addr, addr);
+    EXPECT_EQ(f.msg.requester, requester);
+    EXPECT_TRUE(f.msg.transactional);
+    EXPECT_EQ(f.msg.ts, kTs);
+    EXPECT_EQ(f.msg.sender, kHome);
+  };
+
+  // FwdGetS to the owner of an EM line.
+  dir_->handle_message(make(MsgType::kGetX, 0x40, 1));
+  settle();
+  expect_sent(MsgType::kData);
+  unblock(0x40, 1, true);
+  dir_->handle_message(make(MsgType::kGetS, 0x40, 3, true, kTs));
+  expect_forward(expect_sent(MsgType::kFwdGetS), 1, 0x40, 3);
+  unblock(0x40, 3, false);
+
+  // Inv to the owner.
+  dir_->handle_message(make(MsgType::kGetX, 0x40, 4, true, kTs));
+  const SentMsg owner_inv = expect_sent(MsgType::kInv);
+  expect_forward(owner_inv, 1, 0x40, 4);
+  EXPECT_TRUE(owner_inv.msg.sole);
+  unblock(0x40, 4, false);
+
+  // A multicast Inv to each sharer.
+  make_shared_line(0x80, {5, 6, 7});
+  dir_->handle_message(make(MsgType::kGetX, 0x80, 8, true, kTs));
+  settle();
+  for (const NodeId sharer : {5, 6, 7}) {
+    const SentMsg inv = expect_sent(MsgType::kInv);
+    expect_forward(inv, sharer, 0x80, 8);
+    EXPECT_FALSE(inv.msg.u_bit);
+  }
+  expect_sent(MsgType::kData);
+  unblock(0x80, 8, false, node_bit(5) | node_bit(6) | node_bit(7));
+
+  // A unicast Inv to the sharer the assist predicts.
+  FixedUnicastAssist assist(6);
+  dir_->set_assist(&assist);
+  dir_->handle_message(make(MsgType::kGetX, 0x80, 9, true, kTs));
+  settle();
+  const SentMsg unicast = expect_sent(MsgType::kInv);
+  expect_forward(unicast, 6, 0x80, 9);
+  EXPECT_TRUE(unicast.msg.u_bit);
+  EXPECT_TRUE(sent_.empty()) << "a unicast sends no data";
+  unblock(0x80, 9, false, node_bit(6));
+  dir_->set_assist(nullptr);
+}
+
 TEST(DirectoryTable, OneHomeOfA256NodeMachineServesFortyThousandBlocks) {
   // 40,960 interleaved blocks of one home: the table doubles 13 times from
   // its first size. Every line is busy at once before the first UNBLOCK,

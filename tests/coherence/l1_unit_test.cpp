@@ -9,6 +9,7 @@
 #include <deque>
 #include <memory>
 #include <unordered_set>
+#include <vector>
 
 namespace puno::coherence {
 namespace {
@@ -70,6 +71,14 @@ class L1UnitTest : public ::testing::Test {
         [this](NodeId dst, std::shared_ptr<const Message> m) {
           sent_.push_back({dst, *m});
         });
+    l1_->set_completion([this](bool ok) { completions_.push_back(ok); });
+  }
+
+  /// The outstanding operation has completed, performed or cancelled.
+  [[nodiscard]] bool completed() const { return !completions_.empty(); }
+  /// The outstanding operation has completed and performed.
+  [[nodiscard]] bool succeeded() const {
+    return completed() && completions_.back();
   }
 
   SentMsg expect_sent(MsgType type) {
@@ -123,48 +132,47 @@ class L1UnitTest : public ::testing::Test {
   MockHooks hooks_;
   std::unique_ptr<L1Controller> l1_;
   std::deque<SentMsg> sent_;
+  std::vector<bool> completions_;  ///< Every completion, in order.
 };
 
 TEST_F(L1UnitTest, StoreMissCompletesAfterDataAndAllAcks) {
-  bool done = false;
-  l1_->store(0x1000, false, [&](bool ok) { done = ok; });
+  l1_->store(0x1000, false);
   const SentMsg req = expect_sent(MsgType::kGetX);
   EXPECT_EQ(req.dst, cfg_.home_of(0x1000));
 
   deliver_data(0x1000, 2, true);
-  EXPECT_FALSE(done);
+  EXPECT_FALSE(succeeded());
   deliver_ack(0x1000, 3);
-  EXPECT_FALSE(done);
+  EXPECT_FALSE(succeeded());
   deliver_ack(0x1000, 5);
-  EXPECT_TRUE(done);
+  EXPECT_TRUE(succeeded());
   const SentMsg ub = expect_sent(MsgType::kUnblock);
   EXPECT_TRUE(ub.msg.success);
   EXPECT_EQ(l1_->line_state(0x1000), L1Controller::LineState::kM);
 }
 
 TEST_F(L1UnitTest, AcksBeforeDataAreCountedCorrectly) {
-  bool done = false;
-  l1_->store(0x1000, false, [&](bool ok) { done = ok; });
+  l1_->store(0x1000, false);
   expect_sent(MsgType::kGetX);
   deliver_ack(0x1000, 3);
   deliver_ack(0x1000, 5);
-  EXPECT_FALSE(done) << "completion needs the Data (it carries the count)";
+  EXPECT_FALSE(succeeded())
+      << "completion needs the Data (it carries the count)";
   deliver_data(0x1000, 2, true);
-  EXPECT_TRUE(done);
+  EXPECT_TRUE(succeeded());
   expect_sent(MsgType::kUnblock);
 }
 
 TEST_F(L1UnitTest, NackedStoreReportsFailureAndRetriesAfterBackoff) {
   hooks_.backoff = 50;
-  bool done = false;
-  l1_->store(0x1000, true, [&](bool ok) { done = ok; });
+  l1_->store(0x1000, true);
   hooks_.ts = 7;  // inside a "transaction" now
   expect_sent(MsgType::kGetX);
 
   deliver_data(0x1000, 2, true);
   deliver_ack(0x1000, 3, /*aborted=*/true);
   deliver_nack(0x1000, 5);
-  EXPECT_FALSE(done);
+  EXPECT_FALSE(succeeded());
   const SentMsg ub = expect_sent(MsgType::kUnblock);
   EXPECT_FALSE(ub.msg.success);
   EXPECT_EQ(ub.msg.surviving_sharers.mask64(), node_bit(5));
@@ -180,37 +188,31 @@ TEST_F(L1UnitTest, NackedStoreReportsFailureAndRetriesAfterBackoff) {
 }
 
 TEST_F(L1UnitTest, SoleNackResolvesImmediately) {
-  bool done = false;
-  l1_->store(0x1000, true, [&](bool ok) { done = ok; });
+  l1_->store(0x1000, true);
   expect_sent(MsgType::kGetX);
   deliver_nack(0x1000, 5, /*sole=*/true, /*notification=*/300);
-  EXPECT_FALSE(done);
+  EXPECT_FALSE(succeeded());
   const SentMsg ub = expect_sent(MsgType::kUnblock);
   EXPECT_FALSE(ub.msg.success);
 }
 
 TEST_F(L1UnitTest, CancelDuringBackoffFinalizesWithoutRetry) {
   hooks_.backoff = 100;
-  bool done = false, ok = true;
-  l1_->store(0x1000, true, [&](bool s) {
-    done = true;
-    ok = s;
-  });
+  l1_->store(0x1000, true);
   expect_sent(MsgType::kGetX);
   deliver_nack(0x1000, 5, true);
   expect_sent(MsgType::kUnblock);
   l1_->on_local_abort();  // txn died while waiting
   kernel_.run_for(120);
-  EXPECT_TRUE(done);
-  EXPECT_FALSE(ok) << "cancelled, not completed";
+  EXPECT_TRUE(completed());
+  EXPECT_FALSE(succeeded()) << "cancelled, not completed";
   EXPECT_TRUE(sent_.empty()) << "no retry after cancellation";
   EXPECT_FALSE(l1_->has_outstanding_miss());
 }
 
 TEST_F(L1UnitTest, RetryHintCutsBackoffShort) {
   hooks_.backoff = 5000;
-  bool done = false;
-  l1_->store(0x1000, true, [&](bool s) { done = s; });
+  l1_->store(0x1000, true);
   expect_sent(MsgType::kGetX);
   deliver_nack(0x1000, 5, true);
   expect_sent(MsgType::kUnblock);
@@ -226,7 +228,7 @@ TEST_F(L1UnitTest, RetryHintCutsBackoffShort) {
   // The stale 5000-cycle wakeup must not fire a second request.
   kernel_.run_for(6000);
   EXPECT_TRUE(sent_.empty());
-  EXPECT_FALSE(done);
+  EXPECT_FALSE(succeeded());
 }
 
 TEST_F(L1UnitTest, InvToUnknownLineAcksAsStaleSharer) {
@@ -244,11 +246,10 @@ TEST_F(L1UnitTest, InvToUnknownLineAcksAsStaleSharer) {
 
 TEST_F(L1UnitTest, ConflictNackCarriesNotification) {
   // Install the line as S, then receive an Inv while the hooks say "nack".
-  bool done = false;
-  l1_->load(0x2000, false, false, [&](bool) { done = true; });
+  l1_->load(0x2000, false, false);
   expect_sent(MsgType::kGetS);
   deliver_data(0x2000, 0, false, true);
-  EXPECT_TRUE(done);
+  EXPECT_TRUE(completed());
   expect_sent(MsgType::kUnblock);
 
   hooks_.next_verdict = {ConflictDecision::kNack, 333, false};
@@ -266,12 +267,11 @@ TEST_F(L1UnitTest, ConflictNackCarriesNotification) {
 }
 
 TEST_F(L1UnitTest, GrantAfterAbortDelaysResponseAndInvalidates) {
-  bool done = false;
-  l1_->load(0x2000, false, false, [&](bool) { done = true; });
+  l1_->load(0x2000, false, false);
   expect_sent(MsgType::kGetS);
   deliver_data(0x2000, 0, false, true);
   expect_sent(MsgType::kUnblock);
-  ASSERT_TRUE(done);
+  ASSERT_TRUE(completed());
 
   hooks_.next_verdict = {ConflictDecision::kGrantAfterAbort, 0, false};
   Message inv;
@@ -288,8 +288,7 @@ TEST_F(L1UnitTest, GrantAfterAbortDelaysResponseAndInvalidates) {
 }
 
 TEST_F(L1UnitTest, UbitInvNeverInvalidates) {
-  bool done = false;
-  l1_->load(0x2000, false, false, [&](bool) { done = true; });
+  l1_->load(0x2000, false, false);
   expect_sent(MsgType::kGetS);
   deliver_data(0x2000, 0, false, true);
   expect_sent(MsgType::kUnblock);
@@ -310,12 +309,11 @@ TEST_F(L1UnitTest, UbitInvNeverInvalidates) {
 }
 
 TEST_F(L1UnitTest, FwdGetSDowngradesAndWritesBack) {
-  bool done = false;
-  l1_->store(0x2000, false, [&](bool) { done = true; });
+  l1_->store(0x2000, false);
   expect_sent(MsgType::kGetX);
   deliver_data(0x2000, 0, true, true);
   expect_sent(MsgType::kUnblock);
-  ASSERT_TRUE(done);
+  ASSERT_TRUE(completed());
   ASSERT_EQ(l1_->line_state(0x2000), L1Controller::LineState::kM);
 
   Message fwd;
@@ -335,8 +333,7 @@ TEST_F(L1UnitTest, FwdGetSDowngradesAndWritesBack) {
 }
 
 TEST_F(L1UnitTest, MispredictionFeedbackRidesTheUnblock) {
-  bool done = false;
-  l1_->store(0x1000, true, [&](bool s) { done = s; });
+  l1_->store(0x1000, true);
   expect_sent(MsgType::kGetX);
   Message nack;
   nack.type = MsgType::kNack;
@@ -349,7 +346,73 @@ TEST_F(L1UnitTest, MispredictionFeedbackRidesTheUnblock) {
   const SentMsg ub = expect_sent(MsgType::kUnblock);
   EXPECT_TRUE(ub.msg.mp_bit);
   EXPECT_EQ(ub.msg.mp_node, 5);
-  EXPECT_FALSE(done);
+  EXPECT_FALSE(succeeded());
+}
+
+TEST_F(L1UnitTest, EveryReplyGoesToTheForwardsRequesterAndNamesItsBlock) {
+  constexpr NodeId kRequester = 9;
+  // The reply rule: every Data, Ack or Nack answering a forward goes to
+  // the forward's requester, names its block and comes from this node.
+  const auto forward = [&](MsgType type, BlockAddr block, bool sole,
+                           bool u_bit = false) {
+    Message f;
+    f.type = type;
+    f.addr = block;
+    f.sender = cfg_.home_of(block);
+    f.requester = kRequester;
+    f.sole = sole;
+    f.u_bit = u_bit;
+    l1_->handle_message(f);
+    kernel_.run_for(1);  // replies may ride a zero-delay event
+  };
+  const auto expect_reply = [&](MsgType type, BlockAddr block) {
+    const SentMsg r = expect_sent(type);
+    EXPECT_EQ(r.dst, kRequester);
+    EXPECT_EQ(r.msg.requester, kRequester);
+    EXPECT_EQ(r.msg.addr, block);
+    EXPECT_EQ(r.msg.sender, kNode);
+  };
+  const auto own = [&](BlockAddr block) {
+    l1_->store(block, false);
+    expect_sent(MsgType::kGetX);
+    deliver_data(block, 0, true, true);
+  };
+
+  // From the cache: a stale-sharer Ack, a conflict Nack, an owner's Data.
+  forward(MsgType::kInv, 0x3000, false);
+  expect_reply(MsgType::kAck, 0x3000);
+  own(0x2000);
+  expect_sent(MsgType::kUnblock);
+  hooks_.next_verdict = {ConflictDecision::kNack, 0, false};
+  forward(MsgType::kInv, 0x2000, false);
+  expect_reply(MsgType::kNack, 0x2000);
+  hooks_.next_verdict = {ConflictDecision::kGrant, 0, false};
+  forward(MsgType::kFwdGetS, 0x2000, true);
+  expect_reply(MsgType::kData, 0x2000);
+  expect_sent(MsgType::kWbData);
+  forward(MsgType::kInv, 0x2000, true);
+  expect_reply(MsgType::kAck, 0x2000);  // a sharer's copy is dropped
+
+  // From the writeback buffer: four more lines of 0x10000's set evict it.
+  constexpr BlockAddr kSetStride = 0x2000;  // 128 sets x 64 B
+  own(0x10000);
+  expect_sent(MsgType::kUnblock);
+  for (BlockAddr k = 1; k <= 4; ++k) {
+    own(0x10000 + k * kSetStride);
+    if (k == 4) expect_sent(MsgType::kPutX);
+    expect_sent(MsgType::kUnblock);
+  }
+  ASSERT_TRUE(l1_->has_writeback(0x10000));
+  forward(MsgType::kFwdGetS, 0x10000, true);
+  expect_reply(MsgType::kData, 0x10000);
+  expect_sent(MsgType::kWbData);
+  forward(MsgType::kInv, 0x10000, true);
+  expect_reply(MsgType::kData, 0x10000);
+  forward(MsgType::kInv, 0x10000, false);
+  expect_reply(MsgType::kAck, 0x10000);
+  forward(MsgType::kInv, 0x10000, true, /*u_bit=*/true);
+  expect_reply(MsgType::kNack, 0x10000);
+  EXPECT_TRUE(sent_.empty());
 }
 
 }  // namespace

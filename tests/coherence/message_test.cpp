@@ -30,11 +30,32 @@ TEST(Message, OnlyDataMessagesCarryPayload) {
 }
 
 TEST(Message, MakeInitializesRouting) {
-  auto m = Message::make(MsgType::kWbAck, 0x80, 3, 5);
+  auto m = make_message(MsgType::kWbAck, 0x80, 3, 5);
   EXPECT_EQ(m->type, MsgType::kWbAck);
   EXPECT_EQ(m->addr, 0x80u);
   EXPECT_EQ(m->sender, 3);
   EXPECT_EQ(m->requester, 5);
+}
+
+TEST(Message, ForwardCopiesTheRequestsConflictFields) {
+  const auto req = make_message(MsgType::kGetX, 0x80, 3, 3);
+  req->transactional = true;
+  req->ts = 42;
+  req->avg_txn_len = 500;
+  const auto fwd = forward_of(*req, MsgType::kInv, 7);
+  EXPECT_EQ(fwd->type, MsgType::kInv);
+  EXPECT_EQ(fwd->addr, 0x80u);
+  EXPECT_EQ(fwd->sender, 7);
+  EXPECT_EQ(fwd->requester, 3);
+  EXPECT_TRUE(fwd->transactional);
+  EXPECT_EQ(fwd->ts, 42u);
+  EXPECT_EQ(fwd->avg_txn_len, 0u) << "only the conflict fields travel";
+
+  const auto reply = reply_to(*fwd, MsgType::kNack, 5);
+  EXPECT_EQ(reply->addr, 0x80u);
+  EXPECT_EQ(reply->sender, 5);
+  EXPECT_EQ(reply->requester, 3) << "a reply goes to the forward's requester";
+  EXPECT_FALSE(reply->transactional);
 }
 
 TEST(Message, PunoExtensionDefaultsAreOff) {

@@ -39,19 +39,20 @@ void check_isolation(Cmp& cmp, const SystemConfig& cfg) {
   for (NodeId w = 0; w < cfg.num_nodes; ++w) {
     const auto& writer = cmp.txn(w);
     if (!writer.in_txn() || writer.aborted()) continue;
-    for (const BlockAddr block : writer.write_set()) {
+    writer.for_each_block([&](BlockAddr block, bool written) {
+      if (!written) return;
       for (NodeId o = 0; o < cfg.num_nodes; ++o) {
         if (o == w) continue;
         const auto& other = cmp.txn(o);
         if (!other.in_txn() || other.aborted()) continue;
-        ASSERT_FALSE(other.read_set().contains(block))
+        ASSERT_FALSE(other.is_txn_line(block))
             << "block " << block << " written by txn on node " << w
             << " and read by live txn on node " << o;
-        ASSERT_FALSE(other.write_set().contains(block))
+        ASSERT_FALSE(other.in_write_set(block))
             << "block " << block << " in two live write sets (" << w << ", "
             << o << ")";
       }
-    }
+    });
   }
 }
 

@@ -12,7 +12,7 @@
 namespace puno::noc {
 namespace {
 
-struct TestPayload final : PacketPayload {
+struct TestPayload {
   explicit TestPayload(int v) : value(v) {}
   int value;
 };

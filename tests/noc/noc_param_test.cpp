@@ -16,7 +16,7 @@
 namespace puno::noc {
 namespace {
 
-struct TestPayload final : PacketPayload {
+struct TestPayload {
   explicit TestPayload(int v) : value(v) {}
   int value;
 };

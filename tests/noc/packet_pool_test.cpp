@@ -102,7 +102,7 @@ TEST(PacketPoolTest, ReallocatedSlotIsReinitialized) {
   const PacketPool::Id p = pool.allocate();
   pool[p].id = 99;
   pool[p].num_flits = 5;
-  const auto payload = std::make_shared<PacketPayload>();
+  const auto payload = std::make_shared<int>(0);
   pool[p].payload = payload;
   pool.release(p);
   EXPECT_EQ(payload.use_count(), 1) << "release drops the payload";

@@ -99,8 +99,8 @@ TEST_F(CommitHintTest, HintForIdleLineIsHarmless) {
   // A hint arriving when nothing waits (the retry already happened) must be
   // ignored without disturbing the MSHR-less L1.
   const Addr addr = block_homed_at(1);
-  auto hint = coherence::Message::make(coherence::MsgType::kRetryHint, addr,
-                                       /*sender=*/0, /*requester=*/2);
+  auto hint = coherence::make_message(coherence::MsgType::kRetryHint, addr,
+                                      /*sender=*/0, /*requester=*/2);
   l1s_[2]->handle_message(*hint);
   run(10);
   EXPECT_EQ(stat("l1.hint_wakeups"), 0u);

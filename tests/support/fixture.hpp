@@ -1,12 +1,14 @@
-// Shared test fixture: a full 16-node CMP (mesh + directories + L1s + real
-// TxnContexts + optional PUNO assists) with NO cores, so tests drive memory
-// operations and transaction boundaries directly and observe every protocol
-// effect deterministically.
+// Shared test fixture: a full 16-node arch::Cmp (mesh + directories + L1s +
+// real TxnContexts + optional PUNO assists) on an empty workload, whose
+// cores never start, so tests drive memory operations and transaction
+// boundaries directly and observe every protocol effect deterministically.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,60 +25,36 @@
 
 namespace puno::testing {
 
+/// A workload with no transactions, for a machine the tests drive by hand.
+class NoWorkload final : public workloads::Workload {
+ public:
+  [[nodiscard]] const std::string& name() const override { return name_; }
+  [[nodiscard]] std::optional<workloads::TxnDesc> next(NodeId) override {
+    return std::nullopt;
+  }
+
+ private:
+  std::string name_ = "none";
+};
+
 class ProtocolFixture : public ::testing::Test {
  protected:
-  explicit ProtocolFixture(SystemConfig cfg = {}) : cfg_(std::move(cfg)) {
-    mesh_ = std::make_unique<noc::Mesh>(kernel_, cfg_.noc);
-    kernel_.add_tickable(*mesh_);
-    const auto n = static_cast<NodeId>(cfg_.num_nodes);
-    const Cycle c2c = mesh_->average_c2c_latency();
-    for (NodeId i = 0; i < n; ++i) {
-      txns_.push_back(
-          std::make_unique<htm::TxnContext>(kernel_, cfg_, i, c2c));
-    }
-    for (NodeId i = 0; i < n; ++i) {
-      auto send = [this, i](NodeId dst,
-                            std::shared_ptr<const coherence::Message> msg) {
-        const auto vnet = coherence::vnet_of(msg->type);
-        const std::uint32_t bytes =
-            coherence::carries_data(msg->type) && msg->has_payload
-                ? cfg_.cache.block_bytes
-                : 0;
-        mesh_->send(i, dst, vnet, bytes, std::move(msg));
-      };
-      l1s_.push_back(std::make_unique<coherence::L1Controller>(
-          kernel_, cfg_, i, *txns_[i], send));
-      txns_[i]->attach_l1(l1s_[i].get());
-      if (cfg_.puno.enable_commit_hint) {
-        txns_[i]->set_hint_sender(
-            [send, i](NodeId dst, BlockAddr addr) {
-              send(dst, coherence::Message::make(
-                            coherence::MsgType::kRetryHint, addr, i, dst));
-            });
-      }
-      dirs_.push_back(
-          std::make_unique<coherence::Directory>(kernel_, cfg_, i, send));
-      if (txns_[i]->conflict_manager().wants_directory_assist()) {
-        assists_.push_back(
-            std::make_unique<core::PunoDirectory>(kernel_, cfg_, i));
-        dirs_[i]->set_assist(assists_.back().get());
-      }
-      mesh_->set_handler(i, [this, i](noc::Packet p) {
-        const auto* msg =
-            static_cast<const coherence::Message*>(p.payload.get());
-        switch (msg->type) {
-          case coherence::MsgType::kGetS:
-          case coherence::MsgType::kGetX:
-          case coherence::MsgType::kPutX:
-          case coherence::MsgType::kUnblock:
-          case coherence::MsgType::kWbData:
-            dirs_[i]->handle_message(*msg);
-            break;
-          default:
-            l1s_[i]->handle_message(*msg);
-            break;
-        }
-      });
+  explicit ProtocolFixture(SystemConfig cfg = {})
+      : cmp_(cfg, no_workload_),
+        // The machine's own config, which its components read by
+        // reference: a test that changes a knob after construction changes
+        // it for the whole machine. Cmp holds it as a non-const member.
+        cfg_(const_cast<SystemConfig&>(cmp_.config())),
+        kernel_(cmp_.kernel()),
+        mesh_(&cmp_.mesh()),
+        on_done_(cfg_.num_nodes) {
+    for (NodeId i = 0; i < cfg_.num_nodes; ++i) {
+      txns_.push_back(&cmp_.txn(i));
+      l1s_.push_back(&cmp_.l1(i));
+      dirs_.push_back(&cmp_.directory(i));
+      if (auto* assist = cmp_.assist(i)) assists_.push_back(assist);
+      // The fixture, not the idle core, completes every operation.
+      l1s_[i]->set_completion([this, i](bool ok) { on_done_[i](ok); });
     }
   }
 
@@ -85,10 +63,11 @@ class ProtocolFixture : public ::testing::Test {
   bool do_load(NodeId node, Addr addr, bool transactional = false,
                bool exclusive_hint = false, Cycle budget = 100000) {
     bool done = false, ok = false;
-    l1s_[node]->load(addr, transactional, exclusive_hint, [&](bool success) {
+    on_done_[node] = [&](bool success) {
       done = true;
       ok = success;
-    });
+    };
+    l1s_[node]->load(addr, transactional, exclusive_hint);
     kernel_.run_until([&] { return done; }, budget);
     EXPECT_TRUE(done) << "load did not complete within budget";
     if (ok && transactional) txns_[node]->on_access(addr, false, 0);
@@ -107,10 +86,11 @@ class ProtocolFixture : public ::testing::Test {
   bool do_store(NodeId node, Addr addr, bool transactional = false,
                 Cycle budget = 100000) {
     bool done = false, ok = false;
-    l1s_[node]->store(addr, transactional, [&](bool success) {
+    on_done_[node] = [&](bool success) {
       done = true;
       ok = success;
-    });
+    };
+    l1s_[node]->store(addr, transactional);
     kernel_.run_until([&] { return done; }, budget);
     EXPECT_TRUE(done) << "store did not complete within budget";
     if (ok && transactional) txns_[node]->on_access(addr, true, 0);
@@ -123,23 +103,21 @@ class ProtocolFixture : public ::testing::Test {
   std::shared_ptr<bool> async_store(NodeId node, Addr addr,
                                     bool transactional = true) {
     auto done = std::make_shared<bool>(false);
-    l1s_[node]->store(addr, transactional, [done, this, node, addr,
-                                            transactional](bool success) {
+    on_done_[node] = [done, this, node, addr, transactional](bool success) {
       *done = true;
       if (success && transactional) txns_[node]->on_access(addr, true, 0);
-    });
+    };
+    l1s_[node]->store(addr, transactional);
     return done;
   }
   std::shared_ptr<bool> async_load(NodeId node, Addr addr,
                                    bool transactional = true) {
     auto done = std::make_shared<bool>(false);
-    l1s_[node]->load(addr, transactional, false,
-                     [done, this, node, addr, transactional](bool success) {
-                       *done = true;
-                       if (success && transactional) {
-                         txns_[node]->on_access(addr, false, 0);
-                       }
-                     });
+    on_done_[node] = [done, this, node, addr, transactional](bool success) {
+      *done = true;
+      if (success && transactional) txns_[node]->on_access(addr, false, 0);
+    };
+    l1s_[node]->load(addr, transactional, false);
     return done;
   }
 
@@ -151,13 +129,19 @@ class ProtocolFixture : public ::testing::Test {
 
   using L1State = coherence::L1Controller::LineState;
 
-  SystemConfig cfg_;
-  sim::Kernel kernel_;
-  std::unique_ptr<noc::Mesh> mesh_;
-  std::vector<std::unique_ptr<htm::TxnContext>> txns_;
-  std::vector<std::unique_ptr<coherence::L1Controller>> l1s_;
-  std::vector<std::unique_ptr<coherence::Directory>> dirs_;
-  std::vector<std::unique_ptr<core::PunoDirectory>> assists_;
+  NoWorkload no_workload_;
+  arch::Cmp cmp_;
+  SystemConfig& cfg_;
+  sim::Kernel& kernel_;
+  noc::Mesh* mesh_;
+  std::vector<htm::TxnContext*> txns_;
+  std::vector<coherence::L1Controller*> l1s_;
+  std::vector<coherence::Directory*> dirs_;
+  std::vector<core::PunoDirectory*> assists_;
+
+ private:
+  /// What each node's L1 completion hook runs for the operation in flight.
+  std::vector<std::function<void(bool)>> on_done_;
 };
 
 /// Same fixture with the PUNO scheme enabled.

@@ -74,9 +74,6 @@ struct SpinTickable final : sim::Tickable {
 };
 
 TEST(HostProfilerIntegration, KernelAttributesCostsToNames) {
-#ifdef PUNO_PROFILING_DISABLED
-  GTEST_SKIP() << "profiling path compiled out";
-#else
   sim::Kernel kernel;
   SpinTickable t;
   kernel.add_tickable(t, "spin.tickable");
@@ -99,13 +96,9 @@ TEST(HostProfilerIntegration, KernelAttributesCostsToNames) {
   EXPECT_EQ(p.hooks()[0].name, "spin.hook");
   EXPECT_EQ(p.hooks()[0].calls, 100u);
   EXPECT_EQ(p.events().calls, 1u) << "one scheduled event ran";
-#endif
 }
 
 TEST(HostProfilerIntegration, LateAttachReplaysDeclarations) {
-#ifdef PUNO_PROFILING_DISABLED
-  GTEST_SKIP() << "profiling path compiled out";
-#else
   sim::Kernel kernel;
   SpinTickable t;
   kernel.add_tickable(t, "declared.before.attach");
@@ -115,7 +108,6 @@ TEST(HostProfilerIntegration, LateAttachReplaysDeclarations) {
   kernel.set_profiler(nullptr);
   ASSERT_EQ(p.tickables().size(), 1u);
   EXPECT_EQ(p.tickables()[0].name, "declared.before.attach");
-#endif
 }
 
 TEST(HostProfilerIntegration, DetachedKernelStepsWithoutProfiler) {

@@ -56,9 +56,6 @@ std::string file_bytes(const std::string& path) {
 }
 
 TEST(TraceIntegration, TracingDoesNotPerturbResults) {
-#ifdef PUNO_TRACING_DISABLED
-  GTEST_SKIP() << "emission sites compiled out";
-#endif
   const metrics::RunResult plain = metrics::run_experiment(small_params());
 
   metrics::ExperimentParams traced_params = small_params();
@@ -74,9 +71,6 @@ TEST(TraceIntegration, TracingDoesNotPerturbResults) {
 }
 
 TEST(TraceIntegration, AttributionMatchesSimulatorCounters) {
-#ifdef PUNO_TRACING_DISABLED
-  GTEST_SKIP() << "emission sites compiled out";
-#endif
   // Contended workload so false aborts actually occur; ring sized to hold
   // the full run (dropped must be 0 for exact equality).
   SystemConfig cfg;
