@@ -8,7 +8,6 @@
 
 int main() {
   using namespace puno;
-  using metrics::ExperimentParams;
 
   const std::vector<std::string> hc = {"bayes", "intruder", "labyrinth",
                                        "yada"};
@@ -25,20 +24,30 @@ int main() {
       {"PUNO", Scheme::kPuno, true, true},
   };
 
+  std::vector<runner::JobSpec> specs;
+  for (const std::string& w : hc) {
+    for (const Variant& v : variants) {
+      runner::JobSpec spec;
+      spec.params.workload = w;
+      spec.params.scheme = v.scheme;
+      spec.params.base_config.puno.enable_unicast = v.unicast;
+      spec.params.base_config.puno.enable_notification = v.notification;
+      spec.label = w + "/" + v.name;
+      specs.push_back(std::move(spec));
+    }
+  }
+  const runner::SweepResult sweep = bench::run_batch(specs);
+
   std::printf("PUNO ablation — unicast vs. notification (high-contention "
               "set)\n");
   std::printf("============================================================="
               "==\n");
   std::printf("%-11s %-9s %10s %10s %12s %10s %8s\n", "Benchmark", "Variant",
               "Cycles", "Aborts", "Traffic", "FalseAb", "Hit%");
+  std::size_t job = 0;
   for (const std::string& w : hc) {
     for (const Variant& v : variants) {
-      ExperimentParams p;
-      p.workload = w;
-      p.scheme = v.scheme;
-      p.base_config.puno.enable_unicast = v.unicast;
-      p.base_config.puno.enable_notification = v.notification;
-      const auto r = bench::cached_run(p);
+      const metrics::RunResult& r = sweep.outcomes[job++].result;
       std::printf("%-11s %-9s %10llu %10llu %12llu %10llu %7.1f%%\n",
                   w.c_str(), v.name,
                   static_cast<unsigned long long>(r.cycles),

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -12,9 +11,6 @@
 #include "workloads/stamp.hpp"
 
 namespace puno::bench {
-
-using metrics::ExperimentParams;
-using metrics::RunResult;
 
 double bench_scale() {
   const char* v = std::getenv("PUNO_BENCH_SCALE");
@@ -27,61 +23,26 @@ double bench_scale() {
   return s;
 }
 
-bool cache_enabled() {
-  const char* v = std::getenv("PUNO_BENCH_NOCACHE");
-  return v == nullptr || v[0] == '0';
+runner::SweepResult run_batch(const std::vector<runner::JobSpec>& specs) {
+  runner::RunnerOptions options;
+  options.progress = true;
+  runner::SweepResult sweep = runner::run_jobs(specs, options);
+  runner::print_summary(sweep, std::cout);
+  return sweep;
 }
 
-const runner::ResultCache& bench_cache() {
-  static const runner::ResultCache cache(runner::ResultCache::default_dir());
-  return cache;
-}
-
-RunResult cached_run(ExperimentParams params) {
-  if (params.scale <= 0) params.scale = bench_scale();
-  if (cache_enabled()) {
-    if (auto hit = bench_cache().load(params)) return std::move(*hit);
-  }
-  const RunResult r = metrics::run_experiment(params);
-  if (cache_enabled()) bench_cache().store(params, r);
-  return r;
-}
-
-std::vector<RunResult> cached_suite(Scheme scheme, std::uint64_t seed) {
-  runner::SuiteOptions options;
-  options.cache = cache_enabled() ? &bench_cache() : nullptr;
-  options.scale = bench_scale();
-  return runner::run_suite(scheme, seed, options);
-}
-
-SweepGrid cached_sweep(const std::vector<Scheme>& schemes,
-                       const std::vector<std::uint64_t>& seeds) {
+SweepGrid run_grid(const std::vector<Scheme>& schemes,
+                   const std::vector<std::uint64_t>& seeds) {
   SweepGrid grid;
   grid.schemes = schemes;
   grid.seeds = seeds;
   grid.workloads = workloads::stamp::benchmark_names();
-
-  // Scheme-major, then seed, then the 8 workloads — the index order at()
-  // expects. expand_grid is workload-major, so expand per (scheme, seed).
-  std::vector<runner::JobSpec> specs;
-  for (const Scheme s : schemes) {
-    for (const std::uint64_t seed : seeds) {
-      runner::GridSpec g;
-      g.workloads = grid.workloads;
-      g.schemes = {s};
-      g.seeds = {seed};
-      g.scale = bench_scale();
-      auto part = runner::expand_grid(g);
-      specs.insert(specs.end(), std::make_move_iterator(part.begin()),
-                   std::make_move_iterator(part.end()));
-    }
-  }
-
-  runner::RunnerOptions options;
-  options.cache = cache_enabled() ? &bench_cache() : nullptr;
-  options.progress = true;
-  grid.sweep = runner::run_jobs(specs, options);
-  runner::print_summary(grid.sweep, std::cout);
+  runner::GridSpec g;
+  g.workloads = grid.workloads;
+  g.schemes = schemes;
+  g.seeds = seeds;
+  g.scale = bench_scale();
+  grid.sweep = run_batch(runner::expand_grid(g));
   return grid;
 }
 

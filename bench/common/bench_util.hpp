@@ -1,21 +1,18 @@
 // Shared infrastructure for the per-figure/table experiment harnesses.
 //
-// Every figure bench runs (a subset of) the same 8-workload x 4-scheme
-// sweep. Sweeps go through the parallel experiment runner (src/runner/):
-// jobs shard across worker threads (--jobs equivalent: PUNO_JOBS, default
-// hardware_concurrency) and finished runs are cached on disk in the
-// content-addressed result cache (default ./.puno-cache, override with
-// PUNO_CACHE_DIR). Delete the cache directory or set PUNO_BENCH_NOCACHE=1
-// to force re-simulation. PUNO_BENCH_SCALE scales the per-node
+// Every bench that simulates builds its job list and runs it as one batch
+// through the parallel experiment runner (src/runner/): jobs shard across
+// worker threads (PUNO_JOBS, default hardware_concurrency) and every result
+// is simulated. Most benches run (a subset of) the same 8-workload x
+// scheme x seed grid; PUNO_BENCH_SCALE scales that grid's per-node
 // committed-transaction quota (default 1.0).
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "metrics/experiment.hpp"
 #include "metrics/run_result.hpp"
-#include "runner/suite.hpp"
+#include "runner/runner.hpp"
 
 namespace puno::bench {
 
@@ -23,36 +20,29 @@ namespace puno::bench {
 /// std::invalid_argument naming the variable unless it is a number > 0.
 [[nodiscard]] double bench_scale();
 
-/// False when PUNO_BENCH_NOCACHE=1 disables the on-disk result cache.
-[[nodiscard]] bool cache_enabled();
+/// Runs `specs` as one parallel batch, with a live progress meter on
+/// stderr, and prints the runner's wall-time/speedup summary line.
+/// outcomes[i] is specs[i]'s result.
+[[nodiscard]] runner::SweepResult run_batch(
+    const std::vector<runner::JobSpec>& specs);
 
-/// The benches' shared result cache (at runner::ResultCache::default_dir()).
-[[nodiscard]] const runner::ResultCache& bench_cache();
-
-/// Runs (or loads from cache) one experiment.
-[[nodiscard]] metrics::RunResult cached_run(metrics::ExperimentParams params);
-
-/// Runs (or loads) the whole suite for one scheme — one sharded batch.
-[[nodiscard]] std::vector<metrics::RunResult> cached_suite(
-    Scheme scheme, std::uint64_t seed = 1);
-
-/// A full schemes x seeds x 8-workload sweep, executed as one parallel
-/// batch (with a live progress meter and a wall-time/speedup summary).
+/// The 8 STAMP workloads x schemes x seeds at PUNO_BENCH_SCALE, run as one
+/// batch.
 struct SweepGrid {
   std::vector<Scheme> schemes;
   std::vector<std::uint64_t> seeds;
   std::vector<std::string> workloads;  // paper order
   runner::SweepResult sweep;
 
-  /// Result of (schemes[s], seeds[k], workloads[w]).
+  /// Result of (schemes[s], seeds[k], workloads[w]); the jobs are in
+  /// runner::expand_grid's order (workload, then scheme, then seed).
   [[nodiscard]] const metrics::RunResult& at(std::size_t s, std::size_t k,
                                              std::size_t w) const {
-    return sweep.outcomes[(s * seeds.size() + k) * workloads.size() + w]
-        .result;
+    return sweep.outcomes[(w * schemes.size() + s) * seeds.size() + k].result;
   }
 };
-[[nodiscard]] SweepGrid cached_sweep(const std::vector<Scheme>& schemes,
-                                     const std::vector<std::uint64_t>& seeds);
+[[nodiscard]] SweepGrid run_grid(const std::vector<Scheme>& schemes,
+                                 const std::vector<std::uint64_t>& seeds);
 
 /// A figure's data: per-workload values for several named series.
 struct Series {

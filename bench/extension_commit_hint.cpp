@@ -10,21 +10,32 @@
 
 int main() {
   using namespace puno;
+  // Three jobs per workload: Baseline, PUNO, PUNO+Hint.
+  const auto names = workloads::stamp::benchmark_names();
+  std::vector<runner::JobSpec> specs;
+  for (const std::string& w : names) {
+    runner::JobSpec spec;
+    spec.params.workload = w;
+    spec.params.scheme = Scheme::kBaseline;
+    specs.push_back(spec);
+    spec.params.scheme = Scheme::kPuno;
+    specs.push_back(spec);
+    spec.params.base_config.puno.enable_commit_hint = true;
+    spec.label = w + "/PUNO+Hint/s1";
+    specs.push_back(spec);
+  }
+  const runner::SweepResult sweep = bench::run_batch(specs);
+
   std::printf("Extension — commit-triggered retry hints on top of PUNO\n");
   std::printf("========================================================\n");
   std::printf("%-11s | %9s %9s | %9s %9s | %9s %9s\n", "Benchmark", "PUNOcyc",
               "Hintcyc", "PUNOab", "Hintab", "hints", "wakeups");
-  for (const std::string& w : workloads::stamp::benchmark_names()) {
-    metrics::ExperimentParams p;
-    p.workload = w;
-    p.scheme = Scheme::kBaseline;
-    const auto base = bench::cached_run(p);
-    p.scheme = Scheme::kPuno;
-    const auto puno = bench::cached_run(p);
-    p.base_config.puno.enable_commit_hint = true;
-    const auto hint = bench::cached_run(p);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const metrics::RunResult& base = sweep.outcomes[3 * i].result;
+    const metrics::RunResult& puno = sweep.outcomes[3 * i + 1].result;
+    const metrics::RunResult& hint = sweep.outcomes[3 * i + 2].result;
     std::printf("%-11s | %9.3f %9.3f | %9.3f %9.3f | %9llu %9llu\n",
-                w.c_str(),
+                names[i].c_str(),
                 static_cast<double>(puno.cycles) / base.cycles,
                 static_cast<double>(hint.cycles) / base.cycles,
                 static_cast<double>(puno.aborts) / base.aborts,

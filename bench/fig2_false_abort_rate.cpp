@@ -7,16 +7,17 @@
 
 int main() {
   using namespace puno;
+  const bench::SweepGrid grid = bench::run_grid({Scheme::kBaseline}, {1});
   std::printf("Figure 2 — transactional GETX requests incurring false "
               "aborting (baseline)\n");
   std::printf("==========================================================="
               "=========\n");
   std::printf("%-11s %14s %14s %10s\n", "Benchmark", "TxGETX", "FalseAbort",
               "Rate");
-  const auto base = bench::cached_suite(Scheme::kBaseline);
   double acc = 0;
   int counted = 0;
-  for (const auto& r : base) {
+  for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
+    const metrics::RunResult& r = grid.at(0, 0, w);
     const double rate = r.false_abort_fraction();
     std::printf("%-11s %14llu %14llu %9.1f%%\n", r.workload.c_str(),
                 static_cast<unsigned long long>(r.tx_getx_issued),

@@ -8,6 +8,7 @@
 
 int main() {
   using namespace puno;
+  const bench::SweepGrid grid = bench::run_grid({Scheme::kBaseline}, {1});
   std::printf("Figure 3 — transactions aborted unnecessarily per "
               "false-aborting event (baseline)\n");
   std::printf("==================================================="
@@ -16,8 +17,8 @@ int main() {
   constexpr int kMax = 8;
   for (int k = 1; k <= kMax; ++k) std::printf("   k=%-5d", k);
   std::printf("  k>%d\n", kMax);
-  const auto base = bench::cached_suite(Scheme::kBaseline);
-  for (const auto& r : base) {
+  for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
+    const metrics::RunResult& r = grid.at(0, 0, w);
     if (r.false_abort_events == 0) continue;
     std::printf("%-11s", r.workload.c_str());
     double tail = 0.0;

@@ -1,6 +1,6 @@
 // Shared body for the Figures 10-14 benches: run the 8-workload x 4-scheme
-// x 3-seed sweep as ONE sharded runner batch (96 jobs; PUNO_JOBS workers,
-// results cached) and print one metric as a paper-style normalized figure.
+// x 3-seed sweep as ONE sharded runner batch (96 jobs; PUNO_JOBS workers)
+// and print one metric as a paper-style normalized figure.
 // The runner's summary line reports wall time vs. summed sim time, i.e. the
 // parallel speedup of the sweep itself.
 #pragma once
@@ -29,7 +29,7 @@ inline void run_scheme_figure(const std::string& title, const MetricFn& metric,
   const std::vector<Scheme> schemes = {Scheme::kBaseline,
                                        Scheme::kRandomBackoff,
                                        Scheme::kRmwPred, Scheme::kPuno};
-  const SweepGrid grid = cached_sweep(schemes, figure_seeds());
+  const SweepGrid grid = run_grid(schemes, figure_seeds());
   std::vector<Series> series;
   for (std::size_t s = 0; s < schemes.size(); ++s) {
     Series col;

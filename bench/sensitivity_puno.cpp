@@ -3,6 +3,8 @@
 // cap, and the minimum-sharer unicast rule. Run on one representative
 // high-contention workload (intruder) and one moderate one (vacation).
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench/common/bench_util.hpp"
 
@@ -22,53 +24,70 @@ void report(const char* label, const metrics::RunResult& r,
               static_cast<unsigned long long>(r.unicast_forwards));
 }
 
-void sweep(const std::string& workload) {
-  metrics::ExperimentParams p;
-  p.workload = workload;
-  p.scheme = Scheme::kBaseline;
-  const auto base = bench::cached_run(p);
-  std::printf("%s (values normalized to Baseline)\n", workload.c_str());
+/// One row of the study: a label and the machine it runs under PUNO.
+struct Variant {
+  std::string label;
+  SystemConfig config;
+};
 
-  p.scheme = Scheme::kPuno;
-  report("PUNO default", bench::cached_run(p), base);
-
+/// Every workload's rows, in print order.
+std::vector<Variant> variants() {
+  std::vector<Variant> rows;
+  // Appends a default-config row and returns its PUNO knobs to vary.
+  const auto add = [&rows](const char* label) -> PunoConfig& {
+    rows.push_back({label, SystemConfig{}});
+    return rows.back().config.puno;
+  };
+  char label[64];
+  add("PUNO default");
   for (int thr : {0, 2}) {
-    auto q = p;
-    q.base_config.puno.validity_threshold = static_cast<std::uint8_t>(thr);
-    char label[64];
     std::snprintf(label, sizeof label, "validity>%d", thr);
-    report(label, bench::cached_run(q), base);
+    add(label).validity_threshold = static_cast<std::uint8_t>(thr);
   }
   for (double frac : {0.25, 4.0}) {
-    auto q = p;
-    q.base_config.puno.timeout_fraction = frac;
-    char label[64];
     std::snprintf(label, sizeof label, "timeout %.2fx txn len", frac);
-    report(label, bench::cached_run(q), base);
+    add(label).timeout_fraction = frac;
   }
   for (Cycle cap : {Cycle{60}, Cycle{240}}) {
-    auto q = p;
-    q.base_config.puno.max_notified_backoff = cap;
-    char label[64];
     std::snprintf(label, sizeof label, "backoff cap %llu",
                   static_cast<unsigned long long>(cap));
-    report(label, bench::cached_run(q), base);
+    add(label).max_notified_backoff = cap;
   }
-  {
-    auto q = p;
-    q.base_config.puno.unicast_min_sharers = 1;
-    report("unicast even to 1 sharer", bench::cached_run(q), base);
-  }
-  std::printf("\n");
+  add("unicast even to 1 sharer").unicast_min_sharers = 1;
+  return rows;
 }
 
 }  // namespace
 
 int main() {
+  // Per workload: one Baseline job, then one PUNO job per variant.
+  const std::vector<std::string> workloads = {"intruder", "vacation"};
+  const std::vector<Variant> rows = variants();
+  std::vector<runner::JobSpec> specs;
+  for (const std::string& w : workloads) {
+    runner::JobSpec spec;
+    spec.params.workload = w;
+    specs.push_back(spec);
+    spec.params.scheme = Scheme::kPuno;
+    for (const Variant& v : rows) {
+      spec.params.base_config = v.config;
+      spec.label = w + "/" + v.label;
+      specs.push_back(spec);
+    }
+  }
+  const runner::SweepResult sweep = bench::run_batch(specs);
+
   std::printf("PUNO parameter sensitivity\n");
   std::printf("==========================\n");
-  sweep("intruder");
-  sweep("vacation");
+  std::size_t job = 0;
+  for (const std::string& w : workloads) {
+    const metrics::RunResult& base = sweep.outcomes[job++].result;
+    std::printf("%s (values normalized to Baseline)\n", w.c_str());
+    for (const Variant& v : rows) {
+      report(v.label.c_str(), sweep.outcomes[job++].result, base);
+    }
+    std::printf("\n");
+  }
   std::printf("Defaults: validity>1, timeout = 1.0x average transaction\n"
               "length, uncapped notified backoff (the paper's formula),\n"
               "unicast only for >=2 sharers.\n");

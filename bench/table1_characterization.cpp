@@ -11,13 +11,14 @@
 
 int main() {
   using namespace puno;
+  const bench::SweepGrid grid = bench::run_grid({Scheme::kBaseline}, {1});
   std::printf("Table I — benchmark input parameters and abort rates\n");
   std::printf("====================================================\n");
   std::printf("%-11s %-34s %10s %12s\n", "Benchmark", "Input Parameters",
               "Paper %", "Measured %");
   double paper_acc = 0, ours_acc = 0;
-  const auto base = bench::cached_suite(Scheme::kBaseline);
-  for (const auto& r : base) {
+  for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
+    const metrics::RunResult& r = grid.at(0, 0, w);
     const double paper = workloads::stamp::paper_abort_rate(r.workload);
     const double ours = r.abort_rate();
     paper_acc += paper;
@@ -27,7 +28,8 @@ int main() {
                 paper * 100.0, ours * 100.0);
   }
   std::printf("%-11s %-34s %9.1f%% %11.1f%%\n", "mean", "",
-              paper_acc / base.size() * 100.0, ours_acc / base.size() * 100.0);
+              paper_acc / grid.workloads.size() * 100.0,
+              ours_acc / grid.workloads.size() * 100.0);
   std::printf(
       "\nNote: \"Measured\" is this reproduction's baseline abort rate;\n"
       "the contention *ordering* and high/low classes are the target, not\n"

@@ -5,18 +5,17 @@
 //               --jobs 8 --csv out.csv --jsonl out.jsonl --manifest runs.jsonl
 //
 // Expands the workload x scheme x seed x config-override cross product,
-// shards it over the experiment runner's worker threads (with the
-// content-addressed result cache), and writes the results as CSV and/or
-// JSONL. Every --set adds a grid axis: --set KEY=V1,V2 multiplies the grid
-// by one job per value. The JSONL manifest records one line per job
-// (status, attempts, sim wall time, cycles/s, cache key).
+// shards it over the experiment runner's worker threads, simulates every
+// job, and writes the results as CSV and/or JSONL. Every --set adds a grid
+// axis: --set KEY=V1,V2 multiplies the grid by one job per value. The JSONL
+// manifest records one line per job (status, attempts, sim wall time,
+// cycles/s, run key).
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -26,7 +25,6 @@
 
 #include "metrics/stats_io.hpp"
 #include "trace/recorder.hpp"
-#include "runner/cache.hpp"
 #include "runner/grid.hpp"
 #include "runner/runner.hpp"
 #include "traffic/registry.hpp"
@@ -52,21 +50,16 @@ void usage(const char* argv0) {
       "  --jobs N          worker threads (default: PUNO_JOBS, else all\n"
       "                    hardware threads)\n"
       "  --watchdog SECS   per-job wall-clock limit (default: off)\n"
-      "  --no-cache        always re-simulate\n"
-      "  --cache-dir PATH  result cache location (default: PUNO_CACHE_DIR\n"
-      "                    or ./.puno-cache)\n"
       "  --csv FILE        write results as CSV (\"-\" = stdout)\n"
       "  --jsonl FILE      write results as JSONL (\"-\" = stdout)\n"
       "  --manifest FILE   write the per-job JSONL manifest\n"
-      "  --trace[=FILTER]  record an event trace per job (docs/TRACING.md);\n"
-      "                    traced jobs bypass the result cache\n"
+      "  --trace[=FILTER]  record an event trace per job (docs/TRACING.md)\n"
       "  --trace-dir DIR   where per-job trace JSON + abort-attribution\n"
       "                    reports land (default: ./traces); manifest rows\n"
       "                    record each path\n"
       "  --telemetry[=N]   sample live gauges every N cycles per job,\n"
       "                    including the per-tile spatial channels\n"
-      "                    (default 1000; docs/TELEMETRY.md); sampled jobs\n"
-      "                    bypass the result cache\n"
+      "                    (default 1000; docs/TELEMETRY.md)\n"
       "  --telemetry-dir DIR  where per-job telemetry JSONL lands (default:\n"
       "                    ./telemetry); manifest rows record each path\n"
       "  --dashboard-dir DIR  also write a per-job HTML dashboard (mesh\n"
@@ -86,8 +79,6 @@ int main(int argc, char** argv) {
   std::string seeds_spec = "1";
   runner::GridSpec grid;
   runner::RunnerOptions options;
-  bool use_cache = true;
-  std::string cache_dir;
   std::string csv_path, jsonl_path;
   bool progress = false, quiet = false;
   bool trace_on = false;
@@ -153,10 +144,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--watchdog") {
       number("--watchdog", next(), runner::parse_f64,
              options.watchdog_seconds);
-    } else if (arg == "--no-cache") {
-      use_cache = false;
-    } else if (arg == "--cache-dir") {
-      cache_dir = next();
     } else if (arg == "--csv") {
       csv_path = next();
     } else if (arg == "--jsonl") {
@@ -289,12 +276,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::optional<runner::ResultCache> cache;
-  if (use_cache) {
-    cache.emplace(cache_dir.empty() ? runner::ResultCache::default_dir()
-                                    : std::filesystem::path(cache_dir));
-    options.cache = &*cache;
-  }
   options.progress = progress && !quiet;
 
   if (!quiet) {
@@ -306,7 +287,13 @@ int main(int argc, char** argv) {
                 options.jobs);
   }
 
-  const runner::SweepResult sweep = runner::run_jobs(specs, options);
+  runner::SweepResult sweep;
+  try {
+    sweep = runner::run_jobs(specs, options);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "punobatch: %s\n", e.what());
+    return 1;
+  }
 
   std::vector<metrics::RunResult> results;
   results.reserve(sweep.outcomes.size());
@@ -363,6 +350,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (!sweep.manifest_error.empty()) {
+    std::fprintf(stderr, "punobatch: %s\n", sweep.manifest_error.c_str());
+    io_ok = false;
+  }
   if (!io_ok) return 1;
   return sweep.failed == 0 ? 0 : 1;
 }

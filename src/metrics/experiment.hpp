@@ -36,11 +36,11 @@ struct ExperimentParams {
   /// Overrides applied on top of the Table II defaults (set by ablations).
   SystemConfig base_config{};
   /// Event-trace request (docs/TRACING.md). Deliberately NOT part of the
-  /// runner's cache key: tracing never changes simulated behaviour, and
-  /// traced jobs bypass the cache so the side-effect files always appear.
+  /// run key (runner/run_key.hpp): tracing never changes simulated
+  /// behaviour, so a traced run is the same experiment as a plain one.
   trace::TraceRequest trace{};
-  /// Telemetry-sampling request (docs/TELEMETRY.md). Same cache contract as
-  /// `trace`: excluded from the key, sampled jobs bypass the cache.
+  /// Telemetry-sampling request (docs/TELEMETRY.md). Excluded from the run
+  /// key for the same reason as `trace`.
   telemetry::TelemetryRequest telemetry{};
 
   /// The machine the run builds: base_config with scheme and seed applied.

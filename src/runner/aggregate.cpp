@@ -2,13 +2,23 @@
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <tuple>
 
+#ifdef _WIN32
+#include <process.h>
+#define PUNO_GETPID _getpid
+#else
+#include <unistd.h>
+#define PUNO_GETPID getpid
+#endif
+
 #include "metrics/run_result.hpp"
-#include "runner/cache.hpp"
 #include "sim/jsonio.hpp"
 #include "telemetry/heatmap.hpp"
 #include "telemetry/html.hpp"
@@ -123,8 +133,8 @@ std::vector<AggregateRow> aggregate_manifest(const fs::path& manifest_path,
     row.mesh_width = m.mesh_width;
     row.mesh_height = m.mesh_height;
     row.overrides = m.overrides;
-    // A cache hit and a fresh simulation are the same experiment; keeping
-    // the distinction would make the aggregate depend on cache warmth.
+    // Manifests written while the runner kept a result cache mark a served
+    // row "cached"; it is the same experiment as a fresh simulation.
     row.status = m.status == "cached" ? "ok" : m.status;
     row.cycles = m.cycles;
     if (i < results.size()) {
@@ -157,11 +167,58 @@ bool parse_aggregate_row(std::string_view line, AggregateRow& row,
   return jio::read_record(line, row, err);
 }
 
+namespace {
+
+/// Publishes a file atomically: `write` fills a temp file next to `path`,
+/// named uniquely per writer (pid + thread), which is flushed and renamed
+/// over `path`, so readers never see a torn file. On failure the temp file
+/// is removed and false returned, with a message in *err if given.
+bool publish_atomically(const fs::path& path,
+                        const std::function<void(std::ostream&)>& write,
+                        std::string* err) {
+  // Unique temp name per writer (pid + thread) in the target's directory,
+  // so concurrent publishers never interleave; rename() makes publication
+  // atomic on POSIX filesystems.
+  std::ostringstream tmp_name;
+  tmp_name << path.filename().string() << ".tmp." << PUNO_GETPID() << "."
+           << std::hash<std::thread::id>{}(std::this_thread::get_id());
+  const fs::path tmp =
+      (path.has_parent_path() ? path.parent_path() : fs::path(".")) /
+      tmp_name.str();
+  std::error_code ec;
+  {
+    std::ofstream out(tmp, std::ios::trunc);
+    if (!out.is_open()) {
+      if (err != nullptr) *err = "cannot write '" + tmp.string() + "'";
+      return false;
+    }
+    write(out);
+    out.flush();
+    if (!out) {
+      fs::remove(tmp, ec);
+      if (err != nullptr) *err = "short write to '" + tmp.string() + "'";
+      return false;
+    }
+  }
+  fs::rename(tmp, path, ec);
+  if (ec) {
+    if (err != nullptr) {
+      *err = "cannot publish '" + path.string() + "': " + ec.message();
+    }
+    std::error_code ignored;
+    fs::remove(tmp, ignored);
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 bool publish_aggregate(const fs::path& path,
                        const std::vector<AggregateRow>& rows,
                        std::string* err) {
   // Keyed merge: whatever is already published survives unless this batch
-  // carries a fresher row for the same cache key.
+  // carries a fresher row for the same run key.
   std::map<std::string, AggregateRow> merged;
   if (fs::exists(path)) {
     std::ifstream in(path);

@@ -4,15 +4,15 @@
 // (config identity + outcome + artifact paths), the result JSONL (one
 // RunResult row per job, same order as the manifest) and per-job telemetry
 // series. This module walks one or more manifests, joins those artifacts on
-// the content-addressed cache key, and produces:
+// the run key (runner/run_key.hpp), and produces:
 //
-//   - deterministic aggregate rows (host-time fields dropped, "cached"
-//     normalized to "ok", sorted by config identity) that are byte-identical
-//     however many worker threads produced the sweep,
+//   - deterministic aggregate rows (host-time fields dropped, an older
+//     manifest's "cached" normalized to "ok", sorted by config identity)
+//     that are byte-identical however many worker threads produced the
+//     sweep,
 //   - an append-safe aggregate JSONL on disk: rows merge into whatever is
-//     already there (newest row per cache key wins) and the file is
-//     republished through publish_atomically (runner/cache.hpp), as the
-//     result cache stores its entries,
+//     already there (newest row per run key wins) and the file is
+//     republished atomically (temp file + rename),
 //   - the self-contained fleet dashboard comparing schemes x sizes x
 //     workloads with a per-config mesh-heatmap thumbnail.
 //
@@ -46,8 +46,8 @@ struct ManifestRow {
   std::uint64_t num_nodes = 0;
   std::uint64_t mesh_width = 0;
   std::uint64_t mesh_height = 0;
-  std::string key;     ///< Cache key — the cross-artifact join key.
-  std::string status;  ///< "ok" | "cached" | "failed".
+  std::string key;     ///< Run key — the cross-artifact join key.
+  std::string status;  ///< "ok" | "failed" ("cached" in older manifests).
   std::uint64_t attempts = 0;
   double wall_s = 0.0;
   std::uint64_t cycles = 0;
@@ -201,7 +201,7 @@ void write_aggregate_row(const AggregateRow& row, std::ostream& out);
                                        AggregateRow& row, std::string* err);
 
 /// Merges `rows` into the aggregate JSONL at `path` (rows already there are
-/// kept unless a new row has the same cache key), sorts, and republishes the
+/// kept unless a new row has the same run key), sorts, and republishes the
 /// whole file atomically via temp + rename. Returns false with `err` set on
 /// I/O failure or a malformed existing file.
 [[nodiscard]] bool publish_aggregate(const std::filesystem::path& path,

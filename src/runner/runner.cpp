@@ -14,6 +14,7 @@
 #include "metrics/stats_io.hpp"
 #include "runner/aggregate.hpp"
 #include "runner/grid.hpp"
+#include "runner/run_key.hpp"
 #include "sim/jsonio.hpp"
 
 namespace puno::runner {
@@ -85,7 +86,7 @@ void write_manifest_row(std::ostream& out, std::size_t index,
   row.num_nodes = p.base_config.num_nodes;
   row.mesh_width = p.base_config.noc.mesh_width;
   row.mesh_height = p.base_config.noc.rows();
-  row.key = cache_key(p);
+  row.key = run_key(p);
   row.status = to_string(o.status);
   row.attempts = o.attempts;
   row.wall_s = o.wall_seconds;
@@ -132,6 +133,10 @@ SweepResult run_jobs(const std::vector<JobSpec>& specs,
   std::ofstream manifest;
   if (!options.manifest_path.empty()) {
     manifest.open(options.manifest_path, std::ios::trunc);
+    if (!manifest.is_open()) {
+      throw std::runtime_error("cannot write manifest '" +
+                               options.manifest_path + "'");
+    }
   }
 
   const auto t0 = Clock::now();
@@ -149,62 +154,40 @@ SweepResult run_jobs(const std::vector<JobSpec>& specs,
       out.result.workload = spec.params.workload;
       out.result.scheme = spec.params.scheme;
 
-      bool hit = false;
-      // Traced and telemetry-sampled jobs always simulate: the point of
-      // either is its side-effect files, which a cached result row cannot
-      // reproduce.
-      const bool traced =
-          spec.params.trace.active() || spec.params.telemetry.active();
-      if (options.cache != nullptr && !traced) {
-        if (auto cached = options.cache->load(spec.params)) {
-          out.result = std::move(*cached);
-          out.status = JobStatus::kCached;
-          hit = true;
-        }
-      }
-      if (!hit) {
-        for (int attempt = 1; attempt <= options.max_attempts; ++attempt) {
-          out.attempts = attempt;
-          const auto job_t0 = Clock::now();
-          try {
-            metrics::RunResult r =
-                fn ? fn(spec) : simulate(spec, options.watchdog_seconds);
-            out.wall_seconds = seconds_since(job_t0);
-            out.result = std::move(r);
-            out.status = JobStatus::kOk;
-            out.error.clear();
-            break;
-          } catch (const WatchdogExpired& e) {
-            out.wall_seconds = seconds_since(job_t0);
-            out.status = JobStatus::kFailed;
-            out.error = e.what();
-            break;  // deliberate: no retry after a watchdog kill
-          } catch (const std::exception& e) {
-            out.wall_seconds = seconds_since(job_t0);
-            out.status = JobStatus::kFailed;
-            out.error = e.what();
-          } catch (...) {
-            out.wall_seconds = seconds_since(job_t0);
-            out.status = JobStatus::kFailed;
-            out.error = "unknown exception";
-          }
-        }
-        if (out.status == JobStatus::kOk && options.cache != nullptr &&
-            !traced) {
-          options.cache->store(spec.params, out.result);
+      for (int attempt = 1; attempt <= options.max_attempts; ++attempt) {
+        out.attempts = attempt;
+        const auto job_t0 = Clock::now();
+        try {
+          metrics::RunResult r =
+              fn ? fn(spec) : simulate(spec, options.watchdog_seconds);
+          out.wall_seconds = seconds_since(job_t0);
+          out.result = std::move(r);
+          out.status = JobStatus::kOk;
+          out.error.clear();
+          break;
+        } catch (const WatchdogExpired& e) {
+          out.wall_seconds = seconds_since(job_t0);
+          out.status = JobStatus::kFailed;
+          out.error = e.what();
+          break;  // deliberate: no retry after a watchdog kill
+        } catch (const std::exception& e) {
+          out.wall_seconds = seconds_since(job_t0);
+          out.status = JobStatus::kFailed;
+          out.error = e.what();
+        } catch (...) {
+          out.wall_seconds = seconds_since(job_t0);
+          out.status = JobStatus::kFailed;
+          out.error = "unknown exception";
         }
       }
 
       std::lock_guard<std::mutex> lock(book_mutex);
       ++completed;
       sweep.sim_seconds += out.wall_seconds;
-      switch (out.status) {
-        case JobStatus::kOk: ++sweep.simulated; break;
-        case JobStatus::kCached: ++sweep.cached; break;
-        case JobStatus::kFailed: ++sweep.failed; break;
-      }
-      if (out.status != JobStatus::kFailed) {
+      if (out.status == JobStatus::kOk) {
         sweep.total_cycles += out.result.cycles;
+      } else {
+        ++sweep.failed;
       }
       if (manifest.is_open()) write_manifest_row(manifest, i, spec, out);
       if (options.progress) {
@@ -233,26 +216,32 @@ SweepResult run_jobs(const std::vector<JobSpec>& specs,
 
   if (options.progress) std::fprintf(stderr, "\r%78s\r", "");
   sweep.wall_seconds = seconds_since(t0);
+  if (manifest.is_open()) {
+    manifest.close();
+    if (manifest.fail()) {
+      sweep.manifest_error =
+          "short write to manifest '" + options.manifest_path + "'";
+    }
+  }
   return sweep;
 }
 
 void print_summary(const SweepResult& s, std::ostream& out) {
+  const std::size_t simulated = s.outcomes.size() - s.failed;
   char line[256];
   std::snprintf(line, sizeof line,
-                "sweep: %zu jobs (%zu simulated, %zu cached, %zu failed) in "
+                "sweep: %zu jobs (%zu simulated, %zu failed) in "
                 "%.2fs wall on %u worker%s",
-                s.outcomes.size(), s.simulated, s.cached, s.failed,
-                s.wall_seconds, s.jobs_used, s.jobs_used == 1 ? "" : "s");
+                s.outcomes.size(), simulated, s.failed, s.wall_seconds,
+                s.jobs_used, s.jobs_used == 1 ? "" : "s");
   out << line;
   // Speedup and throughput only mean something when work was simulated.
-  if (s.simulated > 0 && s.sim_seconds > 0.0 && s.wall_seconds > 0.0) {
+  if (simulated > 0 && s.sim_seconds > 0.0 && s.wall_seconds > 0.0) {
     std::snprintf(line, sizeof line,
                   "; sim time %.2fs, speedup %.2fx, %.1fM cycles/s aggregate",
                   s.sim_seconds, s.speedup(),
                   static_cast<double>(s.total_cycles) / s.wall_seconds / 1e6);
     out << line;
-  } else if (s.cached == s.outcomes.size() && !s.outcomes.empty()) {
-    out << "; all results served from cache";
   }
   out << '\n';
 }

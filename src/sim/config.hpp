@@ -250,7 +250,7 @@ placement_mode_from_string(std::string_view s) noexcept {
 /// Knobs of the open-loop production-traffic engine (docs/TRAFFIC.md).
 /// Only the traffic-kernel workloads ("traffic-*") read these; the STAMP
 /// profiles ignore them. Every field is a "traffic.*" key in for_each_key,
-/// so it can be set and is part of the content-addressed result-cache key.
+/// so it can be set and is part of the run key.
 struct TrafficConfig {
   // --- workload volume -------------------------------------------------
   /// Open-loop arrival quota per core (ExperimentParams::scale multiplies
@@ -394,8 +394,8 @@ struct SystemConfig {
 /// field's member path ("num_nodes", "noc.mesh_width", ...). `Config` is
 /// SystemConfig or const SystemConfig. runner::apply_override and
 /// runner::override_keys walk it to set fields, runner::params_repr to
-/// render the result-cache key, so a knob can be set exactly when it is
-/// keyed. scheme and seed are not listed: ExperimentParams carries them.
+/// render the run key, so a knob can be set exactly when it is keyed.
+/// scheme and seed are not listed: ExperimentParams carries them.
 template <typename Config, typename Visit>
 constexpr void for_each_key(Config& c, Visit&& visit) {
   static_assert(std::is_same_v<std::remove_const_t<Config>, SystemConfig>);

@@ -1,7 +1,6 @@
 // The one JSON reader and escaper in the tree. Every JSON document the
 // simulator writes or reads goes through here:
-//   - RunResult rows and result-cache entries (metrics/stats_io,
-//     runner/cache);
+//   - RunResult rows (metrics/stats_io);
 //   - the punobatch manifest and the fleet aggregate (runner/runner,
 //     runner/aggregate);
 //   - telemetry series and the dashboards' embedded arrays

@@ -179,9 +179,10 @@ class SeriesRing {
 
 /// Run-scoped settings a caller (punosim, punobatch, ExperimentParams) uses
 /// to request telemetry. Plain data; owned by value wherever embedded.
-/// Mirrors trace::TraceRequest. Deliberately excluded from the runner's
-/// cache key: sampling never changes simulated results, only side-effect
-/// files (verified by tests/telemetry/telemetry_integration_test.cpp).
+/// Mirrors trace::TraceRequest. Deliberately excluded from the run key
+/// (runner/run_key.hpp): sampling never changes simulated results, only
+/// side-effect files (verified by
+/// tests/telemetry/telemetry_integration_test.cpp).
 struct TelemetryRequest {
   Cycle interval = 0;    ///< Cycles per window; 0 = sampling off.
   std::string jsonl_path;     ///< Sample series JSONL; "" = don't write.

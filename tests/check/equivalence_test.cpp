@@ -65,8 +65,8 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, ActiveSetEquivalenceTest,
                          ::testing::Values(Scheme::kBaseline,
                                            Scheme::kRandomBackoff,
                                            Scheme::kRmwPred, Scheme::kPuno),
-                         [](const auto& info) {
-                           return std::string(scheme_flag(info.param));
+                         [](const auto& p) {
+                           return std::string(scheme_flag(p.param));
                          });
 
 }  // namespace

@@ -106,7 +106,9 @@ TEST_F(L1EdgeTest, BackToBackOwnershipMigration) {
     ASSERT_TRUE(do_store(n, a));
     EXPECT_EQ(l1s_[n]->line_state(a), L1State::kM);
     for (NodeId m = 0; m < 4; ++m) {
-      if (m != n) EXPECT_EQ(l1s_[m]->line_state(a), std::nullopt);
+      if (m != n) {
+        EXPECT_EQ(l1s_[m]->line_state(a), std::nullopt);
+      }
     }
     EXPECT_EQ(dirs_[6]->peek(a)->owner, n);
   }

@@ -261,7 +261,9 @@ TEST_P(SharerSetProperty, OverApproximatesReference) {
       for (NodeId m : recorded_nodes) {
         ASSERT_TRUE(s.contains(m)) << "missing " << +m;
       }
-      if (rc.exact) ASSERT_EQ(ref, recorded_nodes);
+      if (rc.exact) {
+        ASSERT_EQ(ref, recorded_nodes);
+      }
       for (NodeId m : ref) ASSERT_LT(m, rc.nodes);
     }
     // Rebuilding a list by recording its own members, ascending (what the
@@ -290,7 +292,9 @@ TEST_P(SharerSetProperty, IntersectIsExact) {
       ASSERT_TRUE(b.contains(n));
     });
     a.for_each([&](NodeId n) {
-      if (b.contains(n)) ASSERT_TRUE(isect.contains(n));
+      if (b.contains(n)) {
+        ASSERT_TRUE(isect.contains(n));
+      }
     });
   }
 }
@@ -309,12 +313,15 @@ INSTANTIATE_TEST_SUITE_P(
         RepCase{SharerRep::kLimited, 0x8E, 16, 1, 16, true},   // cap = nodes
         RepCase{SharerRep::kLimited, 0x8B, 64, 1, 4, false},
         RepCase{SharerRep::kLimited, 0x7F, 1024, 1, 16, false}),
-    [](const auto& info) {
-      const RepCase& rc = info.param;
+    [](const auto& p) {
+      const RepCase& rc = p.param;
       std::string name = to_string(rc.rep);
-      name += "_" + std::to_string(rc.nodes);
-      name += "n_r" + std::to_string(rc.region);
-      name += "_p" + std::to_string(rc.pointers);
+      name += "_";
+      name += std::to_string(rc.nodes);
+      name += "n_r";
+      name += std::to_string(rc.region);
+      name += "_p";
+      name += std::to_string(rc.pointers);
       return name;
     });
 

@@ -332,8 +332,8 @@ TEST_P(SchemeConformance, FullSystemRunCompletesWithInvariantsClean) {
 
 INSTANTIATE_TEST_SUITE_P(AllRegisteredSchemes, SchemeConformance,
                          ::testing::ValuesIn(kAllSchemes),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& p) {
+                           switch (p.param) {
                              case Scheme::kBaseline: return "Baseline";
                              case Scheme::kRandomBackoff: return "Backoff";
                              case Scheme::kRmwPred: return "RmwPred";

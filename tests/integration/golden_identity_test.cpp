@@ -157,8 +157,8 @@ TEST_P(GoldenIdentity, TraceAndAbortReport) {
 
 INSTANTIATE_TEST_SUITE_P(AllPreexistingSchemes, GoldenIdentity,
                          ::testing::ValuesIn(kPinnedSchemes),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& p) {
+                           switch (p.param) {
                              case Scheme::kBaseline: return "Baseline";
                              case Scheme::kRandomBackoff: return "Backoff";
                              case Scheme::kRmwPred: return "RmwPred";

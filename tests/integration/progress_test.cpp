@@ -78,8 +78,8 @@ TEST_P(ProgressTest, CommitCountGrowsMonotonically) {
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, ProgressTest,
                          ::testing::ValuesIn(kAllSchemes),
-                         [](const auto& info) {
-                           std::string n = to_string(info.param);
+                         [](const auto& p) {
+                           std::string n = to_string(p.param);
                            for (char& c : n) {
                              if (c == '-') c = '_';
                            }

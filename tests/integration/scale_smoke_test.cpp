@@ -106,8 +106,8 @@ INSTANTIATE_TEST_SUITE_P(
                       // pointers are both lossy.
                       ScaleCase{4, Scheme::kPuno, SharerRep::kCoarse},
                       ScaleCase{4, Scheme::kBaseline, SharerRep::kLimited}),
-    [](const auto& info) {
-      const ScaleCase& sc = info.param;
+    [](const auto& p) {
+      const ScaleCase& sc = p.param;
       std::string name = std::to_string(sc.width * sc.width);
       name += "t_";
       name += sc.scheme == Scheme::kPuno ? "puno" : "baseline";

@@ -83,7 +83,7 @@ TEST_P(HighContentionScheme, BaselineAbortsAreGetxDominated) {
 INSTANTIATE_TEST_SUITE_P(HighContention, HighContentionScheme,
                          ::testing::Values("bayes", "intruder", "labyrinth",
                                            "yada"),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& p) { return p.param; });
 
 TEST(SchemeBehaviour, UnicastNeverSucceedsAndNeverAborts) {
   // Every PUNO unicast must resolve to a NACK (predicted or conservative);

@@ -22,7 +22,7 @@
 #include "arch/cmp.hpp"
 #include "metrics/experiment.hpp"
 #include "metrics/stats_io.hpp"
-#include "runner/cache.hpp"
+#include "runner/run_key.hpp"
 #include "sim/config.hpp"
 
 namespace puno {

@@ -89,8 +89,9 @@ TEST_P(MeshWidthTest, C2CLatencyGrowsWithWidth) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, MeshWidthTest,
                          ::testing::Values(2u, 3u, 4u, 5u, 8u),
-                         [](const auto& info) {
-                           return "w" + std::to_string(info.param);
+                         [](const auto& p) {
+                           return std::string("w").append(
+                               std::to_string(p.param));
                          });
 
 }  // namespace

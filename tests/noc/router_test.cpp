@@ -219,8 +219,12 @@ TEST_F(RouterTest, VnetVcPartitioningIsRespected) {
   const auto& flits = out_[static_cast<int>(Port::kEast)];
   ASSERT_EQ(flits.size(), 2u);
   for (const auto& f : flits) {
-    if (f.packet_id == pool_[req].id) EXPECT_LT(f.vc, 2u);
-    if (f.packet_id == pool_[rsp].id) EXPECT_GE(f.vc, 4u);
+    if (f.packet_id == pool_[req].id) {
+      EXPECT_LT(f.vc, 2u);
+    }
+    if (f.packet_id == pool_[rsp].id) {
+      EXPECT_GE(f.vc, 4u);
+    }
   }
 }
 

@@ -19,8 +19,8 @@ struct FullScanPBuffer {
     bool tracked = false;
   };
 
-  FullScanPBuffer(std::uint32_t capacity, std::uint32_t num_nodes)
-      : slots(num_nodes), capacity(capacity) {}
+  FullScanPBuffer(std::uint32_t cap, std::uint32_t num_nodes)
+      : slots(num_nodes), capacity(cap) {}
 
   void update(NodeId n, Timestamp ts) {
     Slot& s = slots[n];

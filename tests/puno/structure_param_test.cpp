@@ -50,8 +50,9 @@ TEST_P(TxLBCapacity, EstimatesStayPositiveAndBounded) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, TxLBCapacity,
                          ::testing::Values(1u, 2u, 8u, 32u, 128u),
-                         [](const auto& info) {
-                           return "cap" + std::to_string(info.param);
+                         [](const auto& p) {
+                           return std::string("cap").append(
+                               std::to_string(p.param));
                          });
 
 class PBufferSize : public ::testing::TestWithParam<std::uint32_t> {};
@@ -79,8 +80,9 @@ TEST_P(PBufferSize, InvalidationIsIndependentPerEntry) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PBufferSize,
                          ::testing::Values(1u, 4u, 16u, 64u),
-                         [](const auto& info) {
-                           return "n" + std::to_string(info.param);
+                         [](const auto& p) {
+                           return std::string("n").append(
+                               std::to_string(p.param));
                          });
 
 }  // namespace

@@ -1,8 +1,8 @@
 // docs/CONFIG.md completeness: the reference table must name every
-// overridable config knob and every cache-key field, and nothing else.
+// overridable config knob and every run-key field, and nothing else.
 //
 // The doc is hand-written; these checks make it impossible to add a knob
-// to the --set registry (runner::override_keys) or to the result-cache key
+// to the --set registry (runner::override_keys) or to the run key
 // (runner::params_repr) without also documenting it, or to remove one and
 // keep its row — the test fails with the key's name.
 #include <gtest/gtest.h>
@@ -14,7 +14,7 @@
 #include <string>
 
 #include "metrics/experiment.hpp"
-#include "runner/cache.hpp"
+#include "runner/run_key.hpp"
 #include "runner/grid.hpp"
 
 #ifndef PUNO_DOCS_DIR
@@ -47,7 +47,7 @@ TEST(ConfigDoc, DocumentsEveryCacheKeyField) {
   const std::string doc = read_config_doc();
   ASSERT_FALSE(doc.empty());
   // params_repr renders "name=value" tokens separated by spaces; every
-  // field name participating in the cache key must appear in the doc.
+  // field name participating in the run key must appear in the doc.
   const std::string repr = params_repr(metrics::ExperimentParams{});
   std::istringstream tokens(repr);
   std::string tok;
@@ -56,12 +56,12 @@ TEST(ConfigDoc, DocumentsEveryCacheKeyField) {
     ASSERT_NE(eq, std::string::npos) << tok;
     const std::string name = tok.substr(0, eq);
     EXPECT_NE(doc.find("`" + name + "`"), std::string::npos)
-        << "docs/CONFIG.md is missing cache-key field `" << name << "`";
+        << "docs/CONFIG.md is missing run-key field `" << name << "`";
   }
 }
 
 // The reverse direction: every backticked key in a table's first column
-// must be a cache-key field (an override key or an ExperimentParams
+// must be a run-key field (an override key or an ExperimentParams
 // field), so a removed knob cannot keep its row.
 TEST(ConfigDoc, EveryDocumentedKeyExists) {
   const std::string doc = read_config_doc();
@@ -84,7 +84,7 @@ TEST(ConfigDoc, EveryDocumentedKeyExists) {
         << "docs/CONFIG.md documents `" << key
         << "`, which is neither a --set key nor an ExperimentParams field";
   }
-  EXPECT_EQ(rows, fields.size()) << "one table row per cache-key field";
+  EXPECT_EQ(rows, fields.size()) << "one table row per run-key field";
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 #include <utility>
 
 #include "metrics/experiment.hpp"
-#include "runner/cache.hpp"
 #include "runner/grid.hpp"
+#include "runner/run_key.hpp"
 #include "sim/config.hpp"
 
 namespace puno::runner {

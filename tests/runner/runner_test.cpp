@@ -14,11 +14,10 @@
 #include <string>
 #include <vector>
 
+#include "bench/common/bench_util.hpp"
 #include "metrics/stats_io.hpp"
 #include "runner/aggregate.hpp"
-#include "runner/cache.hpp"
 #include "runner/grid.hpp"
-#include "runner/suite.hpp"
 #include "workloads/stamp.hpp"
 
 namespace puno::runner {
@@ -155,73 +154,6 @@ TEST(Runner, FaultInjectionRetriesThenIsolatesFailures) {
   }
 }
 
-TEST(Runner, CacheHitSkipsSimulation) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "puno-runner-cache";
-  std::filesystem::remove_all(dir);
-  const ResultCache cache(dir);
-
-  std::vector<JobSpec> specs(2);
-  specs[0].params.workload = "alpha";
-  specs[1].params.workload = "beta";
-
-  std::atomic<int> invocations{0};
-  const JobFn fn = [&](const JobSpec& spec) -> RunResult {
-    invocations.fetch_add(1);
-    RunResult r;
-    r.workload = spec.params.workload;
-    r.completed = true;
-    r.cycles = 42;
-    return r;
-  };
-
-  RunnerOptions options;
-  options.jobs = 1;
-  options.cache = &cache;
-
-  const SweepResult first = run_jobs(specs, options, fn);
-  EXPECT_EQ(invocations.load(), 2);
-  EXPECT_EQ(first.simulated, 2u);
-  EXPECT_EQ(first.cached, 0u);
-
-  const SweepResult second = run_jobs(specs, options, fn);
-  EXPECT_EQ(invocations.load(), 2) << "cache hits must not re-simulate";
-  EXPECT_EQ(second.simulated, 0u);
-  EXPECT_EQ(second.cached, 2u);
-  for (const JobOutcome& o : second.outcomes) {
-    EXPECT_EQ(o.status, JobStatus::kCached);
-    EXPECT_EQ(o.result.cycles, 42u);
-  }
-}
-
-TEST(Runner, FailedJobsAreNotCached) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "puno-runner-failcache";
-  std::filesystem::remove_all(dir);
-  const ResultCache cache(dir);
-
-  std::vector<JobSpec> specs(1);
-  specs[0].params.workload = "doomed";
-
-  std::atomic<int> invocations{0};
-  const JobFn fn = [&](const JobSpec&) -> RunResult {
-    invocations.fetch_add(1);
-    throw std::runtime_error("boom");
-  };
-
-  RunnerOptions options;
-  options.jobs = 1;
-  options.cache = &cache;
-
-  const SweepResult first = run_jobs(specs, options, fn);
-  EXPECT_EQ(first.failed, 1u);
-  EXPECT_EQ(invocations.load(), 2);  // one run + one retry
-
-  const SweepResult second = run_jobs(specs, options, fn);
-  EXPECT_EQ(second.failed, 1u);
-  EXPECT_EQ(invocations.load(), 4) << "a failure must not be served from cache";
-}
-
 // The wall-clock watchdog catches runaway simulations even when max_cycles
 // alone would let them run for minutes.
 TEST(Runner, WatchdogKillsRunawayJob) {
@@ -250,7 +182,7 @@ TEST(Runner, ManifestHasOneLinePerJob) {
 
   std::vector<JobSpec> specs(3);
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    specs[i].params.workload = "w" + std::to_string(i);
+    specs[i].params.workload = std::string("w").append(std::to_string(i));
   }
   const JobFn fn = [](const JobSpec& spec) {
     RunResult r;
@@ -289,19 +221,73 @@ TEST(Runner, ManifestHasOneLinePerJob) {
   EXPECT_EQ(lines, specs.size());
 }
 
-// run_suite moved onto the runner: same shape as before,
-// one row per STAMP benchmark in paper order.
+// A manifest that cannot be opened fails the sweep before any job runs,
+// naming the path; it once ran the whole sweep and wrote nothing.
+TEST(Runner, UnwritableManifestFailsBeforeAnyJobRuns) {
+  const std::string path = (std::filesystem::path(::testing::TempDir()) /
+                            "no-such-dir" / "runs.jsonl")
+                               .string();
+  std::vector<JobSpec> specs(2);
+  std::atomic<int> invocations{0};
+  const JobFn fn = [&](const JobSpec&) -> RunResult {
+    invocations.fetch_add(1);
+    return RunResult{};
+  };
+  RunnerOptions options;
+  options.jobs = 1;
+  options.manifest_path = path;
+  try {
+    (void)run_jobs(specs, options, fn);
+    ADD_FAILURE() << "an unwritable manifest was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(invocations.load(), 0) << "no job may run";
+}
+
+// A manifest whose rows fail to write (here a full device) is reported
+// after the last job, naming the path, and the outcomes survive.
+TEST(Runner, ManifestWriteFailureIsReported) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this platform";
+  }
+  std::vector<JobSpec> specs(3);
+  const JobFn fn = [](const JobSpec& spec) {
+    RunResult r;
+    r.workload = spec.params.workload;
+    r.completed = true;
+    return r;
+  };
+  RunnerOptions options;
+  options.jobs = 1;
+  options.manifest_path = "/dev/full";
+  const SweepResult sweep = run_jobs(specs, options, fn);
+  EXPECT_EQ(sweep.failed, 0u);
+  EXPECT_NE(sweep.manifest_error.find("/dev/full"), std::string::npos)
+      << sweep.manifest_error;
+
+  options.manifest_path.clear();
+  EXPECT_TRUE(run_jobs(specs, options, fn).manifest_error.empty());
+}
+
+// The benches' grid path (bench::run_grid, as table1, fig2 and fig3 call
+// it): one row per STAMP benchmark in paper order.
 TEST(RunnerSuite, SuiteHasOneRowPerBenchmarkInOrder) {
-  SuiteOptions options;
-  options.scale = 0.05;
-  options.jobs = 4;
-  const std::vector<RunResult> suite =
-      run_suite(Scheme::kBaseline, /*seed=*/1, options);
+  const char* old = std::getenv("PUNO_BENCH_SCALE");
+  const std::string saved = old != nullptr ? old : "";
+  ::setenv("PUNO_BENCH_SCALE", "0.05", 1);
+  const bench::SweepGrid grid = bench::run_grid({Scheme::kBaseline}, {1});
+  if (old != nullptr) {
+    ::setenv("PUNO_BENCH_SCALE", saved.c_str(), 1);
+  } else {
+    ::unsetenv("PUNO_BENCH_SCALE");
+  }
   const auto names = workloads::stamp::benchmark_names();
-  ASSERT_EQ(suite.size(), names.size());
+  ASSERT_EQ(grid.sweep.outcomes.size(), names.size());
   for (std::size_t i = 0; i < names.size(); ++i) {
-    EXPECT_EQ(suite[i].workload, names[i]);
-    EXPECT_EQ(suite[i].scheme, Scheme::kBaseline);
+    EXPECT_EQ(grid.at(0, 0, i).workload, names[i]);
+    EXPECT_EQ(grid.at(0, 0, i).scheme, Scheme::kBaseline);
   }
 }
 

@@ -126,7 +126,7 @@ TEST(TelemetryExport, ReaderIgnoresBlankLines) {
   const TelemetrySample s = make_sample();
   std::ostringstream os;
   write_sample_jsonl(s, os);
-  const std::string text = "\n" + os.str() + "\n\n";
+  const std::string text = std::string("\n").append(os.str()).append("\n\n");
   std::vector<TelemetrySample> back;
   ASSERT_TRUE(read_telemetry_jsonl(text, back));
   ASSERT_EQ(back.size(), 1u);

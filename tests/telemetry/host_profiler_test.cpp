@@ -67,9 +67,10 @@ TEST(HostProfiler, JsonFormIsWellFormed) {
 
 struct SpinTickable final : sim::Tickable {
   void tick(Cycle) override {
-    // Enough work to register non-zero ticks on any sane TSC.
-    for (volatile int i = 0; i < 64; ++i) {
-    }
+    // Enough work to register non-zero ticks on any sane TSC: 64 stores
+    // the compiler must keep.
+    [[maybe_unused]] volatile int sink = 0;
+    for (int i = 0; i < 64; ++i) sink = i;
   }
 };
 

@@ -4,8 +4,6 @@
 //      (bit-identical RunResult and stats dump with and without telemetry).
 //   2. Determinism: the runner produces byte-identical telemetry JSONL no
 //      matter how many worker threads execute the sweep.
-//   3. Cache contract: sampled jobs bypass the result cache and sampling is
-//      invisible to the cache key.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -18,7 +16,6 @@
 #include "arch/cmp.hpp"
 #include "metrics/experiment.hpp"
 #include "metrics/stats_io.hpp"
-#include "runner/cache.hpp"
 #include "runner/runner.hpp"
 #include "sim/kernel.hpp"
 #include "telemetry/export.hpp"
@@ -134,36 +131,6 @@ TEST(TelemetryIntegration, RunnerTelemetryIsThreadCountInvariant) {
     EXPECT_EQ(serial[i], parallel[i])
         << "telemetry JSONL " << i << " differs across thread counts";
   }
-}
-
-TEST(TelemetryIntegration, SampledJobsBypassTheCache) {
-  const TempDir dir("cache");
-  runner::ResultCache cache(dir.path / "cache");
-
-  runner::JobSpec spec;
-  spec.params = small_params();
-  spec.params.scale = 0.05;
-  runner::RunnerOptions options;
-  options.jobs = 1;
-  options.cache = &cache;
-
-  // Prime the cache with an unsampled run.
-  auto sweep = runner::run_jobs({spec}, options);
-  EXPECT_EQ(sweep.simulated, 1u);
-  sweep = runner::run_jobs({spec}, options);
-  EXPECT_EQ(sweep.cached, 1u) << "second unsampled run is a cache hit";
-
-  // The sampled twin must simulate (its JSONL cannot come from the cache)
-  // even though sampling does not change the cache key.
-  runner::JobSpec sampled = spec;
-  sampled.params.telemetry.interval = 200;
-  sampled.params.telemetry.jsonl_path =
-      (dir.path / "sampled.telemetry.jsonl").string();
-  EXPECT_EQ(runner::cache_key(sampled.params), runner::cache_key(spec.params))
-      << "telemetry must not be part of the cache key";
-  sweep = runner::run_jobs({sampled}, options);
-  EXPECT_EQ(sweep.simulated, 1u) << "sampled job must not be served cached";
-  EXPECT_FALSE(file_bytes(sampled.params.telemetry.jsonl_path).empty());
 }
 
 TEST(TelemetryIntegration, RunResultRowRoundTripsTelemetryKeys) {

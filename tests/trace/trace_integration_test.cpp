@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -22,7 +21,6 @@
 #include "arch/cmp.hpp"
 #include "metrics/experiment.hpp"
 #include "metrics/stats_io.hpp"
-#include "runner/cache.hpp"
 #include "runner/runner.hpp"
 #include "sim/kernel.hpp"
 #include "trace/abort_attribution.hpp"
@@ -132,30 +130,6 @@ TEST(TraceIntegration, RunnerTraceFilesAreByteIdenticalAcrossJobCounts) {
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b) << "job " << i;
   }
-}
-
-TEST(TraceIntegration, TracedJobsBypassTheRunnerCache) {
-  // A cached row cannot reproduce trace side-effect files, so a traced job
-  // must simulate even when a cache entry exists.
-  const std::string cache_dir = testing::TempDir() + "/trace-cache-bypass";
-  std::filesystem::remove_all(cache_dir);  // TempDir persists across runs
-  runner::ResultCache cache(cache_dir);
-  std::vector<runner::JobSpec> warm(1);
-  warm[0].params = small_params();
-  runner::RunnerOptions opt;
-  opt.jobs = 1;
-  opt.cache = &cache;
-  ASSERT_EQ(runner::run_jobs(warm, opt).simulated, 1u);
-  ASSERT_EQ(runner::run_jobs(warm, opt).cached, 1u);  // now cached
-
-  std::vector<runner::JobSpec> traced(1);
-  traced[0].params = small_params();
-  traced[0].params.trace.enabled = true;
-  traced[0].params.trace.path = testing::TempDir() + "/bypass.trace.json";
-  const auto sweep = runner::run_jobs(traced, opt);
-  EXPECT_EQ(sweep.simulated, 1u);
-  EXPECT_EQ(sweep.cached, 0u);
-  EXPECT_FALSE(file_bytes(traced[0].params.trace.path).empty());
 }
 
 TEST(TraceIntegration, ExperimentWritesValidChromeTraceAndReport) {

@@ -148,7 +148,9 @@ TEST(SyntheticWorkload, RmwWritesReuseReadAddresses) {
       if (!op.is_store) reads.insert(op.addr);
     }
     for (const auto& op : d->ops) {
-      if (op.is_store) EXPECT_TRUE(reads.contains(op.addr));
+      if (op.is_store) {
+        EXPECT_TRUE(reads.contains(op.addr));
+      }
     }
   }
 }
